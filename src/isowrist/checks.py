@@ -122,24 +122,29 @@ def check_axis_dot_products(solutions, tolerance) -> CheckResult:
     return _result("axis-dot-products", worst, tolerance, detail="all pairwise axis angles are arccos(+-1/3)")
 
 
+def _closure_distance(image: PointSet, axes: np.ndarray) -> float:
+    """Max-norm distance from an axis set to its nearest solution's axes (k, 4, 3)."""
+    return float(np.min(np.max(np.abs(image.array - axes), axis=(1, 2))))
+
+
 def check_antipodal_closure(solutions, tolerance) -> CheckResult:
+    bases = [r.axes for r in solutions]
+    axes = np.array([b.array for b in bases])
     worst = 0.0
-    for r in solutions:
+    for base in bases:
         for size in range(0, 4):
             for subset in itertools.combinations((2, 3, 4), size):
-                img = antipodal_exchange(r.axes, subset)
-                best = min(float(np.max(np.abs(img.array - s.axes.array))) for s in solutions)
-                worst = max(worst, best)
+                worst = max(worst, _closure_distance(antipodal_exchange(base, subset), axes))
     return _result("antipodal-closure", worst, tolerance, detail="32 solutions closed under antipodal exchanges")
 
 
 def check_reflection_closure(solutions, tolerance) -> CheckResult:
+    bases = [r.axes for r in solutions]
+    axes = np.array([b.array for b in bases])
     worst = 0.0
     for op in ("reflect_xy", "reflect_xz", "reflect_xz_then_xy"):
-        for r in solutions:
-            img = classify._apply_reflection(r.axes, op)
-            best = min(float(np.max(np.abs(img.array - s.axes.array))) for s in solutions)
-            worst = max(worst, best)
+        for base in bases:
+            worst = max(worst, _closure_distance(classify._apply_reflection(base, op), axes))
     return _result("reflection-closure", worst, tolerance, detail="32 solutions closed under coordinate reflections")
 
 

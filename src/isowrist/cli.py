@@ -34,6 +34,18 @@ def _json_text(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _finite(ctx, param, value: float) -> float:
+    if not math.isfinite(value):
+        raise click.BadParameter(f"{value!r} is not a finite number")
+    return value
+
+
+def _positive_finite(ctx, param, value: float) -> float:
+    if not (math.isfinite(value) and value > 0):
+        raise click.BadParameter(f"{value!r} is not a positive finite number")
+    return value
+
+
 @click.group()
 def cli():
     """Isotropic four-revolute spherical wrists: enumerate, classify, verify."""
@@ -41,7 +53,10 @@ def cli():
 
 @cli.command("enumerate")
 @click.option("--format", "fmt", type=click.Choice(["table", "json", "csv"]), default="table", show_default=True)
-@click.option("--tolerance", type=float, default=1e-12, show_default=True, help="Catalog matching tolerance.")
+@click.option(
+    "--tolerance", type=float, default=1e-12, show_default=True, callback=_positive_finite,
+    help="Catalog matching tolerance.",
+)
 @click.option("--output", type=click.Path(dir_okay=False), default=None, help="Write to a file instead of stdout.")
 def cmd_enumerate(fmt: str, tolerance: float, output: str | None):
     """Emit all 32 solutions of the isotropy system in catalog order."""
@@ -78,21 +93,31 @@ def cmd_classify(fmt: str, output: str | None):
 
 
 @cli.command("verify")
-@click.option("--tolerance", type=float, default=1e-12, show_default=True, help="Residual and matching tolerance.")
-@click.option("--oracle-starts", type=int, default=20000, show_default=True, help="Newton starts; 0 skips the hunt.")
-@click.option("--seed", type=int, default=0, show_default=True, help="Seed for all randomized checks.")
+@click.option(
+    "--tolerance", type=float, default=1e-12, show_default=True, callback=_positive_finite,
+    help="Residual and matching tolerance.",
+)
+@click.option(
+    "--oracle-starts", type=click.IntRange(min=0), default=20000, show_default=True,
+    help="Newton starts; 0 skips the hunt.",
+)
+@click.option(
+    "--seed", type=click.IntRange(min=0), default=0, show_default=True, help="Seed for all randomized checks."
+)
 @click.option("--output", type=click.Path(dir_okay=False), default=None, help="Also write the report to a file.")
 def cmd_verify(tolerance: float, oracle_starts: int, seed: int, output: str | None):
     """Run every invariant check and report worst-case margins."""
-    if tolerance <= 0:
-        raise click.UsageError("tolerance must be positive")
     results = run_checks(tolerance=tolerance, oracle_starts=oracle_starts, seed=seed)
     width = max(len(r.name) for r in results)
     lines = []
     for r in results:
         lines.append(f"[{r.status}] {r.name:<{width}}  worst {r.worst:.3e}  tol {r.tolerance:.1e}  {r.detail}")
-    failures = [r for r in results if not r.skipped and not r.passed]
-    lines.append(f"{len(results) - len(failures)}/{len(results)} checks passed")
+    ran = [r for r in results if not r.skipped]
+    failures = [r for r in ran if not r.passed]
+    summary = f"{len(ran) - len(failures)}/{len(ran)} checks passed"
+    if len(ran) < len(results):
+        summary += f", {len(results) - len(ran)} skipped"
+    lines.append(summary)
     if failures:
         lines.append("failed: " + ", ".join(r.name for r in failures))
     text = "\n".join(lines) + "\n"
@@ -105,8 +130,12 @@ def cmd_verify(tolerance: float, oracle_starts: int, seed: int, output: str | No
 
 @cli.command("posture")
 @click.argument("label", type=click.Choice(list("abcdefgh")))
-@click.option("--theta1", type=float, default=0.0, show_default=True, help="Free joint 1 angle in degrees.")
-@click.option("--theta4", type=float, default=0.0, show_default=True, help="Free joint 4 angle in degrees.")
+@click.option(
+    "--theta1", type=float, default=0.0, show_default=True, callback=_finite, help="Free joint 1 angle in degrees."
+)
+@click.option(
+    "--theta4", type=float, default=0.0, show_default=True, callback=_finite, help="Free joint 4 angle in degrees."
+)
 @click.option("--format", "fmt", type=click.Choice(["json", "obj-lines"]), default="json", show_default=True)
 @click.option("--output", type=click.Path(dir_okay=False), default=None, help="Write to a file instead of stdout.")
 def cmd_posture(label: str, theta1: float, theta4: float, fmt: str, output: str | None):

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from datetime import datetime, timezone
 
 from .classify import WristClass, antipodal_map_table, reflection_map_table
 from .kinematics import IsotropyReport
@@ -34,7 +33,7 @@ PLATONIC_FOOTNOTE = (
 
 
 def _metadata(tolerance: float | None = None) -> dict:
-    meta = {"generator": GENERATOR, "timestamp": datetime.now(timezone.utc).isoformat()}
+    meta = {"generator": GENERATOR}
     if tolerance is not None:
         meta["tolerance"] = tolerance
     return meta

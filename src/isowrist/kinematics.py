@@ -110,6 +110,10 @@ def isotropy_report(j: np.ndarray, tol: float = 1e-9) -> IsotropyReport:
     return IsotropyReport(sv, float(np.mean(sv)), cond, iso)
 
 
+def _unit(v: np.ndarray) -> np.ndarray:
+    return v / math.sqrt(v @ v)
+
+
 def _forward_chain(dh: DHChain, theta: Sequence[float]):
     """Axis directions and common-normal directions of the chain.
 
@@ -121,12 +125,14 @@ def _forward_chain(dh: DHChain, theta: Sequence[float]):
     if len(theta) != dh.n:
         raise ValueError(f"expected {dh.n} joint angles, got {len(theta)}")
     e = np.array([1.0, 0.0, 0.0])
-    x = rotation_about_axis(e, theta[0]) @ np.array([0.0, 0.0, 1.0])
+    x = _unit(rotation_about_axis(e, theta[0]) @ np.array([0.0, 0.0, 1.0]))
     axes = [e]
     normals = [x]
     for k, alpha in enumerate(dh.twists):
-        e = rotation_about_axis(normals[-1], alpha) @ axes[-1]
-        x = rotation_about_axis(e, theta[k + 1]) @ normals[-1]
+        # renormalise after every rotation so rounding cannot accumulate
+        # past the unit-norm tolerance along long chains
+        e = _unit(rotation_about_axis(normals[-1], alpha) @ axes[-1])
+        x = _unit(rotation_about_axis(e, theta[k + 1]) @ normals[-1])
         axes.append(e)
         normals.append(x)
     return np.array(axes), np.array(normals)
@@ -161,9 +167,10 @@ def dh_from_axes(axes: PointSet) -> DHChain:
     # unit common normals x_i between axes i and i+1
     crosses = np.cross(a[:-1], a[1:])
     normals = crosses / np.linalg.norm(crosses, axis=1, keepdims=True)
+    turns = np.cross(normals[:-1], normals[1:])
     joints = [0.0]
     for i in range(1, axes.n - 1):
         x_prev, x_next, e = normals[i - 1], normals[i], a[i]
-        joints.append(math.atan2(float(np.dot(np.cross(x_prev, x_next), e)), float(np.dot(x_prev, x_next))))
+        joints.append(math.atan2(float(np.dot(turns[i - 1], e)), float(np.dot(x_prev, x_next))))
     joints.append(0.0)
     return DHChain(twists, joints)

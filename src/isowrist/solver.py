@@ -178,22 +178,29 @@ def _residuals_batch(pts: np.ndarray) -> np.ndarray:
     )
 
 
-def _jacobian_batch(pts: np.ndarray) -> np.ndarray:
-    """Analytic Jacobian of the residual map, stacked (m, 8, 8)."""
-    m = pts.shape[0]
+def _jacobian_batch(pts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Analytic Jacobian of the residual map, stacked (m, 8, 8).
+
+    With out, an (m, 8, 8) buffer whose structural zeros are already
+    zero, only the nonzero entries are written, so slices of one zeroed
+    buffer serve batches of every size.
+    """
+    if out is None:
+        out = np.zeros((pts.shape[0], 8, 8))
     c, s, x, y, z, u, v, w = (pts[:, i] for i in range(8))
-    zero = np.zeros(m)
-    rows = [
-        [2 * c, zero, 2 * x, zero, zero, 2 * u, zero, zero],
-        [zero, 2 * s, zero, 2 * y, zero, zero, 2 * v, zero],
-        [zero, zero, zero, zero, 2 * z, zero, zero, 2 * w],
-        [s, c, y, x, zero, v, u, zero],
-        [zero, zero, zero, z, y, zero, w, v],
-        [zero, zero, z, zero, x, w, zero, u],
-        [2 * c, 2 * s, zero, zero, zero, zero, zero, zero],
-        [zero, zero, 2 * x, 2 * y, 2 * z, zero, zero, zero],
-    ]
-    return np.stack([np.stack(r, axis=1) for r in rows], axis=1)
+    out[:, 0, 0] = out[:, 6, 0] = 2 * c
+    out[:, 0, 2] = 2 * x
+    out[:, 0, 5] = 2 * u
+    out[:, 1, 1] = out[:, 6, 1] = 2 * s
+    out[:, 1, 3] = 2 * y
+    out[:, 1, 6] = 2 * v
+    out[:, 2, 4] = 2 * z
+    out[:, 2, 7] = 2 * w
+    out[:, 3, 0], out[:, 3, 1], out[:, 3, 2], out[:, 3, 3], out[:, 3, 5], out[:, 3, 6] = s, c, y, x, v, u
+    out[:, 4, 3], out[:, 4, 4], out[:, 4, 6], out[:, 4, 7] = z, y, w, v
+    out[:, 5, 2], out[:, 5, 4], out[:, 5, 5], out[:, 5, 7] = z, x, w, u
+    out[:, 7, 2], out[:, 7, 3], out[:, 7, 4] = out[:, 0, 2], out[:, 1, 3], out[:, 2, 4]
+    return out
 
 
 def sign_patterns() -> list:
@@ -287,12 +294,22 @@ class OracleReport:
 
 
 def _cluster(points: np.ndarray, radius: float) -> np.ndarray:
-    reps: list[np.ndarray] = []
-    order = np.lexsort(points.T[::-1])
-    for p in points[order]:
-        if not any(np.linalg.norm(p - r) <= radius for r in reps):
-            reps.append(p)
-    reps.sort(key=lambda r: tuple(r))
+    """Greedy clustering in lexicographic order, one pass per cluster.
+
+    Visiting the points in lexicographic order, a point becomes a
+    representative unless an earlier representative lies within radius.
+    Equivalently, the first point not yet covered is the next
+    representative, and every point within radius of it is covered at
+    once.  Representatives come out lexicographically sorted.
+    """
+    rest = points[np.lexsort(points.T[::-1])]
+    reps = []
+    while rest.shape[0]:
+        rep = rest[0]
+        covered = np.linalg.norm(rest - rep, axis=1) <= radius
+        covered[0] = True  # a representative never survives its own pass, even if not finite
+        reps.append(rep)
+        rest = rest[~covered]
     return np.array(reps) if reps else np.empty((0, 8))
 
 
@@ -325,26 +342,34 @@ def oracle_root_hunt(
         pts = np.array(starts, dtype=float).reshape(-1, 8)
         n_starts = pts.shape[0]
     iters = np.full(n_starts, -1, dtype=int)
+    # one Jacobian buffer for every batch; its structural zeros are never written
+    jac_buf = np.zeros((n_starts, 8, 8))
     active = np.arange(n_starts)
     res = _residuals_batch(pts)
     norms = np.linalg.norm(res, axis=1)
     done = norms < converge_tol
     iters[active[done]] = 0
     active = active[~done]
+    r = res[~done]  # residuals at pts[active], carried across iterations
     for it in range(1, max_iters + 1):
         if active.size == 0:
             break
         cur = pts[active]
-        r = _residuals_batch(cur)
-        jac = _jacobian_batch(cur)
+        jac = _jacobian_batch(cur, jac_buf[: active.size])
         det = np.linalg.det(jac)
         solvable = np.isfinite(det) & (np.abs(det) > 1e-12)
-        step = np.zeros_like(cur)
-        if np.any(solvable):
-            step[solvable] = np.linalg.solve(jac[solvable], -r[solvable][..., None])[..., 0]
-        # backtracking line search on the residual norm
+        if solvable.all():
+            step = np.linalg.solve(jac, -r[..., None])[..., 0]
+        else:
+            step = np.zeros_like(cur)
+            if solvable.any():
+                step[solvable] = np.linalg.solve(jac[solvable], -r[solvable][..., None])[..., 0]
+        # backtracking line search on the residual norm; the residuals of
+        # each accepted trial are kept for the convergence test and the
+        # next iteration
         norm0 = np.linalg.norm(r, axis=1)
         new = np.array(cur)
+        new_r = np.array(r)
         improved = np.zeros(active.size, dtype=bool)
         lam = 1.0
         for _ in range(7):
@@ -352,26 +377,28 @@ def oracle_root_hunt(
             if not np.any(pending):
                 break
             trial = cur[pending] + lam * step[pending]
-            tn = np.linalg.norm(_residuals_batch(trial), axis=1)
-            ok = tn < norm0[pending]
+            trial_r = _residuals_batch(trial)
+            ok = np.linalg.norm(trial_r, axis=1) < norm0[pending]
             sel = np.nonzero(pending)[0][ok]
             new[sel] = trial[ok]
+            new_r[sel] = trial_r[ok]
             improved[sel] = True
             lam *= 0.5
         pts[active] = new
-        nn = np.linalg.norm(_residuals_batch(new), axis=1)
+        nn = np.linalg.norm(new_r, axis=1)
         conv = improved & (nn < converge_tol)
         stuck = ~improved
         iters[active[conv]] = it
         keep = ~(conv | stuck)
         active = active[keep]
+        r = new_r[keep]
     converged = iters >= 0
     n_converged = int(np.count_nonzero(converged))
     hits = pts[converged]
     if hits.size:
         # polish with undamped Newton so clusters collapse to machine precision
         for _ in range(3):
-            jac = _jacobian_batch(hits)
+            jac = _jacobian_batch(hits, jac_buf[: hits.shape[0]])
             det = np.linalg.det(jac)
             ok = np.isfinite(det) & (np.abs(det) > 1e-12)
             if not np.any(ok):

@@ -140,6 +140,48 @@ class TestVerify:
         result = runner.invoke(cli, ["verify", "--tolerance", "-1"])
         assert result.exit_code == 2
 
+    def test_skipped_check_is_not_counted_as_passed(self, runner):
+        result = runner.invoke(cli, ["verify", "--oracle-starts", "0"])
+        assert result.output.splitlines()[-1] == "17/17 checks passed, 1 skipped"
+        assert "failed:" not in result.output
+
+    def test_failures_are_listed(self, runner):
+        result = runner.invoke(cli, ["verify", "--tolerance", "1e-16", "--oracle-starts", "0"])
+        summary, failed = result.output.splitlines()[-2:]
+        assert re.fullmatch(r"\d+/17 checks passed, 1 skipped", summary)
+        assert failed.startswith("failed: ") and "solution-residuals" in failed
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--tolerance", "nan"],
+        ["verify", "--tolerance", "0"],
+        ["verify", "--tolerance", "-1e-12"],
+        ["verify", "--oracle-starts", "-5"],
+        ["verify", "--seed", "-1"],
+        ["enumerate", "--tolerance", "nan"],
+        ["enumerate", "--tolerance", "-1"],
+        ["enumerate", "--tolerance", "0"],
+        ["posture", "a", "--theta1", "inf"],
+        ["posture", "a", "--theta4", "nan"],
+        ["posture", "a", "--theta1", "-inf"],
+    ],
+)
+def test_bad_input_is_usage_error(runner, args):
+    result = runner.invoke(cli, args)
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    assert "Invalid value" in result.output
+
+
+@pytest.mark.parametrize("command", ["classify", "enumerate"])
+def test_json_artifacts_are_byte_identical_across_runs(runner, command):
+    first = runner.invoke(cli, [command, "--format", "json"])
+    second = runner.invoke(cli, [command, "--format", "json"])
+    assert first.exit_code == second.exit_code == 0
+    assert first.stdout_bytes == second.stdout_bytes
+
 
 class TestPosture:
     def test_class_a_condition_number(self, runner):

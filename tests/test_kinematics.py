@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from isowrist.checks import check_dh_round_trip
+from isowrist.classify import distinct_wrists
 from isowrist.kinematics import (
     DHChain,
     angular_velocity,
@@ -220,6 +222,14 @@ class TestRoundTrip:
             assert max(abs(a - b) for a, b in zip(dh.twists, back.twists)) < 1e-9
             if n > 2:
                 assert max(abs(a - b) for a, b in zip(dh.joints[1:-1], back.joints[1:-1])) < 1e-9
+
+
+    @pytest.mark.parametrize("seed", [125, 315, 353, 909])
+    def test_long_chains_stay_unit_norm(self, seed):
+        # seeds whose random chains once drifted past the 1e-12 unit-norm check
+        report = check_dh_round_trip(distinct_wrists(), seed=seed)
+        assert report.passed
+        assert report.worst < 1e-9
 
 
 class TestDHChainValidation:

@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from isowrist.solver import (
+    _cluster,
+    _jacobian_batch,
+    _residuals_batch,
     BEZOUT_COUNT,
     BKK_BOUND_CITED,
     SOLUTION_CATALOG,
@@ -188,3 +191,64 @@ class TestOracle:
         report = oracle_root_hunt(n_starts=0)
         assert report.n_roots == 0
         assert report.n_starts == 0
+
+    def test_pinned_counts_for_fixed_seed(self):
+        report = oracle_root_hunt(n_starts=2000, seed=42)
+        assert (report.n_converged, report.n_discarded) == (1217, 783)
+        assert int(report.iterations.sum()) == 10960
+        assert report.n_roots == 32
+
+
+def _greedy_cluster(points, radius):
+    """Reference clustering: one point at a time against every representative."""
+    reps = []
+    for p in points[np.lexsort(points.T[::-1])]:
+        if not any(np.linalg.norm(p - r) <= radius for r in reps):
+            reps.append(p)
+    return np.array(reps) if reps else np.empty((0, 8))
+
+
+class TestCluster:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_greedy_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        radius = 1e-3
+        centres = rng.uniform(-1.0, 1.0, size=(12, 8))
+        directions = rng.normal(size=(60, 8))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        picks = centres[rng.integers(0, 12, size=60)]
+        scale = rng.choice([0.0, 0.4, 0.9, 1.1, 1.9], size=(60, 1))
+        cloud = np.concatenate([centres, picks + scale * radius * directions, centres[:4]])
+        cloud = cloud[rng.permutation(cloud.shape[0])]
+        assert np.array_equal(_cluster(cloud, radius), _greedy_cluster(cloud, radius))
+
+    def test_chain_of_near_neighbours_is_split_greedily(self):
+        # 0.9 r steps: each point is near its neighbours but not the one after next
+        radius = 1.0
+        cloud = np.zeros((5, 8))
+        cloud[:, 0] = 0.9 * np.arange(5)
+        reps = _cluster(cloud[::-1].copy(), radius)
+        assert np.array_equal(reps, _greedy_cluster(cloud, radius))
+        assert np.array_equal(reps[:, 0], [0.0, 1.8, 3.6])
+
+    def test_empty(self):
+        assert _cluster(np.empty((0, 8)), 1e-6).shape == (0, 8)
+
+
+class TestJacobianBatch:
+    def test_matches_central_differences(self):
+        pts = np.random.default_rng(3).uniform(-1.5, 1.5, size=(20, 8))
+        jac = _jacobian_batch(pts)
+        h = 1e-6
+        for k in range(8):
+            dp = np.zeros(8)
+            dp[k] = h
+            fd = (_residuals_batch(pts + dp) - _residuals_batch(pts - dp)) / (2 * h)
+            assert np.max(np.abs(jac[:, :, k] - fd)) < 1e-8
+
+    def test_reused_buffer_matches_fresh(self):
+        rng = np.random.default_rng(4)
+        buf = np.zeros((30, 8, 8))
+        for m in (30, 17, 30):
+            pts = rng.uniform(-1.5, 1.5, size=(m, 8))
+            assert np.array_equal(_jacobian_batch(pts, buf[:m]), _jacobian_batch(pts))
