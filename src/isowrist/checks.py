@@ -17,7 +17,10 @@ import numpy as np
 from . import classify
 from .classify import CLASS_PATTERNS, antipodal_map_table, distinct_wrists, reflection_map_table
 from .kinematics import DHChain, dh_from_axes, forward_axes, isotropy_report, jacobian_from_axes
-from .solver import SOLUTION_CATALOG, enumerate_solutions, oracle_root_hunt, residuals, verify_nonvanishing
+from .solver import (
+    NONVANISHING_FLOOR, SOLUTION_CATALOG, catalog_distances, enumerate_solutions, oracle_root_hunt, residuals
+)
+from .spheregeom import ONE_THIRD as _T, SQRT2_THIRD as _R2, SQRT6_THIRD as _R6, TWO_SQRT2_THIRD as _S2
 from .spheregeom import (
     PlatonicSolid,
     PointSet,
@@ -52,7 +55,6 @@ EXPECTED_REFLECTION_TARGETS = {
 
 #: The three reflections of the trivial set about the coordinate planes
 #: (normals x, y, z), written out as exact constants.
-_T, _S2, _R2, _R6 = 1.0 / 3.0, 2.0 * math.sqrt(2.0) / 3.0, math.sqrt(2.0) / 3.0, math.sqrt(6.0) / 3.0
 EXPECTED_REFLECTED_TETRAHEDRA = {
     "yz": np.array([[-1, 0, 0], [_T, -_S2, 0], [_T, _R2, _R6], [_T, _R2, -_R6]]),
     "xz": np.array([[1, 0, 0], [-_T, _S2, 0], [-_T, -_R2, _R6], [-_T, -_R2, -_R6]]),
@@ -97,9 +99,8 @@ def check_catalog_bijection(solutions, tolerance) -> CheckResult:
 
 
 def check_nonvanishing(solutions) -> CheckResult:
-    worst = max(1.0 / 3.0 - float(np.min(np.abs(r.components))) for r in solutions)
-    ok = all(verify_nonvanishing(r.components) for r in solutions)
-    return _result("solution-nonvanishing", worst, 1e-9, ok, "min |component| >= 1/3 for all solutions")
+    worst = max(NONVANISHING_FLOOR - float(np.min(np.abs(r.components))) for r in solutions)
+    return _result("solution-nonvanishing", worst, 1e-9, detail="min |component| >= 1/3 for all solutions")
 
 
 def check_distinctness(solutions) -> CheckResult:
@@ -118,33 +119,21 @@ def check_axis_dot_products(solutions, tolerance) -> CheckResult:
         a = r.axes.array
         for i in range(4):
             for j in range(i + 1, 4):
-                worst = max(worst, abs(abs(float(a[i] @ a[j])) - 1.0 / 3.0))
+                worst = max(worst, abs(abs(float(a[i] @ a[j])) - _T))
     return _result("axis-dot-products", worst, tolerance, detail="all pairwise axis angles are arccos(+-1/3)")
 
 
-def _closure_distance(image: PointSet, axes: np.ndarray) -> float:
-    """Max-norm distance from an axis set to its nearest solution's axes (k, 4, 3)."""
-    return float(np.min(np.max(np.abs(image.array - axes), axis=(1, 2))))
-
-
 def check_antipodal_closure(solutions, tolerance) -> CheckResult:
-    bases = [r.axes for r in solutions]
-    axes = np.array([b.array for b in bases])
-    worst = 0.0
-    for base in bases:
-        for size in range(0, 4):
-            for subset in itertools.combinations((2, 3, 4), size):
-                worst = max(worst, _closure_distance(antipodal_exchange(base, subset), axes))
+    subsets = [subset for size in range(0, 4) for subset in itertools.combinations((2, 3, 4), size)]
+    images = (antipodal_exchange(r.axes, subset) for r in solutions for subset in subsets)
+    worst = max(float(np.min(catalog_distances(img.array))) for img in images)
     return _result("antipodal-closure", worst, tolerance, detail="32 solutions closed under antipodal exchanges")
 
 
 def check_reflection_closure(solutions, tolerance) -> CheckResult:
-    bases = [r.axes for r in solutions]
-    axes = np.array([b.array for b in bases])
-    worst = 0.0
-    for op in ("reflect_xy", "reflect_xz", "reflect_xz_then_xy"):
-        for base in bases:
-            worst = max(worst, _closure_distance(classify._apply_reflection(base, op), axes))
+    ops = ("reflect_xy", "reflect_xz", "reflect_xz_then_xy")
+    images = (classify._apply_reflection(r.axes, op) for op in ops for r in solutions)
+    worst = max(float(np.min(catalog_distances(img.array))) for img in images)
     return _result("reflection-closure", worst, tolerance, detail="32 solutions closed under coordinate reflections")
 
 

@@ -25,8 +25,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .kinematics import DHChain, dh_from_axes, forward_axes, isotropy_report, jacobian_from_axes, _forward_chain
-from .solver import SolutionRecord, TRIVIAL_SET_INDEX, enumerate_solutions
-from .spheregeom import PointSet, antipodal_exchange, reflect_about_plane
+from .solver import SolutionRecord, TRIVIAL_SET_INDEX, enumerate_solutions, match_catalog_index
+from .spheregeom import ONE_THIRD, PointSet, antipodal_exchange, reflect_about_plane
 
 MATCH_TOL = 1e-12
 SIGNATURE_TOL = 1e-9
@@ -114,11 +114,11 @@ def chain_orderings(rec: SolutionRecord, full: bool = False) -> list:
     return [(0,) + p for p in itertools.permutations((1, 2, 3))]
 
 
-def _find_by_axes(axes: PointSet, solutions: Sequence[SolutionRecord], tol: float = MATCH_TOL) -> int:
-    hits = [r.index for r in solutions if r.axes.allclose(axes, tol)]
-    if len(hits) != 1:
-        raise ArithmeticError(f"expected exactly one catalog match, found {hits}")
-    return hits[0]
+def _find_by_axes(axes: PointSet, tol: float = MATCH_TOL) -> int:
+    index = match_catalog_index(axes.array, tol)
+    if index is None:
+        raise ArithmeticError(f"axes {axes.array.tolist()} match no catalog row")
+    return index
 
 
 def antipodal_map_table(solutions: Sequence[SolutionRecord] | None = None) -> list:
@@ -134,7 +134,7 @@ def antipodal_map_table(solutions: Sequence[SolutionRecord] | None = None) -> li
     for size in range(0, 4):
         for subset in itertools.combinations((2, 3, 4), size):
             img = antipodal_exchange(source.axes, subset)
-            maps.append(SolutionMap(source.index, "antipodal", _find_by_axes(img, solutions), subset))
+            maps.append(SolutionMap(source.index, "antipodal", _find_by_axes(img), subset))
     return maps
 
 
@@ -160,11 +160,11 @@ def reflection_map_table(
     for operation in ("reflect_xy", "reflect_xz", "reflect_xz_then_xy"):
         for seed in seeds:
             img = _apply_reflection(by_index[seed].axes, operation)
-            maps.append(SolutionMap(seed, operation, _find_by_axes(img, solutions)))
+            maps.append(SolutionMap(seed, operation, _find_by_axes(img)))
     return maps
 
 
-_SNAP_CANDIDATES = (0.0, 1.0 / 3.0, -1.0 / 3.0, 0.5, -0.5, 1.0, -1.0)
+_SNAP_CANDIDATES = (0.0, ONE_THIRD, -ONE_THIRD, 0.5, -0.5, 1.0, -1.0)
 
 
 def _snap(v: float, tol: float = SIGNATURE_TOL) -> float:
@@ -193,8 +193,8 @@ def canonical_signature(dh: DHChain) -> CanonicalSignature:
     )
 
 
-_COS_ACUTE = 1.0 / 3.0  # cos 70.5 deg
-_COS_OBTUSE = -1.0 / 3.0  # cos 109.5 deg
+_COS_ACUTE = ONE_THIRD  # cos 70.5 deg
+_COS_OBTUSE = -ONE_THIRD  # cos 109.5 deg
 
 #: Expected signature per class label: twist cosines, interior-joint
 #: cosines, and the relative sign of the interior joints.

@@ -18,7 +18,7 @@ import click
 from . import documents
 from .checks import run_checks
 from .classify import distinct_wrists, isotropic_posture_geometry
-from .solver import enumerate_solutions
+from .solver import CATALOG_MATCH_LIMIT, enumerate_solutions
 from .spheregeom import PlatonicSolid
 
 
@@ -46,6 +46,12 @@ def _positive_finite(ctx, param, value: float) -> float:
     return value
 
 
+def _match_tolerance(ctx, param, value: float) -> float:
+    if _positive_finite(ctx, param, value) >= CATALOG_MATCH_LIMIT:
+        raise click.BadParameter(f"{value!r} is not below {CATALOG_MATCH_LIMIT:.6g}, half the catalog's row separation")
+    return value
+
+
 @click.group()
 def cli():
     """Isotropic four-revolute spherical wrists: enumerate, classify, verify."""
@@ -54,7 +60,7 @@ def cli():
 @cli.command("enumerate")
 @click.option("--format", "fmt", type=click.Choice(["table", "json", "csv"]), default="table", show_default=True)
 @click.option(
-    "--tolerance", type=float, default=1e-12, show_default=True, callback=_positive_finite,
+    "--tolerance", type=float, default=1e-12, show_default=True, callback=_match_tolerance,
     help="Catalog matching tolerance.",
 )
 @click.option("--output", type=click.Path(dir_okay=False), default=None, help="Write to a file instead of stdout.")

@@ -37,20 +37,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .spheregeom import PointSet
+from .spheregeom import ONE_THIRD as _T, SQRT2_THIRD as _R2, SQRT6_THIRD as _R6, TWO_SQRT2_THIRD as _S, PointSet
 
 RESIDUAL_TOL = 1e-12
-NONVANISHING_FLOOR = 1.0 / 3.0
+NONVANISHING_FLOOR = _T
 
 #: Product of the equation degrees: upper bound on the root count.
 BEZOUT_COUNT = 2**8
 #: Sharper mixed-volume bound, quoted for reference; not recomputed here.
 BKK_BOUND_CITED = 192
-
-_T = 1.0 / 3.0
-_R2 = math.sqrt(2.0) / 3.0
-_R6 = math.sqrt(6.0) / 3.0
-_S = 2.0 * math.sqrt(2.0) / 3.0
 
 #: The 32 solutions (c, s, x, y, z, u, v, w), exact radicals in double
 #: precision, in catalog order 1..32.
@@ -140,29 +135,22 @@ class SolutionRecord:
         )
 
 
-def residuals(components) -> np.ndarray:
+#: The axes e_1..e_4 of every catalog row, shape (32, 4, 3).
+_CATALOG_AXES = np.array([SolutionRecord(*row).axes.array for row in SOLUTION_CATALOG])
+
+
+def residuals(points) -> np.ndarray:
     """Left-minus-right values of the eight defining quadratics.
 
-    Order: three diagonal isotropy equations, three off-diagonal ones,
-    then the unit norms of e_2 and e_3.
+    points is one tuple (c, s, x, y, z, u, v, w) or a stack of them,
+    shape (..., 8); the result has the same shape.  Order: three
+    diagonal isotropy equations, three off-diagonal ones, then the unit
+    norms of e_2 and e_3.
     """
-    c, s, x, y, z, u, v, w = (float(t) for t in components)
-    return np.array(
-        [
-            1.0 + c * c + x * x + u * u - 4.0 / 3.0,
-            s * s + y * y + v * v - 4.0 / 3.0,
-            z * z + w * w - 4.0 / 3.0,
-            c * s + x * y + u * v,
-            z * y + w * v,
-            x * z + u * w,
-            c * c + s * s - 1.0,
-            x * x + y * y + z * z - 1.0,
-        ]
-    )
-
-
-def _residuals_batch(pts: np.ndarray) -> np.ndarray:
-    c, s, x, y, z, u, v, w = (pts[:, i] for i in range(8))
+    pts = np.asarray(points, dtype=float)
+    if pts.shape[-1:] != (8,):
+        raise ValueError(f"expected (..., 8) unknowns, got shape {pts.shape}")
+    c, s, x, y, z, u, v, w = (pts[..., i] for i in range(8))
     return np.stack(
         [
             1.0 + c * c + x * x + u * u - 4.0 / 3.0,
@@ -174,7 +162,7 @@ def _residuals_batch(pts: np.ndarray) -> np.ndarray:
             c * c + s * s - 1.0,
             x * x + y * y + z * z - 1.0,
         ],
-        axis=1,
+        axis=-1,
     )
 
 
@@ -236,13 +224,28 @@ def solve_closed_form(pattern: Sequence[int]) -> SolutionRecord:
     return rec
 
 
-def match_catalog_index(components, tol: float = RESIDUAL_TOL) -> int | None:
-    """1-based catalog row whose entries all match within tol, if any."""
-    comp = np.asarray(components, dtype=float)
-    for i, row in enumerate(SOLUTION_CATALOG, start=1):
-        if float(np.max(np.abs(comp - np.array(row)))) <= tol:
-            return i
-    return None
+def catalog_distances(axes) -> np.ndarray:
+    """Max-norm distances from axis sets (..., 4, 3) to the 32 catalog axis sets.
+
+    Entry [..., k] is the distance to catalog row k + 1.
+    """
+    return np.max(np.abs(np.asarray(axes, dtype=float)[..., None, :, :] - _CATALOG_AXES), axis=(-2, -1))
+
+
+#: Half the smallest max-norm distance between two catalog rows (1/3).  A
+#: matching tolerance below it can never match one axis set to two rows.
+CATALOG_MATCH_LIMIT = 0.5 * float(np.min(catalog_distances(_CATALOG_AXES)[~np.eye(32, dtype=bool)]))
+
+
+def match_catalog_index(axes, tol: float = RESIDUAL_TOL) -> int | None:
+    """1-based catalog row whose axes e_1..e_4 all match within tol, if any.
+
+    Raises ValueError when tol is wide enough to match two rows.
+    """
+    (hits,) = np.nonzero(catalog_distances(axes) <= tol)
+    if hits.size > 1:
+        raise ValueError(f"tolerance {tol!r} matches catalog rows {(hits + 1).tolist()}")
+    return int(hits[0]) + 1 if hits.size else None
 
 
 def enumerate_solutions(tol: float = RESIDUAL_TOL) -> list:
@@ -257,7 +260,7 @@ def enumerate_solutions(tol: float = RESIDUAL_TOL) -> list:
     by_index: dict[int, SolutionRecord] = {}
     for pattern in sign_patterns():
         rec = solve_closed_form(pattern)
-        idx = match_catalog_index(rec.components, tol)
+        idx = match_catalog_index(rec.axes.array, tol)
         if idx is None:
             raise ArithmeticError(f"closed-form solution {rec.components} matches no catalog row")
         if idx in by_index:
@@ -266,16 +269,6 @@ def enumerate_solutions(tol: float = RESIDUAL_TOL) -> list:
     if sorted(by_index) != list(range(1, 33)):
         raise ArithmeticError("sign patterns do not cover the catalog bijectively")
     return [by_index[i] for i in range(1, 33)]
-
-
-def verify_nonvanishing(components, tol: float = 1e-9) -> bool:
-    """Numerical witness that no unknown vanishes at a solution.
-
-    True iff every component has magnitude at least 1/3 - tol, the
-    smallest magnitude occurring in the catalog.
-    """
-    comp = np.asarray(components, dtype=float).reshape(8)
-    return bool(np.min(np.abs(comp)) >= NONVANISHING_FLOOR - tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -345,7 +338,7 @@ def oracle_root_hunt(
     # one Jacobian buffer for every batch; its structural zeros are never written
     jac_buf = np.zeros((n_starts, 8, 8))
     active = np.arange(n_starts)
-    res = _residuals_batch(pts)
+    res = residuals(pts)
     norms = np.linalg.norm(res, axis=1)
     done = norms < converge_tol
     iters[active[done]] = 0
@@ -377,7 +370,7 @@ def oracle_root_hunt(
             if not np.any(pending):
                 break
             trial = cur[pending] + lam * step[pending]
-            trial_r = _residuals_batch(trial)
+            trial_r = residuals(trial)
             ok = np.linalg.norm(trial_r, axis=1) < norm0[pending]
             sel = np.nonzero(pending)[0][ok]
             new[sel] = trial[ok]
@@ -403,7 +396,7 @@ def oracle_root_hunt(
             ok = np.isfinite(det) & (np.abs(det) > 1e-12)
             if not np.any(ok):
                 break
-            hits[ok] += np.linalg.solve(jac[ok], -_residuals_batch(hits[ok])[..., None])[..., 0]
+            hits[ok] += np.linalg.solve(jac[ok], -residuals(hits[ok])[..., None])[..., 0]
         roots = _cluster(hits, cluster_radius)
     else:
         roots = np.empty((0, 8))

@@ -98,15 +98,22 @@ class PlatonicSolid(Enum):
         return self.value
 
 
+#: The four coordinate magnitudes of the regular tetrahedron below.  They
+#: are also the magnitudes of every component of the 32 wrist solutions.
+ONE_THIRD = 1.0 / 3.0
+SQRT2_THIRD = math.sqrt(2.0) / 3.0
+SQRT6_THIRD = math.sqrt(6.0) / 3.0
+TWO_SQRT2_THIRD = 2.0 * math.sqrt(2.0) / 3.0
+
 # The regular tetrahedron inscribed in the unit sphere, oriented with the
 # first vertex on +x and the second in the x-y plane.  This orientation is
 # the reference configuration for the wrist solution catalog.
 TETRAHEDRON = np.array(
     [
         [1.0, 0.0, 0.0],
-        [-1.0 / 3.0, -2.0 * math.sqrt(2.0) / 3.0, 0.0],
-        [-1.0 / 3.0, math.sqrt(2.0) / 3.0, math.sqrt(6.0) / 3.0],
-        [-1.0 / 3.0, math.sqrt(2.0) / 3.0, -math.sqrt(6.0) / 3.0],
+        [-ONE_THIRD, -TWO_SQRT2_THIRD, 0.0],
+        [-ONE_THIRD, SQRT2_THIRD, SQRT6_THIRD],
+        [-ONE_THIRD, SQRT2_THIRD, -SQRT6_THIRD],
     ]
 )
 TETRAHEDRON.setflags(write=False)

@@ -166,6 +166,10 @@ class TestVerify:
         ["posture", "a", "--theta1", "inf"],
         ["posture", "a", "--theta4", "nan"],
         ["posture", "a", "--theta1", "-inf"],
+        # a tolerance of half the catalog's row separation could match two rows
+        ["enumerate", "--tolerance", repr(1.0 / 3.0)],
+        ["enumerate", "--tolerance", "1"],
+        ["enumerate", "--tolerance", "1e300"],
     ],
 )
 def test_bad_input_is_usage_error(runner, args):
@@ -173,6 +177,12 @@ def test_bad_input_is_usage_error(runner, args):
     assert result.exit_code == 2
     assert "Traceback" not in result.output
     assert "Invalid value" in result.output
+
+
+def test_enumerate_accepts_tolerance_below_catalog_limit(runner):
+    result = runner.invoke(cli, ["enumerate", "--tolerance", "0.3", "--format", "csv"])
+    assert result.exit_code == 0
+    assert len(result.output.splitlines()) == 33
 
 
 @pytest.mark.parametrize("command", ["classify", "enumerate"])

@@ -4,14 +4,17 @@ import math
 import numpy as np
 import pytest
 
+from isowrist.checks import check_nonvanishing
 from isowrist.solver import (
     _cluster,
     _jacobian_batch,
-    _residuals_batch,
     BEZOUT_COUNT,
     BKK_BOUND_CITED,
+    CATALOG_MATCH_LIMIT,
     SOLUTION_CATALOG,
     TRIVIAL_SET_INDEX,
+    SolutionRecord,
+    catalog_distances,
     enumerate_solutions,
     match_catalog_index,
     oracle_root_hunt,
@@ -19,7 +22,6 @@ from isowrist.solver import (
     residuals,
     sign_patterns,
     solve_closed_form,
-    verify_nonvanishing,
 )
 from isowrist.spheregeom import TETRAHEDRON
 
@@ -50,6 +52,17 @@ class TestResiduals:
         # the sharper mixed-volume bound is quoted, not recomputed
         assert BKK_BOUND_CITED == 192
 
+    def test_stack_rows_are_bit_equal_to_single_tuples(self):
+        stack = np.random.default_rng(5).uniform(-1.5, 1.5, size=(50, 8))
+        batch = residuals(stack)
+        assert batch.shape == (50, 8)
+        for k in range(50):
+            assert np.array_equal(batch[k], residuals(stack[k]))
+
+    def test_rejects_wrong_unknown_count(self):
+        with pytest.raises(ValueError, match="8"):
+            residuals(np.zeros(7))
+
 
 class TestClosedForm:
     def test_pattern_for_row_1(self):
@@ -63,8 +76,8 @@ class TestClosedForm:
     def test_single_sign_flip_changes_solution(self):
         base = solve_closed_form((1, 1, 1, -1, 1))
         flipped = solve_closed_form((-1, 1, 1, -1, 1))
-        assert match_catalog_index(base.components) == 1
-        assert match_catalog_index(flipped.components) == 4
+        assert match_catalog_index(base.axes.array) == 1
+        assert match_catalog_index(flipped.axes.array) == 4
 
     def test_rejects_bad_pattern(self):
         with pytest.raises(ValueError, match="sign pattern"):
@@ -121,15 +134,40 @@ class TestEnumerate:
         assert (r19.u, r19.v) == (r18.u, r18.v)
 
 
+class TestCatalogLookup:
+    def test_each_row_matches_itself(self):
+        for k, row in enumerate(SOLUTION_CATALOG, start=1):
+            assert match_catalog_index(SolutionRecord(*row).axes.array) == k
+
+    def test_far_axis_set_matches_nothing(self):
+        far = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
+        assert np.min(catalog_distances(far)) > 0.5
+        assert match_catalog_index(far) is None
+
+    def test_tolerance_covering_two_rows_raises(self):
+        axes = SolutionRecord(*SOLUTION_CATALOG[8]).axes.array
+        assert match_catalog_index(axes, 0.3) == 9
+        with pytest.raises(ValueError, match="matches catalog rows"):
+            match_catalog_index(axes, 1.0)
+
+    def test_distances_broadcast_over_stacks(self):
+        stack = np.array([r.axes.array for r in enumerate_solutions()])
+        d = catalog_distances(stack)
+        assert d.shape == (32, 32)
+        assert np.array_equal(np.diag(d), np.zeros(32))
+        assert CATALOG_MATCH_LIMIT == 1.0 / 3.0
+
+
 class TestNonvanishing:
     def test_all_catalog_rows(self):
         for rec in enumerate_solutions():
-            assert verify_nonvanishing(rec.components)
+            result = check_nonvanishing([rec])
+            assert result.passed and result.tolerance == 1e-9
 
     def test_vanishing_u_violates_normality(self):
         # u = v = 0 forces |e_4| != 1; the third residual exposes it
         bad = (ROW_1[0], ROW_1[1], ROW_1[2], ROW_1[3], ROW_1[4], 0.0, 0.0, 2.0 * math.sqrt(3.0) / 3.0)
-        assert not verify_nonvanishing(bad)
+        assert not check_nonvanishing([SolutionRecord(*bad)]).passed
         r = residuals(bad)
         assert abs(r[2]) > 0.1
         norm_e4_sq = bad[5] ** 2 + bad[6] ** 2 + bad[7] ** 2
@@ -137,7 +175,7 @@ class TestNonvanishing:
 
     def test_vanishing_c_rejected(self):
         bad = (0.0, 1.0) + ROW_1[2:]
-        assert not verify_nonvanishing(bad)
+        assert not check_nonvanishing([SolutionRecord(*bad)]).passed
         assert abs(residuals(bad)[6]) < 1e-15  # unit e_2 alone is satisfiable...
         assert np.max(np.abs(residuals(bad))) > 0.1  # ...but not the full system
 
@@ -243,7 +281,7 @@ class TestJacobianBatch:
         for k in range(8):
             dp = np.zeros(8)
             dp[k] = h
-            fd = (_residuals_batch(pts + dp) - _residuals_batch(pts - dp)) / (2 * h)
+            fd = (residuals(pts + dp) - residuals(pts - dp)) / (2 * h)
             assert np.max(np.abs(jac[:, :, k] - fd)) < 1e-8
 
     def test_reused_buffer_matches_fresh(self):
