@@ -13,7 +13,6 @@ from .classify import (
     WristClass,
     antipodal_map_table,
     canonical_signature,
-    chain_orderings,
     distinct_wrists,
     isotropic_posture_geometry,
     reflection_map_table,
@@ -36,9 +35,7 @@ from .solver import (
     TRIVIAL_SET_INDEX,
     enumerate_solutions,
     oracle_root_hunt,
-    radical_string,
     residuals,
-    sign_patterns,
     solve_closed_form,
 )
 from .spheregeom import (
@@ -53,7 +50,6 @@ from .spheregeom import (
     reflect_about_line,
     reflect_about_plane,
     rotation_about_axis,
-    same_points_up_to_permutation,
     second_moment,
 )
 
@@ -81,7 +77,6 @@ __all__ = [
     "antipodal_exchange",
     "antipodal_map_table",
     "canonical_signature",
-    "chain_orderings",
     "dh_from_axes",
     "distinct_wrists",
     "enumerate_solutions",
@@ -93,14 +88,11 @@ __all__ = [
     "oracle_root_hunt",
     "platonic_vertices",
     "project_onto_line",
-    "radical_string",
     "reflect_about_line",
     "reflect_about_plane",
     "reflection_map_table",
     "residuals",
     "rotation_about_axis",
-    "same_points_up_to_permutation",
     "second_moment",
-    "sign_patterns",
     "solve_closed_form",
 ]

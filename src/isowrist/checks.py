@@ -8,14 +8,15 @@ packaged so the command-line `verify` command can run them on demand.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import classify
-from .classify import CLASS_PATTERNS, antipodal_map_table, distinct_wrists, reflection_map_table
+from .classify import (
+    ANTIPODAL_SUBSETS, CLASS_PATTERNS, REFLECTIONS, antipodal_map_table, apply_reflection, distinct_wrists,
+    reflection_map_table,
+)
 from .kinematics import DHChain, dh_from_axes, forward_axes, isotropy_report, jacobian_from_axes
 from .solver import (
     NONVANISHING_FLOOR, SOLUTION_CATALOG, catalog_distances, enumerate_solutions, oracle_root_hunt, residuals
@@ -63,6 +64,13 @@ EXPECTED_REFLECTED_TETRAHEDRA = {
 
 SIGMA_FOUR_AXES = math.sqrt(4.0 / 3.0)
 
+#: Sample sizes of the randomized checks and the posture check's grid side.
+LINE_REFLECTION_COUNT = 100
+DH_ROUND_TRIP_COUNT = 50
+MOMENT_AGREEMENT_COUNT = 1000
+TRACE_IDENTITY_COUNT = 200
+POSTURE_GRID = 12
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -105,9 +113,8 @@ def check_nonvanishing(solutions) -> CheckResult:
 
 def check_distinctness(solutions) -> CheckResult:
     comps = np.array([r.components for r in solutions])
-    dmin = min(
-        float(np.max(np.abs(comps[i] - comps[j]))) for i in range(32) for j in range(i + 1, 32)
-    )
+    gaps = np.max(np.abs(comps[:, None, :] - comps[None, :, :]), axis=-1)
+    dmin = float(np.min(gaps[np.triu_indices(len(comps), k=1)]))
     return CheckResult(
         "solution-distinctness", dmin >= 0.1, dmin, 0.1, "min pairwise max-norm separation (must exceed tolerance)"
     )
@@ -124,15 +131,13 @@ def check_axis_dot_products(solutions, tolerance) -> CheckResult:
 
 
 def check_antipodal_closure(solutions, tolerance) -> CheckResult:
-    subsets = [subset for size in range(0, 4) for subset in itertools.combinations((2, 3, 4), size)]
-    images = (antipodal_exchange(r.axes, subset) for r in solutions for subset in subsets)
+    images = (antipodal_exchange(r.axes, subset) for r in solutions for subset in ANTIPODAL_SUBSETS)
     worst = max(float(np.min(catalog_distances(img.array))) for img in images)
     return _result("antipodal-closure", worst, tolerance, detail="32 solutions closed under antipodal exchanges")
 
 
 def check_reflection_closure(solutions, tolerance) -> CheckResult:
-    ops = ("reflect_xy", "reflect_xz", "reflect_xz_then_xy")
-    images = (classify._apply_reflection(r.axes, op) for op in ops for r in solutions)
+    images = (apply_reflection(r.axes, op) for op in REFLECTIONS for r in solutions)
     worst = max(float(np.min(catalog_distances(img.array))) for img in images)
     return _result("reflection-closure", worst, tolerance, detail="32 solutions closed under coordinate reflections")
 
@@ -175,11 +180,11 @@ def check_reflected_tetrahedra(tolerance) -> CheckResult:
     return _result("reflected-tetrahedra", worst, tolerance, ok, "coordinate-plane reflections of the trivial set")
 
 
-def check_line_reflection(tolerance, seed=0, count=100) -> CheckResult:
+def check_line_reflection(tolerance, seed=0) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     eye = np.eye(3)
-    for _ in range(count):
+    for _ in range(LINE_REFLECTION_COUNT):
         e = rng.normal(size=3)
         e /= np.linalg.norm(e)
         ell = reflect_about_line(e)
@@ -190,7 +195,8 @@ def check_line_reflection(tolerance, seed=0, count=100) -> CheckResult:
             float(np.max(np.abs(ell @ e - e))),
             float(np.max(np.abs(ell - rotation_about_axis(e, math.pi)))),
         )
-    return _result("line-reflection", worst, tolerance, detail=f"2ee^T - I proper orthogonal over {count} random axes")
+    detail = f"2ee^T - I proper orthogonal over {LINE_REFLECTION_COUNT} random axes"
+    return _result("line-reflection", worst, tolerance, detail=detail)
 
 
 def check_wrist_classes(wrists) -> CheckResult:
@@ -205,9 +211,9 @@ def check_wrist_classes(wrists) -> CheckResult:
     return _result("wrist-classes", worst, tol_deg, ok, "8 classes, twist triples in degrees, couplings verified")
 
 
-def check_posture_isotropy(wrists, grid=12) -> CheckResult:
+def check_posture_isotropy(wrists) -> CheckResult:
     worst = 0.0
-    angles = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
+    angles = np.linspace(0.0, 2.0 * math.pi, POSTURE_GRID, endpoint=False)
     for w in wrists:
         dh = w.representative_dh
         for t1 in angles:
@@ -216,16 +222,15 @@ def check_posture_isotropy(wrists, grid=12) -> CheckResult:
                     jacobian_from_axes(forward_axes(dh, (t1, dh.joints[1], dh.joints[2], t4)))
                 )
                 worst = max(worst, abs(rep.condition_number - 1.0), abs(rep.sigma - SIGMA_FOUR_AXES))
-    return _result(
-        "posture-isotropy", worst, 1e-9, detail=f"condition number and sigma over a {grid}x{grid} free-angle grid"
-    )
+    detail = f"condition number and sigma over a {POSTURE_GRID}x{POSTURE_GRID} free-angle grid"
+    return _result("posture-isotropy", worst, 1e-9, detail=detail)
 
 
-def check_dh_round_trip(wrists, seed=0, count=50) -> CheckResult:
+def check_dh_round_trip(wrists, seed=0) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     chains = [w.representative_dh for w in wrists]
-    for _ in range(count):
+    for _ in range(DH_ROUND_TRIP_COUNT):
         n = int(rng.integers(3, 7))
         twists = rng.uniform(0.2, math.pi - 0.2, size=n - 1)
         joints = np.concatenate([[0.0], rng.uniform(-3.0, 3.0, size=n - 2), [0.0]])
@@ -239,12 +244,12 @@ def check_dh_round_trip(wrists, seed=0, count=50) -> CheckResult:
     return _result("dh-round-trip", worst, 1e-9, detail="forward kinematics then parameter recovery")
 
 
-def check_jacobian_moment_agreement(solutions, seed=0, count=1000) -> CheckResult:
+def check_jacobian_moment_agreement(solutions, seed=0) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     agree = True
     sets = [r.axes for r in solutions] + [platonic_vertices(k) for k in PlatonicSolid]
-    for _ in range(count):
+    for _ in range(MOMENT_AGREEMENT_COUNT):
         n = int(rng.integers(1, 9))
         pts = rng.normal(size=(n, 3))
         sets.append(PointSet(pts / np.linalg.norm(pts, axis=1, keepdims=True)))
@@ -255,10 +260,10 @@ def check_jacobian_moment_agreement(solutions, seed=0, count=1000) -> CheckResul
     return _result("jacobian-moment-agreement", worst, 1e-12, agree, "J J^T = H and matching isotropy verdicts")
 
 
-def check_trace_identity(seed=0, count=200) -> CheckResult:
+def check_trace_identity(seed=0) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(count):
+    for _ in range(TRACE_IDENTITY_COUNT):
         n = int(rng.integers(1, 9))
         pts = rng.normal(size=(n, 3))
         ps = PointSet(pts / np.linalg.norm(pts, axis=1, keepdims=True))
@@ -271,10 +276,9 @@ def check_oracle(oracle_starts, seed) -> CheckResult:
     if oracle_starts < 1:
         return CheckResult("oracle-root-hunt", True, 0.0, 1e-8, "skipped (0 starts)", skipped=True)
     report = oracle_root_hunt(n_starts=oracle_starts, seed=seed)
-    catalog = np.array(SOLUTION_CATALOG)
-    worst = 0.0
-    for root in report.roots:
-        worst = max(worst, min(float(np.linalg.norm(root - row)) for row in catalog))
+    # Euclidean distance to the nearest catalog row; the max-norm of catalog_distances would loosen the check
+    gaps = np.linalg.norm(report.roots[:, None, :] - np.array(SOLUTION_CATALOG), axis=-1)
+    worst = float(np.max(np.min(gaps, axis=1))) if report.n_roots else 0.0
     ok = report.n_roots == 32
     detail = (
         f"{report.n_roots} clusters from {report.n_converged}/{report.n_starts} converged starts "

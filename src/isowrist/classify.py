@@ -25,17 +25,25 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .kinematics import DHChain, dh_from_axes, forward_axes, isotropy_report, jacobian_from_axes, _forward_chain
-from .solver import SolutionRecord, TRIVIAL_SET_INDEX, enumerate_solutions, match_catalog_index
+from .solver import SolutionRecord, TRIVIAL_SET_INDEX, match_catalog_index
 from .spheregeom import ONE_THIRD, PointSet, antipodal_exchange, reflect_about_plane
 
-MATCH_TOL = 1e-12
 SIGNATURE_TOL = 1e-9
 
 #: Solution indices used as reflection seeds: the trivial set and its
 #: seven antipodal-exchange images.
 REFLECTION_SEEDS = (18, 10, 23, 17, 16, 24, 9, 15)
 
-_PLANE_NORMALS = {"reflect_xy": (0.0, 0.0, 1.0), "reflect_xz": (0.0, 1.0, 0.0)}
+#: Every subset of the points 2..4 (1-based) that an antipodal exchange flips.
+ANTIPODAL_SUBSETS = tuple(subset for size in range(4) for subset in itertools.combinations((2, 3, 4), size))
+
+#: The coordinate-plane reflections by name, as the unit plane normals
+#: applied in order; the last is a half-turn about the x axis.
+REFLECTIONS = {
+    "reflect_xy": ((0.0, 0.0, 1.0),),
+    "reflect_xz": ((0.0, 1.0, 0.0),),
+    "reflect_xz_then_xy": ((0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
+}
 
 
 @dataclass(frozen=True)
@@ -103,7 +111,7 @@ class PostureGeometry:
     report: object
 
 
-def chain_orderings(rec: SolutionRecord, full: bool = False) -> list:
+def chain_orderings(full: bool = False) -> list:
     """Axis orderings that start a kinematic chain at the first point.
 
     Returns 0-based index tuples: the 6 orderings fixing e_1 first and
@@ -114,62 +122,54 @@ def chain_orderings(rec: SolutionRecord, full: bool = False) -> list:
     return [(0,) + p for p in itertools.permutations((1, 2, 3))]
 
 
-def _find_by_axes(axes: PointSet, tol: float = MATCH_TOL) -> int:
-    index = match_catalog_index(axes.array, tol)
+def _find_by_axes(axes: PointSet) -> int:
+    index = match_catalog_index(axes.array)
     if index is None:
         raise ArithmeticError(f"axes {axes.array.tolist()} match no catalog row")
     return index
 
 
-def antipodal_map_table(solutions: Sequence[SolutionRecord] | None = None) -> list:
+def antipodal_map_table(solutions: Sequence[SolutionRecord]) -> list:
     """Images of the trivial set under all antipodal exchanges of points 2..4.
 
     Every image is itself a catalog solution; the empty subset maps the
     source to itself.
     """
-    if solutions is None:
-        solutions = enumerate_solutions()
     source = next(r for r in solutions if r.index == TRIVIAL_SET_INDEX)
-    maps = []
-    for size in range(0, 4):
-        for subset in itertools.combinations((2, 3, 4), size):
-            img = antipodal_exchange(source.axes, subset)
-            maps.append(SolutionMap(source.index, "antipodal", _find_by_axes(img), subset))
-    return maps
+    return [
+        SolutionMap(source.index, "antipodal", _find_by_axes(antipodal_exchange(source.axes, subset)), subset)
+        for subset in ANTIPODAL_SUBSETS
+    ]
 
 
-def _apply_reflection(axes: PointSet, operation: str) -> PointSet:
-    if operation == "reflect_xz_then_xy":
-        return reflect_about_plane(reflect_about_plane(axes, _PLANE_NORMALS["reflect_xz"]), _PLANE_NORMALS["reflect_xy"])
-    return reflect_about_plane(axes, _PLANE_NORMALS[operation])
+def apply_reflection(axes: PointSet, operation: str) -> PointSet:
+    """Image of an axis set under one of the named REFLECTIONS."""
+    for normal in REFLECTIONS[operation]:
+        axes = reflect_about_plane(axes, normal)
+    return axes
 
 
-def reflection_map_table(
-    solutions: Sequence[SolutionRecord] | None = None, seeds: Sequence[int] = REFLECTION_SEEDS
-) -> list:
-    """Images of the seed solutions under coordinate-plane reflections.
+def reflection_map_table(solutions: Sequence[SolutionRecord]) -> list:
+    """Images of the REFLECTION_SEEDS solutions under the REFLECTIONS.
 
     Covers reflection about the x-y plane, about the x-z plane, and both
     in sequence; the double reflection is a half-turn about the x axis
     and therefore never produces a new wrist.
     """
-    if solutions is None:
-        solutions = enumerate_solutions()
     by_index = {r.index: r for r in solutions}
-    maps = []
-    for operation in ("reflect_xy", "reflect_xz", "reflect_xz_then_xy"):
-        for seed in seeds:
-            img = _apply_reflection(by_index[seed].axes, operation)
-            maps.append(SolutionMap(seed, operation, _find_by_axes(img)))
-    return maps
+    return [
+        SolutionMap(seed, operation, _find_by_axes(apply_reflection(by_index[seed].axes, operation)))
+        for operation in REFLECTIONS
+        for seed in REFLECTION_SEEDS
+    ]
 
 
 _SNAP_CANDIDATES = (0.0, ONE_THIRD, -ONE_THIRD, 0.5, -0.5, 1.0, -1.0)
 
 
-def _snap(v: float, tol: float = SIGNATURE_TOL) -> float:
+def _snap(v: float) -> float:
     for cand in _SNAP_CANDIDATES:
-        if abs(v - cand) <= tol:
+        if abs(v - cand) <= SIGNATURE_TOL:
             return cand
     return round(v, 9)
 
@@ -210,15 +210,9 @@ CLASS_PATTERNS = {
 }
 
 
-def _match_label(sig: CanonicalSignature, tol: float = SIGNATURE_TOL) -> str | None:
-    for label, pat in CLASS_PATTERNS.items():
-        if (
-            all(abs(a - b) <= tol for a, b in zip(sig.cos_twists, pat.cos_twists))
-            and all(abs(a - b) <= tol for a, b in zip(sig.cos_joints, pat.cos_joints))
-            and sig.joint_sign_product == pat.joint_sign_product
-        ):
-            return label
-    return None
+#: Class label by signature.  _snap puts every cosine within SIGNATURE_TOL
+#: of a pattern value exactly onto it, so a lookup is an exact match.
+_LABELS = {pat: label for label, pat in CLASS_PATTERNS.items()}
 
 
 def _isotropic_couplings(twists, joint_magnitudes) -> tuple:
@@ -231,18 +225,16 @@ def _isotropic_couplings(twists, joint_magnitudes) -> tuple:
     return tuple(sorted(kept))
 
 
-def distinct_wrists(solutions: Sequence[SolutionRecord] | None = None) -> list:
+def distinct_wrists(solutions: Sequence[SolutionRecord]) -> list:
     """Group all (solution, ordering) chains into the distinct wrist classes.
 
     Builds DH parameters for all 32 x 6 chains, groups them by canonical
     signature and labels the classes a..h.  Raises with a diagnostic dump
     if the grouping does not produce exactly eight classes.
     """
-    if solutions is None:
-        solutions = enumerate_solutions()
     groups: dict[CanonicalSignature, list] = {}
     for rec in solutions:
-        for ordering in chain_orderings(rec):
+        for ordering in chain_orderings():
             axes = PointSet(rec.axes.array[list(ordering)])
             dh = dh_from_axes(axes)
             sig = canonical_signature(dh)
@@ -257,7 +249,7 @@ def distinct_wrists(solutions: Sequence[SolutionRecord] | None = None) -> list:
         raise ArithmeticError(f"expected 8 signature classes, got {len(groups)}:\n{dump}")
     classes = []
     for sig, items in groups.items():
-        label = _match_label(sig)
+        label = _LABELS.get(sig)
         if label is None:
             raise ArithmeticError(f"signature {sig} matches no known wrist class")
         items.sort(key=lambda md: (md[0].solution_index, md[0].ordering))

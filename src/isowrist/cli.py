@@ -148,7 +148,7 @@ def cmd_posture(label: str, theta1: float, theta4: float, fmt: str, output: str 
     """Emit one wrist class's geometry at its isotropic posture."""
     theta1 %= 360.0
     theta4 %= 360.0
-    wrist = next(w for w in distinct_wrists() if w.label == label)
+    wrist = next(w for w in distinct_wrists(enumerate_solutions()) if w.label == label)
     geometry = isotropic_posture_geometry(wrist, math.radians(theta1), math.radians(theta4))
     if fmt == "obj-lines":
         text = documents.posture_obj_lines(geometry)

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .spheregeom import PointSet, rotation_about_axis
+from .spheregeom import ISO_TOL, PointSet, rotation_about_axis
 
 TWIST_TOL = 1e-9
 
@@ -93,11 +93,11 @@ def angular_velocity(j: np.ndarray, joint_rates) -> np.ndarray:
     return j @ rates
 
 
-def isotropy_report(j: np.ndarray, tol: float = 1e-9) -> IsotropyReport:
+def isotropy_report(j: np.ndarray) -> IsotropyReport:
     """Singular values, condition number and isotropy flag of a Jacobian.
 
     The Jacobian is isotropic when its three singular values agree within
-    tol and are nonzero; the common value is then sqrt(n/3) for n unit
+    ISO_TOL and are nonzero; the common value is then sqrt(n/3) for n unit
     columns.  Rank-deficient Jacobians report condition number +inf.
     """
     j = np.asarray(j, dtype=float)
@@ -106,7 +106,7 @@ def isotropy_report(j: np.ndarray, tol: float = 1e-9) -> IsotropyReport:
     sv = tuple(float(v) for v in sv) + (0.0,) * (3 - min(j.shape))
     smax, smin = sv[0], sv[-1]
     cond = smax / smin if smin > 0.0 else math.inf
-    iso = (smax - smin) <= tol and smin > tol
+    iso = (smax - smin) <= ISO_TOL and smin > ISO_TOL
     return IsotropyReport(sv, float(np.mean(sv)), cond, iso)
 
 

@@ -90,10 +90,10 @@ TRIVIAL_SET_INDEX = 18
 _RADICAL_NAMES = ((_T, "1/3"), (_R2, "sqrt(2)/3"), (_R6, "sqrt(6)/3"), (_S, "2*sqrt(2)/3"))
 
 
-def radical_string(value: float, tol: float = 1e-12) -> str:
+def radical_string(value: float) -> str:
     """Exact-radical spelling of a catalog component, e.g. '-2*sqrt(2)/3'."""
     for mag, name in _RADICAL_NAMES:
-        if abs(abs(value) - mag) <= tol:
+        if abs(abs(value) - mag) <= RESIDUAL_TOL:
             return name if value >= 0 else "-" + name
     raise ValueError(f"{value!r} is not a catalog radical")
 
@@ -306,31 +306,32 @@ def _cluster(points: np.ndarray, radius: float) -> np.ndarray:
     return np.array(reps) if reps else np.empty((0, 8))
 
 
+START_BOX = 1.5  # half-width of the cube the oracle's starts are drawn from
+CONVERGE_TOL = 1e-10  # residual norm below which a start has converged
+CLUSTER_RADIUS = 1e-6  # converged points this close are one root
+SINGULAR_DET = 1e-12  # |det| at or below which a Jacobian counts as singular
+
+
 def oracle_root_hunt(
     n_starts: int = 20000,
     seed: int = 0,
-    box: float = 1.5,
     starts: np.ndarray | None = None,
     max_iters: int = 60,
-    converge_tol: float = 1e-10,
-    cluster_radius: float = 1e-6,
 ) -> OracleReport:
     """Hunt for real roots of the system by damped Newton from random starts.
 
-    Starts are uniform in [-box, box]^8 (all unknowns are sines or
-    cosines, so the box with margin is a sound search region); an explicit
-    starts array overrides the random draw.  A start converges when its
-    residual norm drops below converge_tol; converged points are polished,
-    clustered with the given radius, and returned sorted, so the outcome
-    is independent of scheduling for a fixed seed.  Non-convergent starts
-    (including those hitting a singular Jacobian) are discarded and
-    counted.
+    Starts are uniform in [-START_BOX, START_BOX]^8 (all unknowns are sines
+    or cosines, so the box with margin is a sound search region); an
+    explicit starts array overrides the random draw.  Converged points are
+    polished, clustered and returned sorted, so the outcome is independent
+    of scheduling for a fixed seed.  Non-convergent starts (including those
+    hitting a singular Jacobian) are discarded and counted.
     """
     if starts is None:
         if n_starts < 1:
             return OracleReport(np.empty((0, 8)), 0, 0, 0, np.empty(0, dtype=int))
         rng = np.random.default_rng(seed)
-        pts = rng.uniform(-box, box, size=(n_starts, 8))
+        pts = rng.uniform(-START_BOX, START_BOX, size=(n_starts, 8))
     else:
         pts = np.array(starts, dtype=float).reshape(-1, 8)
         n_starts = pts.shape[0]
@@ -340,7 +341,7 @@ def oracle_root_hunt(
     active = np.arange(n_starts)
     res = residuals(pts)
     norms = np.linalg.norm(res, axis=1)
-    done = norms < converge_tol
+    done = norms < CONVERGE_TOL
     iters[active[done]] = 0
     active = active[~done]
     r = res[~done]  # residuals at pts[active], carried across iterations
@@ -350,7 +351,7 @@ def oracle_root_hunt(
         cur = pts[active]
         jac = _jacobian_batch(cur, jac_buf[: active.size])
         det = np.linalg.det(jac)
-        solvable = np.isfinite(det) & (np.abs(det) > 1e-12)
+        solvable = np.isfinite(det) & (np.abs(det) > SINGULAR_DET)
         if solvable.all():
             step = np.linalg.solve(jac, -r[..., None])[..., 0]
         else:
@@ -379,7 +380,7 @@ def oracle_root_hunt(
             lam *= 0.5
         pts[active] = new
         nn = np.linalg.norm(new_r, axis=1)
-        conv = improved & (nn < converge_tol)
+        conv = improved & (nn < CONVERGE_TOL)
         stuck = ~improved
         iters[active[conv]] = it
         keep = ~(conv | stuck)
@@ -393,11 +394,11 @@ def oracle_root_hunt(
         for _ in range(3):
             jac = _jacobian_batch(hits, jac_buf[: hits.shape[0]])
             det = np.linalg.det(jac)
-            ok = np.isfinite(det) & (np.abs(det) > 1e-12)
+            ok = np.isfinite(det) & (np.abs(det) > SINGULAR_DET)
             if not np.any(ok):
                 break
             hits[ok] += np.linalg.solve(jac[ok], -residuals(hits[ok])[..., None])[..., 0]
-        roots = _cluster(hits, cluster_radius)
+        roots = _cluster(hits, CLUSTER_RADIUS)
     else:
         roots = np.empty((0, 8))
     return OracleReport(roots, n_starts, n_converged, n_starts - n_converged, iters)

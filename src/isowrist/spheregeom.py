@@ -23,17 +23,18 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 UNIT_TOL = 1e-12
-DEFAULT_ISO_TOL = 1e-9
+#: Isotropy tolerance of isotropy_of here and of kinematics.isotropy_report.
+ISO_TOL = 1e-9
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 
-def _as_unit(v, tol: float = UNIT_TOL) -> np.ndarray:
+def _as_unit(v) -> np.ndarray:
     """Validate a 3-vector of unit Euclidean norm and return it as float64."""
     a = np.asarray(v, dtype=float).reshape(3)
     nrm = np.linalg.norm(a)
-    if abs(nrm - 1.0) > tol:
-        raise ValueError(f"vector {a.tolist()} has norm {nrm!r}, expected 1 within {tol}")
+    if abs(nrm - 1.0) > UNIT_TOL:
+        raise ValueError(f"vector {a.tolist()} has norm {nrm!r}, expected 1 within {UNIT_TOL}")
     return a
 
 
@@ -130,17 +131,18 @@ def second_moment(s: PointSet) -> np.ndarray:
     return s.array.T @ s.array
 
 
-def isotropy_of(h: np.ndarray, tol: float = DEFAULT_ISO_TOL) -> IsotropyCheck:
+def isotropy_of(h: np.ndarray) -> IsotropyCheck:
     """Test whether a second-moment tensor is a positive multiple of I.
 
     Returns (isotropic, sigma_sq) where sigma_sq = trace(h)/3 is the
     triple eigenvalue when isotropic.  Non-isotropic tensors return
-    isotropic=False with the same trace/3 value for reference.
+    isotropic=False with the same trace/3 value for reference.  The
+    tolerance is ISO_TOL.
     """
     h = np.asarray(h, dtype=float)
     sigma_sq = float(np.trace(h)) / 3.0
     dev = float(np.max(np.abs(h - sigma_sq * np.eye(3))))
-    return IsotropyCheck(dev <= tol and sigma_sq > tol, sigma_sq)
+    return IsotropyCheck(dev <= ISO_TOL and sigma_sq > ISO_TOL, sigma_sq)
 
 
 def _icosahedron_vertices() -> np.ndarray:
@@ -239,15 +241,15 @@ def rotation_about_axis(axis, angle: float) -> np.ndarray:
     return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
 
 
-def same_points_up_to_permutation(a: PointSet, b: PointSet, tol: float = 1e-9) -> bool:
-    """Set-like equality: the points match pairwise under some permutation."""
+def same_points_up_to_permutation(a: PointSet, b: PointSet) -> bool:
+    """Set-like equality: the points match pairwise, within 1e-9, under some permutation."""
     if a.n != b.n:
         return False
     remaining = list(range(b.n))
     for p in a.array:
         hit = None
         for j in remaining:
-            if np.max(np.abs(p - b.array[j])) <= tol:
+            if np.max(np.abs(p - b.array[j])) <= 1e-9:
                 hit = j
                 break
         if hit is None:

@@ -7,12 +7,12 @@ import pytest
 from isowrist.classify import (
     CLASS_PATTERNS,
     antipodal_map_table,
+    apply_reflection,
     canonical_signature,
     chain_orderings,
     distinct_wrists,
     isotropic_posture_geometry,
     reflection_map_table,
-    _apply_reflection,
 )
 from isowrist.kinematics import DHChain
 from isowrist.solver import enumerate_solutions
@@ -64,13 +64,13 @@ def wrists(solutions):
 
 class TestChainOrderings:
     def test_default_six(self, solutions):
-        orderings = chain_orderings(solutions[0])
+        orderings = chain_orderings()
         assert len(orderings) == 6
         assert orderings[0] == (0, 1, 2, 3)
         assert all(o[0] == 0 for o in orderings)
 
     def test_full_twenty_four(self, solutions):
-        orderings = chain_orderings(solutions[0], full=True)
+        orderings = chain_orderings(full=True)
         assert len(orderings) == 24
         assert len(set(orderings)) == 24
 
@@ -88,14 +88,14 @@ class TestSymmetryMaps:
     def test_all_maps_verified_as_ordered_lists(self, solutions):
         by_index = {r.index: r for r in solutions}
         for m in reflection_map_table(solutions):
-            img = _apply_reflection(by_index[m.source_index].axes, m.operation)
+            img = apply_reflection(by_index[m.source_index].axes, m.operation)
             assert img.allclose(by_index[m.target_index].axes, 1e-12)
 
     def test_double_reflection_is_half_turn_about_x(self, solutions):
         by_index = {r.index: r for r in solutions}
         half_turn = reflect_about_line([1.0, 0.0, 0.0])
         src = by_index[18].axes.array
-        img = _apply_reflection(by_index[18].axes, "reflect_xz_then_xy")
+        img = apply_reflection(by_index[18].axes, "reflect_xz_then_xy")
         assert np.max(np.abs(img.array - src @ half_turn.T)) < 1e-12
         assert img.allclose(by_index[26].axes, 1e-12)
 
@@ -111,7 +111,7 @@ class TestSymmetryMaps:
     def test_closure_under_reflections(self, solutions):
         for rec in solutions:
             for op in ("reflect_xy", "reflect_xz", "reflect_xz_then_xy"):
-                img = _apply_reflection(rec.axes, op)
+                img = apply_reflection(rec.axes, op)
                 assert any(img.allclose(s.axes, 1e-12) for s in solutions)
 
 

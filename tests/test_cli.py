@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -191,6 +192,31 @@ def test_json_artifacts_are_byte_identical_across_runs(runner, command):
     second = runner.invoke(cli, [command, "--format", "json"])
     assert first.exit_code == second.exit_code == 0
     assert first.stdout_bytes == second.stdout_bytes
+
+
+GOLDEN = Path(__file__).parent / "golden"
+POSTURE_C = ["posture", "c", "--theta1", "33", "--theta4", "-12"]
+GOLDEN_COMMANDS = {
+    "enumerate.txt": ["enumerate"],
+    "enumerate.json": ["enumerate", "--format", "json"],
+    "enumerate.csv": ["enumerate", "--format", "csv"],
+    "classify.txt": ["classify"],
+    "classify.json": ["classify", "--format", "json"],
+    "posture-c.json": POSTURE_C,
+    "posture-c.obj": POSTURE_C + ["--format", "obj-lines"],
+    "platonic-cube.txt": ["platonic", "cube"],
+    "platonic-cube.json": ["platonic", "cube", "--format", "json"],
+    "platonic-icosahedron.txt": ["platonic", "icosahedron"],
+    "platonic-icosahedron.json": ["platonic", "icosahedron", "--format", "json"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_output_matches_golden_file(runner, name):
+    # tests/golden/ holds the CLI's own output; rewrite a file only for an intended change of output
+    result = runner.invoke(cli, GOLDEN_COMMANDS[name])
+    assert result.exit_code == 0
+    assert result.stdout_bytes == (GOLDEN / name).read_bytes()
 
 
 class TestPosture:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from isowrist.checks import check_nonvanishing
+from isowrist.checks import check_distinctness, check_nonvanishing, check_oracle
 from isowrist.solver import (
     _cluster,
     _jacobian_batch,
@@ -178,6 +178,32 @@ class TestNonvanishing:
         assert not check_nonvanishing([SolutionRecord(*bad)]).passed
         assert abs(residuals(bad)[6]) < 1e-15  # unit e_2 alone is satisfiable...
         assert np.max(np.abs(residuals(bad))) > 0.1  # ...but not the full system
+
+
+class TestCatalogChecks:
+    def test_oracle_without_converged_starts_fails_with_zero_worst(self):
+        result = check_oracle(1, 3)  # the single start does not converge
+        assert result.status == "FAIL"
+        assert result.worst == 0.0
+
+    def test_oracle_worst_matches_per_root_loop(self):
+        report = oracle_root_hunt(n_starts=2000, seed=42)
+        catalog = np.array(SOLUTION_CATALOG)
+        loop = max(min(float(np.linalg.norm(root - row)) for row in catalog) for root in report.roots)
+        assert check_oracle(2000, 42).worst == pytest.approx(loop, rel=1e-12, abs=0.0)
+
+    def test_distinctness_matches_pairwise_loop(self):
+        comps = np.array(SOLUTION_CATALOG)
+        loop = min(float(np.max(np.abs(comps[i] - comps[j]))) for i in range(32) for j in range(i + 1, 32))
+        result = check_distinctness(enumerate_solutions())
+        assert result.passed
+        assert result.worst == loop
+
+    def test_duplicate_solution_fails_distinctness(self):
+        solutions = enumerate_solutions()
+        result = check_distinctness(solutions[:31] + [solutions[0]])
+        assert result.status == "FAIL"
+        assert result.worst == 0.0
 
 
 class TestRadicalStrings:
