@@ -17,7 +17,7 @@ from .classify import (
     ANTIPODAL_SUBSETS, CLASS_PATTERNS, REFLECTIONS, antipodal_map_table, apply_reflection, distinct_wrists,
     reflection_map_table,
 )
-from .kinematics import DHChain, dh_from_axes, forward_axes, isotropy_report, jacobian_from_axes
+from .kinematics import DHChain, _forward_chain, dh_from_axes, isotropy_report_stack
 from .solver import (
     NONVANISHING_FLOOR, SOLUTION_CATALOG, catalog_distances, enumerate_solutions, oracle_root_hunt, residuals
 )
@@ -28,6 +28,7 @@ from .spheregeom import (
     TETRAHEDRON,
     antipodal_exchange,
     isotropy_of,
+    isotropy_of_stack,
     platonic_vertices,
     reflect_about_line,
     reflect_about_plane,
@@ -184,16 +185,19 @@ def check_line_reflection(tolerance, seed=0) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     eye = np.eye(3)
+    axes = []
     for _ in range(LINE_REFLECTION_COUNT):
         e = rng.normal(size=3)
         e /= np.linalg.norm(e)
+        axes.append(e)
+    for e, half_turn in zip(axes, rotation_about_axis(np.array(axes), math.pi)):
         ell = reflect_about_line(e)
         worst = max(
             worst,
             float(np.max(np.abs(ell @ ell.T - eye))),
             abs(float(np.linalg.det(ell)) - 1.0),
             float(np.max(np.abs(ell @ e - e))),
-            float(np.max(np.abs(ell - rotation_about_axis(e, math.pi)))),
+            float(np.max(np.abs(ell - half_turn))),
         )
     detail = f"2ee^T - I proper orthogonal over {LINE_REFLECTION_COUNT} random axes"
     return _result("line-reflection", worst, tolerance, detail=detail)
@@ -211,17 +215,22 @@ def check_wrist_classes(wrists) -> CheckResult:
     return _result("wrist-classes", worst, tol_deg, ok, "8 classes, twist triples in degrees, couplings verified")
 
 
+def _stacks(arrays):
+    """Group (n, 3) arrays by n: yields (n, stack of shape (m, n, 3)), n ascending."""
+    for n in sorted({len(a) for a in arrays}):
+        yield n, np.array([a for a in arrays if len(a) == n])
+
+
 def check_posture_isotropy(wrists) -> CheckResult:
     worst = 0.0
     angles = np.linspace(0.0, 2.0 * math.pi, POSTURE_GRID, endpoint=False)
+    t1, t4 = (g.ravel() for g in np.meshgrid(angles, angles, indexing="ij"))
     for w in wrists:
         dh = w.representative_dh
-        for t1 in angles:
-            for t4 in angles:
-                rep = isotropy_report(
-                    jacobian_from_axes(forward_axes(dh, (t1, dh.joints[1], dh.joints[2], t4)))
-                )
-                worst = max(worst, abs(rep.condition_number - 1.0), abs(rep.sigma - SIGMA_FOUR_AXES))
+        theta = np.column_stack([t1, np.full(t1.size, dh.joints[1]), np.full(t1.size, dh.joints[2]), t4])
+        axes, _ = _forward_chain(np.tile(dh.twists, (t1.size, 1)), theta)
+        _, sigma, cond, _ = isotropy_report_stack(axes.swapaxes(1, 2))
+        worst = max(worst, float(np.max(np.abs(cond - 1.0))), float(np.max(np.abs(sigma - SIGMA_FOUR_AXES))))
     detail = f"condition number and sigma over a {POSTURE_GRID}x{POSTURE_GRID} free-angle grid"
     return _result("posture-isotropy", worst, 1e-9, detail=detail)
 
@@ -235,40 +244,50 @@ def check_dh_round_trip(wrists, seed=0) -> CheckResult:
         twists = rng.uniform(0.2, math.pi - 0.2, size=n - 1)
         joints = np.concatenate([[0.0], rng.uniform(-3.0, 3.0, size=n - 2), [0.0]])
         chains.append(DHChain(twists, joints))
-    for dh in chains:
-        theta = (0.4,) + dh.joints[1:-1] + (1.1,)
-        back = dh_from_axes(forward_axes(dh, theta))
-        worst = max(worst, max(abs(a - b) for a, b in zip(dh.twists, back.twists)))
-        if dh.n > 2:
-            worst = max(worst, max(abs(a - b) for a, b in zip(dh.joints[1:-1], back.joints[1:-1])))
+    for n in sorted({dh.n for dh in chains}):
+        group = [dh for dh in chains if dh.n == n]
+        theta = [(0.4,) + dh.joints[1:-1] + (1.1,) for dh in group]
+        axes, _ = _forward_chain([dh.twists for dh in group], theta)
+        for dh, row in zip(group, axes):
+            back = dh_from_axes(PointSet(row))
+            worst = max(worst, max(abs(a - b) for a, b in zip(dh.twists, back.twists)))
+            if n > 2:
+                worst = max(worst, max(abs(a - b) for a, b in zip(dh.joints[1:-1], back.joints[1:-1])))
     return _result("dh-round-trip", worst, 1e-9, detail="forward kinematics then parameter recovery")
+
+
+def _random_unit_sets(rng, count):
+    """count random unit-vector sets of 1..8 points each, drawn size first, then points."""
+    sets = []
+    for _ in range(count):
+        n = int(rng.integers(1, 9))
+        pts = rng.normal(size=(n, 3))
+        sets.append(pts / np.linalg.norm(pts, axis=1, keepdims=True))
+    return sets
 
 
 def check_jacobian_moment_agreement(solutions, seed=0) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     agree = True
-    sets = [r.axes for r in solutions] + [platonic_vertices(k) for k in PlatonicSolid]
-    for _ in range(MOMENT_AGREEMENT_COUNT):
-        n = int(rng.integers(1, 9))
-        pts = rng.normal(size=(n, 3))
-        sets.append(PointSet(pts / np.linalg.norm(pts, axis=1, keepdims=True)))
-    for ps in sets:
-        j = jacobian_from_axes(ps)
-        worst = max(worst, float(np.max(np.abs(j @ j.T - second_moment(ps)))))
-        agree = agree and (isotropy_report(j).is_isotropic == isotropy_of(second_moment(ps)).isotropic)
+    sets = [r.axes.array for r in solutions] + [platonic_vertices(k).array for k in PlatonicSolid]
+    sets += _random_unit_sets(rng, MOMENT_AGREEMENT_COUNT)
+    for _, stack in _stacks(sets):
+        j = np.ascontiguousarray(stack.swapaxes(1, 2))
+        h = stack.swapaxes(1, 2) @ stack
+        worst = max(worst, float(np.max(np.abs(j @ j.swapaxes(1, 2) - h))))
+        *_, iso_j = isotropy_report_stack(j)
+        iso_h, _ = isotropy_of_stack(h)
+        agree = agree and bool(np.array_equal(iso_j, iso_h))
     return _result("jacobian-moment-agreement", worst, 1e-12, agree, "J J^T = H and matching isotropy verdicts")
 
 
 def check_trace_identity(seed=0) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(TRACE_IDENTITY_COUNT):
-        n = int(rng.integers(1, 9))
-        pts = rng.normal(size=(n, 3))
-        ps = PointSet(pts / np.linalg.norm(pts, axis=1, keepdims=True))
-        sv = np.linalg.svd(jacobian_from_axes(ps), compute_uv=False)
-        worst = max(worst, abs(float(np.sum(sv**2)) - n))
+    for n, stack in _stacks(_random_unit_sets(rng, TRACE_IDENTITY_COUNT)):
+        sv = np.linalg.svd(stack.swapaxes(1, 2), compute_uv=False)
+        worst = max(worst, float(np.max(np.abs(np.sum(sv**2, axis=-1) - n))))
     return _result("singular-value-trace", worst, 1e-12, detail="squared singular values sum to n")
 
 

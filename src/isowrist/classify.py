@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .kinematics import DHChain, dh_from_axes, forward_axes, isotropy_report, jacobian_from_axes, _forward_chain
+from .kinematics import DHChain, dh_from_axes, isotropy_report, isotropy_report_stack, jacobian_from_axes, _forward_chain
 from .solver import SolutionRecord, TRIVIAL_SET_INDEX, match_catalog_index
 from .spheregeom import ONE_THIRD, PointSet, antipodal_exchange, reflect_about_plane
 
@@ -217,12 +217,11 @@ _LABELS = {pat: label for label, pat in CLASS_PATTERNS.items()}
 
 def _isotropic_couplings(twists, joint_magnitudes) -> tuple:
     """Of the four interior-joint sign pairs, those giving an isotropic chain."""
-    kept = []
-    for s2, s3 in itertools.product((1, -1), repeat=2):
-        dh = DHChain(twists, (0.0, s2 * joint_magnitudes[0], s3 * joint_magnitudes[1], 0.0))
-        if isotropy_report(jacobian_from_axes(forward_axes(dh, dh.joints))).is_isotropic:
-            kept.append((s2, s3))
-    return tuple(sorted(kept))
+    pairs = list(itertools.product((1, -1), repeat=2))
+    theta = [(0.0, s2 * joint_magnitudes[0], s3 * joint_magnitudes[1], 0.0) for s2, s3 in pairs]
+    axes, _ = _forward_chain([twists] * len(pairs), theta)
+    *_, iso = isotropy_report_stack(axes.swapaxes(1, 2))
+    return tuple(sorted(pair for pair, ok in zip(pairs, iso) if ok))
 
 
 def distinct_wrists(solutions: Sequence[SolutionRecord]) -> list:
@@ -281,11 +280,11 @@ def isotropic_posture_geometry(w: WristClass, theta_1: float, theta_4: float) ->
     """
     dh = w.representative_dh
     theta = (theta_1,) + w.interior_joints + (theta_4,)
-    axes_arr, normals = _forward_chain(dh, theta)
+    axes_arr, normals = _forward_chain([dh.twists], [theta])
     frames = np.empty((dh.n, 3, 3))
     for k in range(dh.n):
-        z = axes_arr[k]
-        x = normals[k]
+        z = axes_arr[0, k]
+        x = normals[0, k]
         frames[k] = np.column_stack([x, np.cross(z, x), z])
-    axes = PointSet(axes_arr)
+    axes = PointSet(axes_arr[0])
     return PostureGeometry(axes, frames, isotropy_report(jacobian_from_axes(axes)))

@@ -18,7 +18,7 @@ import click
 from . import documents
 from .checks import run_checks
 from .classify import distinct_wrists, isotropic_posture_geometry
-from .solver import CATALOG_MATCH_LIMIT, enumerate_solutions
+from .solver import CASCADE_ROUNDING, CATALOG_MATCH_LIMIT, enumerate_solutions
 from .spheregeom import PlatonicSolid
 
 
@@ -49,6 +49,8 @@ def _positive_finite(ctx, param, value: float) -> float:
 def _match_tolerance(ctx, param, value: float) -> float:
     if _positive_finite(ctx, param, value) >= CATALOG_MATCH_LIMIT:
         raise click.BadParameter(f"{value!r} is not below {CATALOG_MATCH_LIMIT:.6g}, half the catalog's row separation")
+    if value < CASCADE_ROUNDING:
+        raise click.BadParameter(f"{value!r} is below {CASCADE_ROUNDING!r}, the closed-form solutions' rounding")
     return value
 
 

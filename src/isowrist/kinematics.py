@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .spheregeom import ISO_TOL, PointSet, rotation_about_axis
+from .spheregeom import ISO_TOL, PointSet, _norms, rotation_about_axis
 
 TWIST_TOL = 1e-9
 
@@ -100,42 +100,64 @@ def isotropy_report(j: np.ndarray) -> IsotropyReport:
     ISO_TOL and are nonzero; the common value is then sqrt(n/3) for n unit
     columns.  Rank-deficient Jacobians report condition number +inf.
     """
+    sv, sigma, cond, iso = isotropy_report_stack(j)
+    return IsotropyReport(tuple(float(v) for v in sv), float(sigma), float(cond), bool(iso))
+
+
+def isotropy_report_stack(j: np.ndarray):
+    """isotropy_report of a stack of Jacobians (..., 3, n), as arrays.
+
+    Returns (singular_values (..., 3), sigma, condition_number,
+    is_isotropic), each of shape (...).  One stacked SVD serves the whole
+    stack, and each entry equals the one isotropy_report gives for that
+    Jacobian alone.
+    """
     j = np.asarray(j, dtype=float)
     sv = np.linalg.svd(j, compute_uv=False)
     # fewer than three columns leave implicit zero singular values
-    sv = tuple(float(v) for v in sv) + (0.0,) * (3 - min(j.shape))
-    smax, smin = sv[0], sv[-1]
-    cond = smax / smin if smin > 0.0 else math.inf
-    iso = (smax - smin) <= ISO_TOL and smin > ISO_TOL
-    return IsotropyReport(sv, float(np.mean(sv)), cond, iso)
+    pad = 3 - min(j.shape[-2:])
+    if pad > 0:
+        sv = np.concatenate([sv, np.zeros(sv.shape[:-1] + (pad,))], axis=-1)
+    smax, smin = sv[..., 0], sv[..., -1]
+    with np.errstate(divide="ignore"):
+        cond = np.where(smin > 0.0, smax / smin, math.inf)
+    iso = (smax - smin <= ISO_TOL) & (smin > ISO_TOL)
+    return sv, np.mean(sv, axis=-1), cond, iso
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
-    return v / math.sqrt(v @ v)
+    return v / _norms(v)
 
 
-def _forward_chain(dh: DHChain, theta: Sequence[float]):
-    """Axis directions and common-normal directions of the chain.
+def _turn(axis: np.ndarray, angle: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row i of v (m, 3) turned by angle[i] about axis[i], then renormalised."""
+    return _unit((rotation_about_axis(axis, angle) @ v[:, :, None])[:, :, 0])
 
-    Returns (axes, normals): axes[k] is e_{k+1}; normals[k] is the unit
-    common normal between axes k+1 and k+2 (the x-axis of link frame k+1),
-    with normals[n-1] the end-effector x-axis turned by theta_n.
+
+def _forward_chain(twists, theta):
+    """Axis directions and common-normal directions of m chains of n joints.
+
+    twists has shape (m, n-1) and theta shape (m, n).  Returns (axes,
+    normals), each (m, n, 3): axes[i, k] is e_{k+1} of chain i;
+    normals[i, k] is the unit common normal between axes k+1 and k+2 (the
+    x-axis of link frame k+1), with normals[i, n-1] the end-effector
+    x-axis turned by theta_n.  Each row equals the chain computed alone.
     """
-    theta = [float(t) for t in theta]
-    if len(theta) != dh.n:
-        raise ValueError(f"expected {dh.n} joint angles, got {len(theta)}")
-    e = np.array([1.0, 0.0, 0.0])
-    x = _unit(rotation_about_axis(e, theta[0]) @ np.array([0.0, 0.0, 1.0]))
-    axes = [e]
-    normals = [x]
-    for k, alpha in enumerate(dh.twists):
+    twists = np.asarray(twists, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    m, n = theta.shape
+    if twists.shape != (m, n - 1):
+        raise ValueError(f"twists of shape {twists.shape} do not fit joint angles of shape {theta.shape}")
+    axes = np.empty((m, n, 3))
+    normals = np.empty((m, n, 3))
+    axes[:, 0] = e = np.tile([1.0, 0.0, 0.0], (m, 1))
+    normals[:, 0] = x = _turn(e, theta[:, 0], np.tile([0.0, 0.0, 1.0], (m, 1)))
+    for k in range(n - 1):
         # renormalise after every rotation so rounding cannot accumulate
         # past the unit-norm tolerance along long chains
-        e = _unit(rotation_about_axis(normals[-1], alpha) @ axes[-1])
-        x = _unit(rotation_about_axis(e, theta[k + 1]) @ normals[-1])
-        axes.append(e)
-        normals.append(x)
-    return np.array(axes), np.array(normals)
+        axes[:, k + 1] = e = _turn(x, twists[:, k], e)
+        normals[:, k + 1] = x = _turn(e, theta[:, k + 1], x)
+    return axes, normals
 
 
 def forward_axes(dh: DHChain, theta: Sequence[float]) -> PointSet:
@@ -145,8 +167,11 @@ def forward_axes(dh: DHChain, theta: Sequence[float]) -> PointSet:
     and last ones.  Round trip: dh_from_axes(forward_axes(dh, theta))
     reproduces the twists and the interior angles theta_2..theta_{n-1}.
     """
-    axes, _ = _forward_chain(dh, theta)
-    return PointSet(axes)
+    theta = [float(t) for t in theta]
+    if len(theta) != dh.n:
+        raise ValueError(f"expected {dh.n} joint angles, got {len(theta)}")
+    axes, _ = _forward_chain([dh.twists], [theta])
+    return PointSet(axes[0])
 
 
 def dh_from_axes(axes: PointSet) -> DHChain:

@@ -236,6 +236,11 @@ def catalog_distances(axes) -> np.ndarray:
 #: matching tolerance below it can never match one axis set to two rows.
 CATALOG_MATCH_LIMIT = 0.5 * float(np.min(catalog_distances(_CATALOG_AXES)[~np.eye(32, dtype=bool)]))
 
+#: The largest max-norm distance from a closed-form cascade solution to its
+#: own catalog row: one unit in the last place of 1/3.  A matching
+#: tolerance below it leaves some cascade solution matching no row.
+CASCADE_ROUNDING = 2.0**-54
+
 
 def match_catalog_index(axes, tol: float = RESIDUAL_TOL) -> int | None:
     """1-based catalog row whose axes e_1..e_4 all match within tol, if any.

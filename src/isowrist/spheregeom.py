@@ -29,12 +29,28 @@ ISO_TOL = 1e-9
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 
+def _norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of a (..., 3) array, shape (..., 1).
+
+    The batched matmul takes each row's dot product exactly as the 1-D
+    ``v @ v`` does, so stacked and single-vector norms agree bit for bit.
+    """
+    return np.sqrt(a[..., None, :] @ a[..., :, None])[..., 0]
+
+
 def _as_unit(v) -> np.ndarray:
-    """Validate a 3-vector of unit Euclidean norm and return it as float64."""
-    a = np.asarray(v, dtype=float).reshape(3)
-    nrm = np.linalg.norm(a)
-    if abs(nrm - 1.0) > UNIT_TOL:
-        raise ValueError(f"vector {a.tolist()} has norm {nrm!r}, expected 1 within {UNIT_TOL}")
+    """Validate unit 3-vectors, one per row of a (..., 3) array, and return them as float64."""
+    a = np.asarray(v, dtype=float)
+    if a.ndim < 2:
+        a = a.reshape(3)
+    if a.shape[-1] != 3:
+        raise ValueError(f"expected 3-vectors of shape (..., 3), got shape {a.shape}")
+    rows = a.reshape(-1, 3)
+    nrm = _norms(rows)[:, 0]
+    off = np.abs(nrm - 1.0) > UNIT_TOL
+    if off.any():
+        k = int(np.argmax(off))
+        raise ValueError(f"vector {rows[k].tolist()} has norm {nrm[k]!r}, expected 1 within {UNIT_TOL}")
     return a
 
 
@@ -139,10 +155,16 @@ def isotropy_of(h: np.ndarray) -> IsotropyCheck:
     isotropic=False with the same trace/3 value for reference.  The
     tolerance is ISO_TOL.
     """
+    isotropic, sigma_sq = isotropy_of_stack(h)
+    return IsotropyCheck(bool(isotropic), float(sigma_sq))
+
+
+def isotropy_of_stack(h: np.ndarray):
+    """isotropy_of for a stack (..., 3, 3) of tensors: (isotropic, sigma_sq) arrays of shape (...)."""
     h = np.asarray(h, dtype=float)
-    sigma_sq = float(np.trace(h)) / 3.0
-    dev = float(np.max(np.abs(h - sigma_sq * np.eye(3))))
-    return IsotropyCheck(dev <= ISO_TOL and sigma_sq > ISO_TOL, sigma_sq)
+    sigma_sq = np.trace(h, axis1=-2, axis2=-1) / 3.0
+    dev = np.max(np.abs(h - sigma_sq[..., None, None] * np.eye(3)), axis=(-2, -1))
+    return (dev <= ISO_TOL) & (sigma_sq > ISO_TOL), sigma_sq
 
 
 def _icosahedron_vertices() -> np.ndarray:
@@ -234,11 +256,25 @@ def project_onto_line(p, axis) -> np.ndarray:
     return e * float(np.dot(e, np.asarray(p, dtype=float).reshape(3)))
 
 
-def rotation_about_axis(axis, angle: float) -> np.ndarray:
-    """Rotation matrix through angle (radians) about a unit axis (Rodrigues)."""
+def rotation_about_axis(axis, angle) -> np.ndarray:
+    """Rotation matrices through angles (radians) about unit axes (Rodrigues).
+
+    axis is one unit 3-vector or a stack (..., 3); angle is a scalar or an
+    array (...); the two broadcast and the result has shape (..., 3, 3).
+    Every axis must have unit norm within UNIT_TOL.
+    """
     e = _as_unit(axis)
-    k = np.array([[0.0, -e[2], e[1]], [e[2], 0.0, -e[0]], [-e[1], e[0], 0.0]])
-    return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
+    angle = np.asarray(angle, dtype=float)
+    shape = np.broadcast_shapes(e.shape[:-1], angle.shape)
+    x, y, z = e[..., 0], e[..., 1], e[..., 2]
+    k = np.zeros(shape + (3, 3))
+    k[..., 0, 1], k[..., 0, 2], k[..., 1, 2] = -z, y, -x
+    k[..., 1, 0], k[..., 2, 0], k[..., 2, 1] = z, -y, x
+    # math.sin/math.cos per angle keep every matrix equal to the scalar formula's
+    flat = (angle if angle.shape == shape else np.broadcast_to(angle, shape)).ravel().tolist()
+    sin = np.fromiter(map(math.sin, flat), float, len(flat)).reshape(shape + (1, 1))
+    cos = np.fromiter(map(math.cos, flat), float, len(flat)).reshape(shape + (1, 1))
+    return np.eye(3) + sin * k + (1.0 - cos) * (k @ k)
 
 
 def same_points_up_to_permutation(a: PointSet, b: PointSet) -> bool:

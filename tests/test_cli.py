@@ -171,6 +171,8 @@ class TestVerify:
         ["enumerate", "--tolerance", repr(1.0 / 3.0)],
         ["enumerate", "--tolerance", "1"],
         ["enumerate", "--tolerance", "1e300"],
+        # below the closed-form solutions' own rounding, no tolerance can match them all
+        ["enumerate", "--tolerance", "1e-17"],
     ],
 )
 def test_bad_input_is_usage_error(runner, args):
@@ -182,6 +184,12 @@ def test_bad_input_is_usage_error(runner, args):
 
 def test_enumerate_accepts_tolerance_below_catalog_limit(runner):
     result = runner.invoke(cli, ["enumerate", "--tolerance", "0.3", "--format", "csv"])
+    assert result.exit_code == 0
+    assert len(result.output.splitlines()) == 33
+
+
+def test_enumerate_accepts_tolerance_above_cascade_rounding(runner):
+    result = runner.invoke(cli, ["enumerate", "--tolerance", "6e-17", "--format", "csv"])
     assert result.exit_code == 0
     assert len(result.output.splitlines()) == 33
 
@@ -208,6 +216,8 @@ GOLDEN_COMMANDS = {
     "platonic-cube.json": ["platonic", "cube", "--format", "json"],
     "platonic-icosahedron.txt": ["platonic", "icosahedron"],
     "platonic-icosahedron.json": ["platonic", "icosahedron", "--format", "json"],
+    "verify-quick-seed7.txt": ["verify", "--oracle-starts", "0", "--seed", "7"],
+    "verify-quick-seed125.txt": ["verify", "--oracle-starts", "0", "--seed", "125"],
 }
 
 

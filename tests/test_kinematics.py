@@ -7,10 +7,12 @@ from isowrist.checks import check_dh_round_trip
 from isowrist.classify import distinct_wrists
 from isowrist.kinematics import (
     DHChain,
+    _forward_chain,
     angular_velocity,
     dh_from_axes,
     forward_axes,
     isotropy_report,
+    isotropy_report_stack,
     jacobian_from_axes,
 )
 from isowrist.solver import enumerate_solutions
@@ -147,6 +149,42 @@ class TestForwardAxes:
         dh = DHChain((ALPHA_OBTUSE,), (0.0, 0.0))
         with pytest.raises(ValueError, match="joint angles"):
             forward_axes(dh, (0.0, 0.0, 0.0))
+
+
+class TestStackedForwardChain:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_rows_equal_single_row_calls(self, n):
+        rng = np.random.default_rng(100 + n)
+        twists = rng.uniform(0.2, math.pi - 0.2, size=(40, n - 1))
+        theta = rng.uniform(-7.0, 7.0, size=(40, n))
+        axes, normals = _forward_chain(twists, theta)
+        assert axes.shape == normals.shape == (40, n, 3)
+        for i in range(40):
+            one_axes, one_normals = _forward_chain(twists[i : i + 1], theta[i : i + 1])
+            assert np.array_equal(axes[i], one_axes[0])
+            assert np.array_equal(normals[i], one_normals[0])
+
+    def test_forward_axes_is_the_single_row_call(self):
+        dh = table_chain("c")
+        theta = (0.7, dh.joints[1], dh.joints[2], -2.5)
+        axes, _ = _forward_chain([dh.twists], [theta])
+        assert np.array_equal(forward_axes(dh, theta).array, axes[0])
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match="do not fit"):
+            _forward_chain(np.ones((3, 2)), np.zeros((3, 4)))
+
+    def test_isotropy_stack_rows_equal_single_reports(self):
+        rng = np.random.default_rng(8)
+        for n in range(1, 9):
+            pts = rng.normal(size=(30, n, 3))
+            j = (pts / np.linalg.norm(pts, axis=2, keepdims=True)).swapaxes(1, 2)
+            sv, sigma, cond, iso = isotropy_report_stack(j)
+            for i in range(30):
+                rep = isotropy_report(j[i])
+                assert rep == isotropy_report(np.ascontiguousarray(j[i]))
+                assert rep.singular_values == tuple(sv[i])
+                assert (rep.sigma, rep.condition_number, rep.is_isotropic) == (sigma[i], cond[i], iso[i])
 
 
 class TestWristTablePostures:

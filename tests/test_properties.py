@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isowrist.classify import canonical_signature
-from isowrist.kinematics import DHChain
+from isowrist.kinematics import DHChain, dh_from_axes, forward_axes
 from isowrist.spheregeom import (
     PointSet,
     antipodal_exchange,
@@ -73,3 +73,16 @@ def test_signature_is_mirror_invariant(alphas, theta_1, theta_2, theta_3, theta_
     chain = DHChain(alphas, (theta_1, theta_2, theta_3, theta_4))
     mirror = DHChain(alphas, (theta_1, -theta_2, -theta_3, theta_4))
     assert canonical_signature(mirror) == canonical_signature(chain)
+
+
+@bounded
+@given(st.data())
+def test_dh_round_trip_recovers_random_chains(data):
+    n = data.draw(st.integers(2, 7))
+    chain_twists = data.draw(st.lists(st.floats(0.2, math.pi - 0.2), min_size=n - 1, max_size=n - 1))
+    interior = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n - 2, max_size=n - 2))
+    theta_1, theta_n = data.draw(angles), data.draw(angles)
+    dh = DHChain(chain_twists, [0.0, *interior, 0.0])
+    back = dh_from_axes(forward_axes(dh, (theta_1, *interior, theta_n)))
+    assert np.max(np.abs(np.subtract(back.twists, dh.twists))) <= 1e-9
+    assert np.max(np.abs(np.subtract(back.joints[1:-1], interior)), initial=0.0) <= 1e-9

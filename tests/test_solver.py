@@ -10,6 +10,7 @@ from isowrist.solver import (
     _jacobian_batch,
     BEZOUT_COUNT,
     BKK_BOUND_CITED,
+    CASCADE_ROUNDING,
     CATALOG_MATCH_LIMIT,
     SOLUTION_CATALOG,
     TRIVIAL_SET_INDEX,
@@ -156,6 +157,13 @@ class TestCatalogLookup:
         assert d.shape == (32, 32)
         assert np.array_equal(np.diag(d), np.zeros(32))
         assert CATALOG_MATCH_LIMIT == 1.0 / 3.0
+
+    def test_cascade_rounding_is_largest_distance_to_own_row(self):
+        gaps = []
+        for pattern in sign_patterns():
+            axes = solve_closed_form(pattern).axes.array
+            gaps.append(float(np.min(catalog_distances(axes))))
+        assert CASCADE_ROUNDING == max(gaps) == 5.551115123125783e-17
 
 
 class TestNonvanishing:

@@ -9,6 +9,7 @@ from isowrist.spheregeom import (
     TETRAHEDRON,
     antipodal_exchange,
     isotropy_of,
+    isotropy_of_stack,
     platonic_vertices,
     project_onto_line,
     reflect_about_line,
@@ -244,3 +245,41 @@ class TestPointSet:
         assert not a.allclose(b)
         c = antipodal_exchange(a, {1})
         assert not same_points_up_to_permutation(a, c)
+
+
+class TestStackedForms:
+    def test_rotations_equal_per_row_calls(self):
+        rng = np.random.default_rng(12)
+        axes = random_unit_rows(rng, 200)
+        angles = rng.uniform(-10.0, 10.0, size=200)
+        stacked = rotation_about_axis(axes, angles)
+        assert stacked.shape == (200, 3, 3)
+        for e, a, r in zip(axes, angles, stacked):
+            assert np.array_equal(r, rotation_about_axis(e, a))
+
+    def test_rotations_broadcast_axes_against_angles(self):
+        rng = np.random.default_rng(13)
+        axes = random_unit_rows(rng, 6).reshape(2, 3, 3)
+        angles = rng.uniform(-3.0, 3.0, size=(4, 1, 1))
+        stacked = rotation_about_axis(axes, angles)
+        assert stacked.shape == (4, 2, 3, 3, 3)
+        assert np.array_equal(stacked[3, 1, 2], rotation_about_axis(axes[1, 2], angles[3, 0, 0]))
+        assert np.array_equal(rotation_about_axis(axes[0, 0], angles[:, 0, 0])[2], stacked[2, 0, 0])
+
+    def test_one_non_unit_axis_in_a_stack_is_rejected(self):
+        axes = random_unit_rows(np.random.default_rng(14), 10)
+        axes[7] *= 1.0 + 1e-9
+        with pytest.raises(ValueError, match="norm"):
+            rotation_about_axis(axes, np.zeros(10))
+        rotation_about_axis(np.delete(axes, 7, axis=0), np.zeros(9))
+
+    def test_isotropy_of_stack_rows_equal_single_checks(self):
+        rng = np.random.default_rng(15)
+        sets = [random_unit_rows(rng, 4) for _ in range(50)]
+        sets += [platonic_vertices(kind).array[:4] for kind in PlatonicSolid]
+        stack = np.array(sets)
+        h = stack.swapaxes(1, 2) @ stack
+        isotropic, sigma_sq = isotropy_of_stack(h)
+        assert isotropic[50] and not isotropic[0]
+        for i, pts in enumerate(sets):
+            assert isotropy_of(second_moment(PointSet(pts))) == (isotropic[i], sigma_sq[i])
