@@ -17,7 +17,7 @@ from .classify import (
     ANTIPODAL_SUBSETS, CLASS_PATTERNS, REFLECTIONS, antipodal_map_table, apply_reflection, distinct_wrists,
     reflection_map_table,
 )
-from .kinematics import DHChain, _forward_chain, dh_from_axes, isotropy_report_stack
+from .kinematics import DHChain, _forward_chain, dh_from_axes, isotropy_report_stack, jacobian_from_axes_stack
 from .solver import (
     NONVANISHING_FLOOR, SOLUTION_CATALOG, catalog_distances, enumerate_solutions, oracle_root_hunt, residuals
 )
@@ -34,6 +34,7 @@ from .spheregeom import (
     reflect_about_plane,
     rotation_about_axis,
     second_moment,
+    second_moment_stack,
 )
 
 #: Antipodal-exchange images of the trivial set, by exchanged subset.
@@ -215,10 +216,10 @@ def check_wrist_classes(wrists) -> CheckResult:
     return _result("wrist-classes", worst, tol_deg, ok, "8 classes, twist triples in degrees, couplings verified")
 
 
-def _stacks(arrays):
-    """Group (n, 3) arrays by n: yields (n, stack of shape (m, n, 3)), n ascending."""
-    for n in sorted({len(a) for a in arrays}):
-        yield n, np.array([a for a in arrays if len(a) == n])
+def _by_size(items, size=len):
+    """Group items by size(item): yields (n, [items of size n]) in ascending n, input order kept."""
+    for n in sorted({size(item) for item in items}):
+        yield n, [item for item in items if size(item) == n]
 
 
 def check_posture_isotropy(wrists) -> CheckResult:
@@ -229,7 +230,7 @@ def check_posture_isotropy(wrists) -> CheckResult:
         dh = w.representative_dh
         theta = np.column_stack([t1, np.full(t1.size, dh.joints[1]), np.full(t1.size, dh.joints[2]), t4])
         axes, _ = _forward_chain(np.tile(dh.twists, (t1.size, 1)), theta)
-        _, sigma, cond, _ = isotropy_report_stack(axes.swapaxes(1, 2))
+        _, sigma, cond, _ = isotropy_report_stack(jacobian_from_axes_stack(axes))
         worst = max(worst, float(np.max(np.abs(cond - 1.0))), float(np.max(np.abs(sigma - SIGMA_FOUR_AXES))))
     detail = f"condition number and sigma over a {POSTURE_GRID}x{POSTURE_GRID} free-angle grid"
     return _result("posture-isotropy", worst, 1e-9, detail=detail)
@@ -244,8 +245,7 @@ def check_dh_round_trip(wrists, seed=0) -> CheckResult:
         twists = rng.uniform(0.2, math.pi - 0.2, size=n - 1)
         joints = np.concatenate([[0.0], rng.uniform(-3.0, 3.0, size=n - 2), [0.0]])
         chains.append(DHChain(twists, joints))
-    for n in sorted({dh.n for dh in chains}):
-        group = [dh for dh in chains if dh.n == n]
+    for n, group in _by_size(chains, lambda dh: dh.n):
         theta = [(0.4,) + dh.joints[1:-1] + (1.1,) for dh in group]
         axes, _ = _forward_chain([dh.twists for dh in group], theta)
         for dh, row in zip(group, axes):
@@ -272,9 +272,10 @@ def check_jacobian_moment_agreement(solutions, seed=0) -> CheckResult:
     agree = True
     sets = [r.axes.array for r in solutions] + [platonic_vertices(k).array for k in PlatonicSolid]
     sets += _random_unit_sets(rng, MOMENT_AGREEMENT_COUNT)
-    for _, stack in _stacks(sets):
-        j = np.ascontiguousarray(stack.swapaxes(1, 2))
-        h = stack.swapaxes(1, 2) @ stack
+    for _, group in _by_size(sets):
+        stack = np.array(group)
+        j = jacobian_from_axes_stack(stack)
+        h = second_moment_stack(stack)
         worst = max(worst, float(np.max(np.abs(j @ j.swapaxes(1, 2) - h))))
         *_, iso_j = isotropy_report_stack(j)
         iso_h, _ = isotropy_of_stack(h)
@@ -285,8 +286,8 @@ def check_jacobian_moment_agreement(solutions, seed=0) -> CheckResult:
 def check_trace_identity(seed=0) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for n, stack in _stacks(_random_unit_sets(rng, TRACE_IDENTITY_COUNT)):
-        sv = np.linalg.svd(stack.swapaxes(1, 2), compute_uv=False)
+    for n, group in _by_size(_random_unit_sets(rng, TRACE_IDENTITY_COUNT)):
+        sv = np.linalg.svd(jacobian_from_axes_stack(np.array(group)), compute_uv=False)
         worst = max(worst, float(np.max(np.abs(np.sum(sv**2, axis=-1) - n))))
     return _result("singular-value-trace", worst, 1e-12, detail="squared singular values sum to n")
 

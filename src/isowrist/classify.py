@@ -24,7 +24,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .kinematics import DHChain, dh_from_axes, isotropy_report, isotropy_report_stack, jacobian_from_axes, _forward_chain
+from .kinematics import (
+    DHChain, _forward_chain, dh_from_axes, isotropy_report, isotropy_report_stack, jacobian_from_axes,
+    jacobian_from_axes_stack,
+)
 from .solver import SolutionRecord, TRIVIAL_SET_INDEX, match_catalog_index
 from .spheregeom import ONE_THIRD, PointSet, antipodal_exchange, reflect_about_plane
 
@@ -220,7 +223,7 @@ def _isotropic_couplings(twists, joint_magnitudes) -> tuple:
     pairs = list(itertools.product((1, -1), repeat=2))
     theta = [(0.0, s2 * joint_magnitudes[0], s3 * joint_magnitudes[1], 0.0) for s2, s3 in pairs]
     axes, _ = _forward_chain([twists] * len(pairs), theta)
-    *_, iso = isotropy_report_stack(axes.swapaxes(1, 2))
+    *_, iso = isotropy_report_stack(jacobian_from_axes_stack(axes))
     return tuple(sorted(pair for pair, ok in zip(pairs, iso) if ok))
 
 

@@ -79,9 +79,19 @@ class IsotropyReport:
 
 def jacobian_from_axes(axes: PointSet) -> np.ndarray:
     """The 3xn wrist Jacobian whose k-th column is the axis direction e_k."""
-    if axes.n == 0:
+    return jacobian_from_axes_stack(axes.array)
+
+
+def jacobian_from_axes_stack(a: np.ndarray) -> np.ndarray:
+    """jacobian_from_axes of a stack (..., n, 3) of axis arrays: J of shape (..., 3, n).
+
+    Each entry equals jacobian_from_axes of that axis set alone.  The axes
+    are not validated; pass unit vectors.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.shape[-2] == 0:
         raise ValueError("empty point set")
-    return axes.array.T.copy()
+    return np.ascontiguousarray(a.swapaxes(-1, -2))
 
 
 def angular_velocity(j: np.ndarray, joint_rates) -> np.ndarray:
@@ -119,7 +129,7 @@ def isotropy_report_stack(j: np.ndarray):
     if pad > 0:
         sv = np.concatenate([sv, np.zeros(sv.shape[:-1] + (pad,))], axis=-1)
     smax, smin = sv[..., 0], sv[..., -1]
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         cond = np.where(smin > 0.0, smax / smin, math.inf)
     iso = (smax - smin <= ISO_TOL) & (smin > ISO_TOL)
     return sv, np.mean(sv, axis=-1), cond, iso

@@ -45,12 +45,11 @@ def _as_unit(v) -> np.ndarray:
         a = a.reshape(3)
     if a.shape[-1] != 3:
         raise ValueError(f"expected 3-vectors of shape (..., 3), got shape {a.shape}")
-    rows = a.reshape(-1, 3)
-    nrm = _norms(rows)[:, 0]
+    nrm = _norms(a).ravel()
     off = np.abs(nrm - 1.0) > UNIT_TOL
     if off.any():
         k = int(np.argmax(off))
-        raise ValueError(f"vector {rows[k].tolist()} has norm {nrm[k]!r}, expected 1 within {UNIT_TOL}")
+        raise ValueError(f"vector {a.reshape(-1, 3)[k].tolist()} has norm {nrm[k]!r}, expected 1 within {UNIT_TOL}")
     return a
 
 
@@ -142,9 +141,19 @@ def second_moment(s: PointSet) -> np.ndarray:
     The result is a symmetric positive semi-definite 3x3 matrix with
     trace equal to n (each unit vector contributes 1).
     """
-    if s.n == 0:
+    return second_moment_stack(s.array)
+
+
+def second_moment_stack(a: np.ndarray) -> np.ndarray:
+    """second_moment of a stack (..., n, 3) of point arrays: H of shape (..., 3, 3).
+
+    Each entry equals second_moment of that point set alone.  The points
+    are not validated; pass unit vectors.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.shape[-2] == 0:
         raise ValueError("empty point set")
-    return s.array.T @ s.array
+    return a.swapaxes(-1, -2) @ a
 
 
 def isotropy_of(h: np.ndarray) -> IsotropyCheck:
@@ -234,7 +243,7 @@ def reflect_about_plane(s: PointSet, unit_normal) -> PointSet:
     Each point maps as p -> (I - 2 n n^T) p.  Reflections are isometries,
     so isotropy of the second moment is preserved.
     """
-    n = _as_unit(unit_normal)
+    n = _as_unit(unit_normal).reshape(3)
     refl = np.eye(3) - 2.0 * np.outer(n, n)
     return PointSet(s.array @ refl.T)
 
@@ -246,13 +255,13 @@ def reflect_about_line(axis) -> np.ndarray:
     about a line equals the rotation through pi about that line.  L fixes
     the axis and negates every vector orthogonal to it.
     """
-    e = _as_unit(axis)
+    e = _as_unit(axis).reshape(3)
     return 2.0 * np.outer(e, e) - np.eye(3)
 
 
 def project_onto_line(p, axis) -> np.ndarray:
     """Orthogonal projection e e^T p of a point onto the line along e."""
-    e = _as_unit(axis)
+    e = _as_unit(axis).reshape(3)
     return e * float(np.dot(e, np.asarray(p, dtype=float).reshape(3)))
 
 
@@ -265,15 +274,15 @@ def rotation_about_axis(axis, angle) -> np.ndarray:
     """
     e = _as_unit(axis)
     angle = np.asarray(angle, dtype=float)
-    shape = np.broadcast_shapes(e.shape[:-1], angle.shape)
+    # k and the sines are built on their own shapes; the sum broadcasts them
     x, y, z = e[..., 0], e[..., 1], e[..., 2]
-    k = np.zeros(shape + (3, 3))
+    k = np.zeros(e.shape[:-1] + (3, 3))
     k[..., 0, 1], k[..., 0, 2], k[..., 1, 2] = -z, y, -x
     k[..., 1, 0], k[..., 2, 0], k[..., 2, 1] = z, -y, x
     # math.sin/math.cos per angle keep every matrix equal to the scalar formula's
-    flat = (angle if angle.shape == shape else np.broadcast_to(angle, shape)).ravel().tolist()
-    sin = np.fromiter(map(math.sin, flat), float, len(flat)).reshape(shape + (1, 1))
-    cos = np.fromiter(map(math.cos, flat), float, len(flat)).reshape(shape + (1, 1))
+    flat = angle.ravel().tolist()
+    sin = np.fromiter(map(math.sin, flat), float, len(flat)).reshape(angle.shape + (1, 1))
+    cos = np.fromiter(map(math.cos, flat), float, len(flat)).reshape(angle.shape + (1, 1))
     return np.eye(3) + sin * k + (1.0 - cos) * (k @ k)
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from isowrist.kinematics import (
     isotropy_report,
     isotropy_report_stack,
     jacobian_from_axes,
+    jacobian_from_axes_stack,
 )
 from isowrist.solver import enumerate_solutions
 from isowrist.spheregeom import PointSet, TETRAHEDRON
@@ -185,6 +187,27 @@ class TestStackedForwardChain:
                 assert rep == isotropy_report(np.ascontiguousarray(j[i]))
                 assert rep.singular_values == tuple(sv[i])
                 assert (rep.sigma, rep.condition_number, rep.is_isotropic) == (sigma[i], cond[i], iso[i])
+
+    def test_zero_jacobian_has_infinite_condition_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = isotropy_report(np.zeros((3, 2)))
+            _, _, cond, _ = isotropy_report_stack(np.zeros((5, 3, 4)))
+        assert rep.condition_number == math.inf and not rep.is_isotropic
+        assert np.all(cond == math.inf)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_jacobian_stack_rows_equal_single_jacobians(self, n):
+        pts = np.random.default_rng(40 + n).normal(size=(30, n, 3))
+        stack = pts / np.linalg.norm(pts, axis=2, keepdims=True)
+        j = jacobian_from_axes_stack(stack)
+        assert j.shape == (30, 3, n) and j.flags.c_contiguous
+        for pts_i, j_i in zip(stack, j):
+            assert np.array_equal(j_i, jacobian_from_axes(PointSet(pts_i)))
+
+    def test_jacobian_stack_rejects_empty_sets(self):
+        with pytest.raises(ValueError, match="empty"):
+            jacobian_from_axes_stack(np.zeros((2, 0, 3)))
 
 
 class TestWristTablePostures:

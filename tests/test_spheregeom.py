@@ -17,6 +17,7 @@ from isowrist.spheregeom import (
     rotation_about_axis,
     same_points_up_to_permutation,
     second_moment,
+    second_moment_stack,
 )
 
 R2 = math.sqrt(2.0) / 3.0
@@ -277,9 +278,32 @@ class TestStackedForms:
         rng = np.random.default_rng(15)
         sets = [random_unit_rows(rng, 4) for _ in range(50)]
         sets += [platonic_vertices(kind).array[:4] for kind in PlatonicSolid]
-        stack = np.array(sets)
-        h = stack.swapaxes(1, 2) @ stack
-        isotropic, sigma_sq = isotropy_of_stack(h)
+        isotropic, sigma_sq = isotropy_of_stack(second_moment_stack(np.array(sets)))
         assert isotropic[50] and not isotropic[0]
         for i, pts in enumerate(sets):
             assert isotropy_of(second_moment(PointSet(pts))) == (isotropic[i], sigma_sq[i])
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_second_moment_stack_rows_equal_single_moments(self, n):
+        rng = np.random.default_rng(20 + n)
+        stack = np.array([random_unit_rows(rng, n) for _ in range(30)])
+        h = second_moment_stack(stack)
+        assert h.shape == (30, 3, 3)
+        for pts, hi in zip(stack, h):
+            assert np.array_equal(hi, second_moment(PointSet(pts)))
+
+    def test_second_moment_stack_rejects_empty_sets(self):
+        with pytest.raises(ValueError, match="empty"):
+            second_moment_stack(np.zeros((4, 0, 3)))
+
+    def test_single_vector_callers_reject_stacks_of_axes(self):
+        axes = random_unit_rows(np.random.default_rng(16), 2)
+        with pytest.raises(ValueError):
+            reflect_about_plane(PointSet(TETRAHEDRON), axes)
+        with pytest.raises(ValueError):
+            reflect_about_line(axes)
+        with pytest.raises(ValueError):
+            project_onto_line([1.0, 2.0, 3.0], axes)
+        # one axis given as a (1, 3) row is still a single axis
+        assert project_onto_line([1.0, 2.0, 3.0], axes[:1]).shape == (3,)
+        assert np.array_equal(reflect_about_line(axes[:1]), reflect_about_line(axes[0]))
