@@ -19,7 +19,8 @@ from .classify import (
 )
 from .kinematics import DHChain, _forward_chain, dh_from_axes, isotropy_report_stack, jacobian_from_axes_stack
 from .solver import (
-    NONVANISHING_FLOOR, SOLUTION_CATALOG, catalog_distances, enumerate_solutions, oracle_root_hunt, residuals
+    NONVANISHING_FLOOR, SOLUTION_CATALOG, catalog_distances, enumerate_solutions, oracle_root_hunt, residuals,
+    solve_closed_form,
 )
 from .spheregeom import ONE_THIRD as _T, SQRT2_THIRD as _R2, SQRT6_THIRD as _R6, TWO_SQRT2_THIRD as _S2
 from .spheregeom import (
@@ -101,10 +102,11 @@ def check_solution_residuals(solutions, tolerance) -> CheckResult:
 
 def check_catalog_bijection(solutions, tolerance) -> CheckResult:
     indices = sorted(r.index for r in solutions)
+    # records carry the catalog's own doubles, so re-run the cascade from each record's sign pattern
     worst = max(
-        float(np.max(np.abs(np.array(r.components) - np.array(SOLUTION_CATALOG[r.index - 1])))) for r in solutions
+        float(catalog_distances(solve_closed_form(r.sign_pattern).axes.array)[r.index - 1]) for r in solutions
     )
-    ok = indices == list(range(1, 33))
+    ok = indices == list(range(1, 33)) and len({r.sign_pattern for r in solutions}) == 32
     return _result("catalog-bijection", worst, tolerance, ok, "closed forms match catalog rows 1..32")
 
 
@@ -245,14 +247,13 @@ def check_dh_round_trip(wrists, seed=0) -> CheckResult:
         twists = rng.uniform(0.2, math.pi - 0.2, size=n - 1)
         joints = np.concatenate([[0.0], rng.uniform(-3.0, 3.0, size=n - 2), [0.0]])
         chains.append(DHChain(twists, joints))
-    for n, group in _by_size(chains, lambda dh: dh.n):
+    for _, group in _by_size(chains, lambda dh: dh.n):
         theta = [(0.4,) + dh.joints[1:-1] + (1.1,) for dh in group]
         axes, _ = _forward_chain([dh.twists for dh in group], theta)
         for dh, row in zip(group, axes):
             back = dh_from_axes(PointSet(row))
             worst = max(worst, max(abs(a - b) for a, b in zip(dh.twists, back.twists)))
-            if n > 2:
-                worst = max(worst, max(abs(a - b) for a, b in zip(dh.joints[1:-1], back.joints[1:-1])))
+            worst = max(worst, max(abs(a - b) for a, b in zip(dh.joints[1:-1], back.joints[1:-1])))
     return _result("dh-round-trip", worst, 1e-9, detail="forward kinematics then parameter recovery")
 
 

@@ -18,7 +18,7 @@ import click
 from . import documents
 from .checks import run_checks
 from .classify import distinct_wrists, isotropic_posture_geometry
-from .solver import CASCADE_ROUNDING, CATALOG_MATCH_LIMIT, enumerate_solutions
+from .solver import enumerate_solutions
 from .spheregeom import PlatonicSolid
 
 
@@ -46,14 +46,6 @@ def _positive_finite(ctx, param, value: float) -> float:
     return value
 
 
-def _match_tolerance(ctx, param, value: float) -> float:
-    if _positive_finite(ctx, param, value) >= CATALOG_MATCH_LIMIT:
-        raise click.BadParameter(f"{value!r} is not below {CATALOG_MATCH_LIMIT:.6g}, half the catalog's row separation")
-    if value < CASCADE_ROUNDING:
-        raise click.BadParameter(f"{value!r} is below {CASCADE_ROUNDING!r}, the closed-form solutions' rounding")
-    return value
-
-
 @click.group()
 def cli():
     """Isotropic four-revolute spherical wrists: enumerate, classify, verify."""
@@ -61,22 +53,18 @@ def cli():
 
 @cli.command("enumerate")
 @click.option("--format", "fmt", type=click.Choice(["table", "json", "csv"]), default="table", show_default=True)
-@click.option(
-    "--tolerance", type=float, default=1e-12, show_default=True, callback=_match_tolerance,
-    help="Catalog matching tolerance.",
-)
 @click.option("--output", type=click.Path(dir_okay=False), default=None, help="Write to a file instead of stdout.")
-def cmd_enumerate(fmt: str, tolerance: float, output: str | None):
+def cmd_enumerate(fmt: str, output: str | None):
     """Emit all 32 solutions of the isotropy system in catalog order."""
     try:
-        solutions = enumerate_solutions(tolerance)
+        solutions = enumerate_solutions()
     except ArithmeticError as exc:
         click.echo(f"internal consistency failure: {exc}", err=True)
         sys.exit(1)
     if fmt == "csv":
         text = documents.solution_csv(solutions)
     elif fmt == "json":
-        text = _json_text(documents.solution_document(solutions, tolerance))
+        text = _json_text(documents.solution_document(solutions))
     else:
         text = documents.solution_table(solutions)
     _emit(text, output)

@@ -16,7 +16,7 @@ import math
 
 from .classify import WristClass, antipodal_map_table, reflection_map_table
 from .kinematics import IsotropyReport
-from .solver import SolutionRecord, radical_string
+from .solver import RESIDUAL_TOL, SolutionRecord, radical_string
 from .spheregeom import PlatonicSolid, isotropy_of, platonic_vertices, second_moment
 
 SCHEMA_VERSION = "1"
@@ -32,14 +32,11 @@ PLATONIC_FOOTNOTE = (
 )
 
 
-def _metadata(tolerance: float | None = None) -> dict:
-    meta = {"generator": GENERATOR}
-    if tolerance is not None:
-        meta["tolerance"] = tolerance
-    return meta
+def _metadata() -> dict:
+    return {"generator": GENERATOR}
 
 
-def solution_document(solutions, tolerance: float = 1e-12) -> dict:
+def solution_document(solutions) -> dict:
     """Document carrying all 32 solutions with exact-radical spellings."""
     entries = []
     for rec in solutions:
@@ -47,7 +44,8 @@ def solution_document(solutions, tolerance: float = 1e-12) -> dict:
         entry.update({name: value for name, value in zip(COMPONENT_NAMES, rec.components)})
         entry["radicals"] = {name: radical_string(value) for name, value in zip(COMPONENT_NAMES, rec.components)}
         entries.append(entry)
-    return {"schema_version": SCHEMA_VERSION, "metadata": _metadata(tolerance), "solutions": entries}
+    metadata = {**_metadata(), "tolerance": RESIDUAL_TOL}
+    return {"schema_version": SCHEMA_VERSION, "metadata": metadata, "solutions": entries}
 
 
 def parse_solution_document(doc: dict) -> list:

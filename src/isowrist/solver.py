@@ -232,40 +232,28 @@ def catalog_distances(axes) -> np.ndarray:
     return np.max(np.abs(np.asarray(axes, dtype=float)[..., None, :, :] - _CATALOG_AXES), axis=(-2, -1))
 
 
-#: Half the smallest max-norm distance between two catalog rows (1/3).  A
-#: matching tolerance below it can never match one axis set to two rows.
-CATALOG_MATCH_LIMIT = 0.5 * float(np.min(catalog_distances(_CATALOG_AXES)[~np.eye(32, dtype=bool)]))
+def match_catalog_index(axes) -> int | None:
+    """1-based catalog row whose axes e_1..e_4 all match within RESIDUAL_TOL, if any.
 
-#: The largest max-norm distance from a closed-form cascade solution to its
-#: own catalog row: one unit in the last place of 1/3.  A matching
-#: tolerance below it leaves some cascade solution matching no row.
-CASCADE_ROUNDING = 2.0**-54
-
-
-def match_catalog_index(axes, tol: float = RESIDUAL_TOL) -> int | None:
-    """1-based catalog row whose axes e_1..e_4 all match within tol, if any.
-
-    Raises ValueError when tol is wide enough to match two rows.
+    Catalog rows lie at least 2/3 apart in max-norm, so at most one row matches.
     """
-    (hits,) = np.nonzero(catalog_distances(axes) <= tol)
-    if hits.size > 1:
-        raise ValueError(f"tolerance {tol!r} matches catalog rows {(hits + 1).tolist()}")
+    (hits,) = np.nonzero(catalog_distances(axes) <= RESIDUAL_TOL)
     return int(hits[0]) + 1 if hits.size else None
 
 
-def enumerate_solutions(tol: float = RESIDUAL_TOL) -> list:
+def enumerate_solutions() -> list:
     """All 32 solutions, matched bijectively to the catalog and sorted.
 
-    Raises if any branch fails to match a catalog row within tol or if
-    the branch-to-row assignment is not a bijection.  The returned
-    records carry the catalog's exact-radical doubles; the
+    Raises if any branch fails to match a catalog row within
+    RESIDUAL_TOL or if the branch-to-row assignment is not a bijection.
+    The returned records carry the catalog's exact-radical doubles; the
     floating-point output of the cascade only serves to establish the
     match.
     """
     by_index: dict[int, SolutionRecord] = {}
     for pattern in sign_patterns():
         rec = solve_closed_form(pattern)
-        idx = match_catalog_index(rec.axes.array, tol)
+        idx = match_catalog_index(rec.axes.array)
         if idx is None:
             raise ArithmeticError(f"closed-form solution {rec.components} matches no catalog row")
         if idx in by_index:

@@ -3,6 +3,7 @@ import math
 import re
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -161,18 +162,9 @@ class TestVerify:
         ["verify", "--tolerance", "-1e-12"],
         ["verify", "--oracle-starts", "-5"],
         ["verify", "--seed", "-1"],
-        ["enumerate", "--tolerance", "nan"],
-        ["enumerate", "--tolerance", "-1"],
-        ["enumerate", "--tolerance", "0"],
         ["posture", "a", "--theta1", "inf"],
         ["posture", "a", "--theta4", "nan"],
         ["posture", "a", "--theta1", "-inf"],
-        # a tolerance of half the catalog's row separation could match two rows
-        ["enumerate", "--tolerance", repr(1.0 / 3.0)],
-        ["enumerate", "--tolerance", "1"],
-        ["enumerate", "--tolerance", "1e300"],
-        # below the closed-form solutions' own rounding, no tolerance can match them all
-        ["enumerate", "--tolerance", "1e-17"],
     ],
 )
 def test_bad_input_is_usage_error(runner, args):
@@ -182,16 +174,38 @@ def test_bad_input_is_usage_error(runner, args):
     assert "Invalid value" in result.output
 
 
-def test_enumerate_accepts_tolerance_below_catalog_limit(runner):
-    result = runner.invoke(cli, ["enumerate", "--tolerance", "0.3", "--format", "csv"])
-    assert result.exit_code == 0
-    assert len(result.output.splitlines()) == 33
+def test_enumerate_has_no_tolerance_option(runner):
+    # catalog matching runs at the fixed solver.RESIDUAL_TOL
+    result = runner.invoke(cli, ["enumerate", "--tolerance", "1e-12"])
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    assert "No such option" in result.output
 
 
-def test_enumerate_accepts_tolerance_above_cascade_rounding(runner):
-    result = runner.invoke(cli, ["enumerate", "--tolerance", "6e-17", "--format", "csv"])
-    assert result.exit_code == 0
-    assert len(result.output.splitlines()) == 33
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_synopsis() -> dict:
+    """Options and arguments of each subcommand in the README's "Command line" sh block."""
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    synopsis = {}
+    for line in block.splitlines():
+        _, name, *tokens = line.replace("[", " ").replace("]", " ").split()
+        options = {t for t in tokens if t.startswith("--")}
+        # an upper-case word is an argument unless it is the value of the option before it
+        arguments = {t for prev, t in zip([""] + tokens, tokens) if t.isupper() and not prev.startswith("--")}
+        synopsis[name] = (options, arguments)
+    return synopsis
+
+
+def test_readme_synopsis_lists_every_parameter():
+    synopsis = _readme_synopsis()
+    assert sorted(synopsis) == sorted(cli.commands)
+    for name, command in cli.commands.items():
+        options = {p.opts[0] for p in command.params if isinstance(p, click.Option)}
+        arguments = {p.name.upper() for p in command.params if isinstance(p, click.Argument)}
+        assert synopsis[name] == (options, arguments), name
 
 
 @pytest.mark.parametrize("command", ["classify", "enumerate"])

@@ -1,17 +1,16 @@
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from isowrist.checks import check_distinctness, check_nonvanishing, check_oracle
+from isowrist.checks import check_catalog_bijection, check_distinctness, check_nonvanishing, check_oracle
 from isowrist.solver import (
     _cluster,
     _jacobian_batch,
     BEZOUT_COUNT,
     BKK_BOUND_CITED,
-    CASCADE_ROUNDING,
-    CATALOG_MATCH_LIMIT,
     SOLUTION_CATALOG,
     TRIVIAL_SET_INDEX,
     SolutionRecord,
@@ -145,25 +144,11 @@ class TestCatalogLookup:
         assert np.min(catalog_distances(far)) > 0.5
         assert match_catalog_index(far) is None
 
-    def test_tolerance_covering_two_rows_raises(self):
-        axes = SolutionRecord(*SOLUTION_CATALOG[8]).axes.array
-        assert match_catalog_index(axes, 0.3) == 9
-        with pytest.raises(ValueError, match="matches catalog rows"):
-            match_catalog_index(axes, 1.0)
-
     def test_distances_broadcast_over_stacks(self):
         stack = np.array([r.axes.array for r in enumerate_solutions()])
         d = catalog_distances(stack)
         assert d.shape == (32, 32)
         assert np.array_equal(np.diag(d), np.zeros(32))
-        assert CATALOG_MATCH_LIMIT == 1.0 / 3.0
-
-    def test_cascade_rounding_is_largest_distance_to_own_row(self):
-        gaps = []
-        for pattern in sign_patterns():
-            axes = solve_closed_form(pattern).axes.array
-            gaps.append(float(np.min(catalog_distances(axes))))
-        assert CASCADE_ROUNDING == max(gaps) == 5.551115123125783e-17
 
 
 class TestNonvanishing:
@@ -189,6 +174,19 @@ class TestNonvanishing:
 
 
 class TestCatalogChecks:
+    def test_bijection_worst_is_cascade_rounding(self):
+        # the cascade lands one unit in the last place of 1/3 from its own catalog row
+        result = check_catalog_bijection(enumerate_solutions(), 1e-12)
+        assert result.passed
+        assert result.worst == 2.0**-54
+
+    def test_bijection_fails_on_a_repeated_sign_pattern(self):
+        solutions = enumerate_solutions()
+        solutions[0] = dataclasses.replace(solutions[0], sign_pattern=solutions[1].sign_pattern)
+        result = check_catalog_bijection(solutions, 1e-12)
+        assert result.status == "FAIL"
+        assert result.worst == pytest.approx(2.0 * math.sqrt(6.0) / 3.0, rel=1e-12)
+
     def test_oracle_without_converged_starts_fails_with_zero_worst(self):
         result = check_oracle(1, 3)  # the single start does not converge
         assert result.status == "FAIL"
