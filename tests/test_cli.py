@@ -162,6 +162,9 @@ class TestVerify:
         ["verify", "--tolerance", "-1e-12"],
         ["verify", "--oracle-starts", "-5"],
         ["verify", "--seed", "-1"],
+        ["enumerate", "--format", "xml"],
+        ["classify", "--format", "obj-lines"],
+        ["posture", "z"],
         ["posture", "a", "--theta1", "inf"],
         ["posture", "a", "--theta4", "nan"],
         ["posture", "a", "--theta1", "-inf"],
