@@ -4,7 +4,7 @@ Subcommands: enumerate (the 32-solution catalog), classify (the eight
 wrist classes plus symmetry maps), verify (the full invariant suite),
 posture (geometry of one wrist at its isotropic posture), and platonic
 (vertex sets of the Platonic solids).  Exit codes: 0 success, 1
-verification failure, 2 usage error.
+verification or internal consistency failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -23,11 +23,16 @@ from .spheregeom import PlatonicSolid
 
 
 def _emit(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    """Echo text, or write it to the --output file; a file that cannot be opened is a usage error."""
+    if not output:
         click.echo(text, nl=False)
+        return
+    try:
+        fh = open(output, "w", encoding="utf-8")
+    except OSError as exc:
+        raise click.BadParameter(f"{output!r}: {exc.strerror}", param_hint="'--output'") from exc
+    with fh:
+        fh.write(text)
 
 
 def _json_text(doc: dict) -> str:
@@ -46,7 +51,17 @@ def _positive_finite(ctx, param, value: float) -> float:
     return value
 
 
-@click.group()
+class _Group(click.Group):
+    def invoke(self, ctx):
+        """Report an internal ArithmeticError of any subcommand as exit 1, without a traceback."""
+        try:
+            return super().invoke(ctx)
+        except ArithmeticError as exc:
+            click.echo(f"internal consistency failure: {exc}", err=True)
+            ctx.exit(1)
+
+
+@click.group(cls=_Group)
 def cli():
     """Isotropic four-revolute spherical wrists: enumerate, classify, verify."""
 
@@ -56,11 +71,7 @@ def cli():
 @click.option("--output", type=click.Path(dir_okay=False), default=None, help="Write to a file instead of stdout.")
 def cmd_enumerate(fmt: str, output: str | None):
     """Emit all 32 solutions of the isotropy system in catalog order."""
-    try:
-        solutions = enumerate_solutions()
-    except ArithmeticError as exc:
-        click.echo(f"internal consistency failure: {exc}", err=True)
-        sys.exit(1)
+    solutions = enumerate_solutions()
     if fmt == "csv":
         text = documents.solution_csv(solutions)
     elif fmt == "json":
@@ -75,16 +86,12 @@ def cmd_enumerate(fmt: str, output: str | None):
 @click.option("--output", type=click.Path(dir_okay=False), default=None, help="Write to a file instead of stdout.")
 def cmd_classify(fmt: str, output: str | None):
     """Emit the eight distinct wrist classes and the symmetry-map tables."""
-    try:
-        solutions = enumerate_solutions()
-        wrists = distinct_wrists(solutions)
-        if fmt == "json":
-            text = _json_text(documents.wrist_catalog_document(wrists, solutions))
-        else:
-            text = documents.wrist_catalog_table(wrists)
-    except ArithmeticError as exc:
-        click.echo(f"internal consistency failure: {exc}", err=True)
-        sys.exit(1)
+    solutions = enumerate_solutions()
+    wrists = distinct_wrists(solutions)
+    if fmt == "json":
+        text = _json_text(documents.wrist_catalog_document(wrists, solutions))
+    else:
+        text = documents.wrist_catalog_table(wrists)
     _emit(text, output)
 
 
@@ -119,8 +126,7 @@ def cmd_verify(tolerance: float, oracle_starts: int, seed: int, output: str | No
     text = "\n".join(lines) + "\n"
     click.echo(text, nl=False)
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _emit(text, output)
     sys.exit(1 if failures else 0)
 
 

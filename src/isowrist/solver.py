@@ -302,7 +302,6 @@ def _cluster(points: np.ndarray, radius: float) -> np.ndarray:
 START_BOX = 1.5  # half-width of the cube the oracle's starts are drawn from
 CONVERGE_TOL = 1e-10  # residual norm below which a start has converged
 CLUSTER_RADIUS = 1e-6  # converged points this close are one root
-SINGULAR_DET = 1e-12  # |det| at or below which a Jacobian counts as singular
 
 
 def oracle_root_hunt(
@@ -318,7 +317,7 @@ def oracle_root_hunt(
     explicit starts array overrides the random draw.  Converged points are
     polished, clustered and returned sorted, so the outcome is independent
     of scheduling for a fixed seed.  Non-convergent starts (including those
-    hitting a singular Jacobian) are discarded and counted.
+    whose Jacobian LAPACK finds singular) are discarded and counted.
     """
     if starts is None:
         if n_starts < 1:
@@ -333,8 +332,7 @@ def oracle_root_hunt(
     jac_buf = np.zeros((n_starts, 8, 8))
     active = np.arange(n_starts)
     res = residuals(pts)
-    norms = np.linalg.norm(res, axis=1)
-    done = norms < CONVERGE_TOL
+    done = np.linalg.norm(res, axis=1) < CONVERGE_TOL
     iters[active[done]] = 0
     active = active[~done]
     r = res[~done]  # residuals at pts[active], carried across iterations
@@ -343,14 +341,16 @@ def oracle_root_hunt(
             break
         cur = pts[active]
         jac = _jacobian_batch(cur, jac_buf[: active.size])
-        det = np.linalg.det(jac)
-        solvable = np.isfinite(det) & (np.abs(det) > SINGULAR_DET)
-        if solvable.all():
+        try:
             step = np.linalg.solve(jac, -r[..., None])[..., 0]
-        else:
+        except np.linalg.LinAlgError:
+            # an exactly singular Jacobian: solve one at a time; a refused one keeps a zero step and stalls
             step = np.zeros_like(cur)
-            if solvable.any():
-                step[solvable] = np.linalg.solve(jac[solvable], -r[solvable][..., None])[..., 0]
+            for k in range(active.size):
+                try:
+                    step[k] = np.linalg.solve(jac[k : k + 1], -r[k : k + 1, :, None])[0, :, 0]
+                except np.linalg.LinAlgError:
+                    pass
         # backtracking line search on the residual norm; the residuals of
         # each accepted trial are kept for the convergence test and the
         # next iteration
@@ -358,9 +358,8 @@ def oracle_root_hunt(
         new = np.array(cur)
         new_r = np.array(r)
         improved = np.zeros(active.size, dtype=bool)
-        lam = 1.0
-        for _ in range(7):
-            pending = solvable & ~improved
+        for lam in 0.5 ** np.arange(7):
+            pending = ~improved
             if not np.any(pending):
                 break
             trial = cur[pending] + lam * step[pending]
@@ -370,27 +369,21 @@ def oracle_root_hunt(
             new[sel] = trial[ok]
             new_r[sel] = trial_r[ok]
             improved[sel] = True
-            lam *= 0.5
         pts[active] = new
-        nn = np.linalg.norm(new_r, axis=1)
-        conv = improved & (nn < CONVERGE_TOL)
-        stuck = ~improved
+        conv = improved & (np.linalg.norm(new_r, axis=1) < CONVERGE_TOL)
         iters[active[conv]] = it
-        keep = ~(conv | stuck)
+        keep = improved & ~conv
         active = active[keep]
         r = new_r[keep]
     converged = iters >= 0
     n_converged = int(np.count_nonzero(converged))
     hits = pts[converged]
     if hits.size:
-        # polish with undamped Newton so clusters collapse to machine precision
+        # polish with undamped Newton so clusters collapse to machine precision;
+        # converged starts lie next to simple roots, where |det J| = 256 sqrt(2)/81
         for _ in range(3):
             jac = _jacobian_batch(hits, jac_buf[: hits.shape[0]])
-            det = np.linalg.det(jac)
-            ok = np.isfinite(det) & (np.abs(det) > SINGULAR_DET)
-            if not np.any(ok):
-                break
-            hits[ok] += np.linalg.solve(jac[ok], -residuals(hits[ok])[..., None])[..., 0]
+            hits += np.linalg.solve(jac, -residuals(hits)[..., None])[..., 0]
         roots = _cluster(hits, CLUSTER_RADIUS)
     else:
         roots = np.empty((0, 8))

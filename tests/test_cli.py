@@ -168,6 +168,11 @@ class TestVerify:
         ["posture", "a", "--theta1", "inf"],
         ["posture", "a", "--theta4", "nan"],
         ["posture", "a", "--theta1", "-inf"],
+        ["enumerate", "--output", "/nonexistent/dir/x.csv"],
+        ["classify", "--output", "/nonexistent/dir/x.txt"],
+        ["verify", "--oracle-starts", "0", "--output", "/nonexistent/dir/x.txt"],
+        ["posture", "a", "--output", "/nonexistent/dir/x.json"],
+        ["platonic", "cube", "--output", "/nonexistent/dir/x.txt"],
     ],
 )
 def test_bad_input_is_usage_error(runner, args):
@@ -175,6 +180,27 @@ def test_bad_input_is_usage_error(runner, args):
     assert result.exit_code == 2
     assert "Traceback" not in result.output
     assert "Invalid value" in result.output
+
+
+@pytest.mark.parametrize(
+    "args, target",
+    [
+        (["enumerate"], "isowrist.cli.enumerate_solutions"),
+        (["classify"], "isowrist.cli.distinct_wrists"),
+        (["verify", "--oracle-starts", "0"], "isowrist.checks.enumerate_solutions"),
+        (["posture", "a"], "isowrist.cli.enumerate_solutions"),
+    ],
+)
+def test_internal_failure_exits_1_without_traceback(runner, monkeypatch, args, target):
+    def fail(*_):
+        raise ArithmeticError("injected")
+
+    monkeypatch.setattr(target, fail)
+    # an exception escaping the command would propagate here instead of becoming an exit code
+    result = runner.invoke(cli, args, catch_exceptions=False)
+    assert result.exit_code == 1
+    assert "internal consistency failure: injected" in result.output
+    assert "Traceback" not in result.output
 
 
 def test_enumerate_has_no_tolerance_option(runner):

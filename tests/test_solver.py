@@ -12,6 +12,7 @@ from isowrist.solver import (
     BEZOUT_COUNT,
     BKK_BOUND_CITED,
     SOLUTION_CATALOG,
+    START_BOX,
     TRIVIAL_SET_INDEX,
     SolutionRecord,
     catalog_distances,
@@ -257,6 +258,17 @@ class TestOracle:
         assert report.n_roots == 0
         assert report.n_discarded == 1
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("fill", [0.0, np.nan])
+    def test_singular_start_leaves_the_rest_of_its_batch_unchanged(self, fill):
+        starts = np.random.default_rng(8).uniform(-START_BOX, START_BOX, size=(300, 8))
+        base = oracle_root_hunt(starts=starts)
+        report = oracle_root_hunt(starts=np.insert(starts, 150, np.full(8, fill), axis=0))
+        assert report.iterations[150] == -1
+        assert np.array_equal(np.delete(report.iterations, 150), base.iterations)
+        assert np.array_equal(report.roots, base.roots)
+        assert base.n_converged > 0
+
     def test_no_starts(self):
         report = oracle_root_hunt(n_starts=0)
         assert report.n_roots == 0
@@ -315,6 +327,11 @@ class TestJacobianBatch:
             dp[k] = h
             fd = (residuals(pts + dp) - residuals(pts - dp)) / (2 * h)
             assert np.max(np.abs(jac[:, :, k] - fd)) < 1e-8
+
+    def test_catalog_determinant_is_256_sqrt2_over_81(self):
+        # every root is simple, so the oracle's polish solves regular systems
+        det = np.abs(np.linalg.det(_jacobian_batch(np.array(SOLUTION_CATALOG))))
+        assert det == pytest.approx(np.full(32, 256 * math.sqrt(2) / 81), rel=1e-12, abs=0.0)
 
     def test_reused_buffer_matches_fresh(self):
         rng = np.random.default_rng(4)
