@@ -17,7 +17,7 @@ from .classify import (
     ANTIPODAL_SUBSETS, CLASS_PATTERNS, REFLECTIONS, antipodal_map_table, apply_reflection, distinct_wrists,
     reflection_map_table,
 )
-from .kinematics import DHChain, _forward_chain, dh_from_axes, isotropy_report_stack, jacobian_from_axes_stack
+from .kinematics import DHChain, _forward_chain, dh_from_axes_stack, isotropy_report_stack, jacobian_from_axes_stack
 from .solver import (
     NONVANISHING_FLOOR, SOLUTION_CATALOG, catalog_distances, enumerate_solutions, oracle_root_hunt, residuals,
     solve_closed_form,
@@ -249,11 +249,15 @@ def check_dh_round_trip(wrists, seed=0) -> CheckResult:
         chains.append(DHChain(twists, joints))
     for _, group in _by_size(chains, lambda dh: dh.n):
         theta = [(0.4,) + dh.joints[1:-1] + (1.1,) for dh in group]
-        axes, _ = _forward_chain([dh.twists for dh in group], theta)
-        for dh, row in zip(group, axes):
-            back = dh_from_axes(PointSet(row))
-            worst = max(worst, max(abs(a - b) for a, b in zip(dh.twists, back.twists)))
-            worst = max(worst, max(abs(a - b) for a, b in zip(dh.joints[1:-1], back.joints[1:-1])))
+        twists = np.array([dh.twists for dh in group])
+        axes, _ = _forward_chain(twists, theta)
+        back_twists, back_joints = dh_from_axes_stack(axes)
+        interior = np.array([dh.joints[1:-1] for dh in group])
+        worst = max(
+            worst,
+            float(np.max(np.abs(twists - back_twists))),
+            float(np.max(np.abs(interior - back_joints[:, 1:-1]))),
+        )
     return _result("dh-round-trip", worst, 1e-9, detail="forward kinematics then parameter recovery")
 
 

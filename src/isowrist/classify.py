@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .kinematics import (
-    DHChain, _forward_chain, dh_from_axes, isotropy_report, isotropy_report_stack, jacobian_from_axes,
+    DHChain, _forward_chain, dh_from_axes_stack, isotropy_report, isotropy_report_stack, jacobian_from_axes,
     jacobian_from_axes_stack,
 )
 from .solver import SolutionRecord, TRIVIAL_SET_INDEX, match_catalog_index
@@ -187,12 +187,15 @@ def canonical_signature(dh: DHChain) -> CanonicalSignature:
     """
     if dh.n != 4:
         raise ValueError(f"expected a 4-axis chain, got n={dh.n}")
-    t2, t3 = dh.joints[1], dh.joints[2]
-    sign_product = int(np.sign(t2) * np.sign(t3))
+    return _signature(dh.twists, dh.joints[1], dh.joints[2])
+
+
+def _signature(twists, t2: float, t3: float) -> CanonicalSignature:
+    """canonical_signature of the 4-axis chain with these twists and interior joints."""
     return CanonicalSignature(
-        tuple(_snap(math.cos(a)) for a in dh.twists),
+        tuple(_snap(math.cos(a)) for a in twists),
         (_snap(math.cos(t2)), _snap(math.cos(t3))),
-        sign_product,
+        int(np.sign(t2) * np.sign(t3)),
     )
 
 
@@ -218,58 +221,71 @@ CLASS_PATTERNS = {
 _LABELS = {pat: label for label, pat in CLASS_PATTERNS.items()}
 
 
-def _isotropic_couplings(twists, joint_magnitudes) -> tuple:
-    """Of the four interior-joint sign pairs, those giving an isotropic chain."""
-    pairs = list(itertools.product((1, -1), repeat=2))
-    theta = [(0.0, s2 * joint_magnitudes[0], s3 * joint_magnitudes[1], 0.0) for s2, s3 in pairs]
-    axes, _ = _forward_chain([twists] * len(pairs), theta)
+#: The four interior-joint sign pairs a class's couplings are drawn from.
+_SIGN_PAIRS = tuple(itertools.product((1, -1), repeat=2))
+
+
+def _isotropic_couplings(chains) -> list:
+    """Per 4-axis DHChain: the interior-joint sign pairs that keep it isotropic.
+
+    Each chain's interior joint magnitudes are kept and their signs set
+    to every pair in turn; one stacked forward chain and SVD serve all
+    chains and pairs.
+    """
+    twists = [dh.twists for dh in chains for _ in _SIGN_PAIRS]
+    theta = [(0.0, s2 * abs(dh.joints[1]), s3 * abs(dh.joints[2]), 0.0) for dh in chains for s2, s3 in _SIGN_PAIRS]
+    axes, _ = _forward_chain(twists, theta)
     *_, iso = isotropy_report_stack(jacobian_from_axes_stack(axes))
-    return tuple(sorted(pair for pair, ok in zip(pairs, iso) if ok))
+    return [
+        tuple(sorted(pair for pair, ok in zip(_SIGN_PAIRS, row) if ok))
+        for row in iso.reshape(len(chains), len(_SIGN_PAIRS))
+    ]
 
 
 def distinct_wrists(solutions: Sequence[SolutionRecord]) -> list:
     """Group all (solution, ordering) chains into the distinct wrist classes.
 
-    Builds DH parameters for all 32 x 6 chains, groups them by canonical
-    signature and labels the classes a..h.  Raises with a diagnostic dump
-    if the grouping does not produce exactly eight classes.
+    Builds DH parameters for all 32 x 6 chains in one stacked pass, groups
+    them by canonical signature and labels the classes a..h.  Raises with
+    a diagnostic dump if the grouping does not produce exactly eight
+    classes.
     """
+    orderings = chain_orderings()
+    chains = [(rec.index, ordering) for rec in solutions for ordering in orderings]
+    axes = np.array([rec.axes.array for rec in solutions]).reshape(-1, 4, 3)
+    twists, joints = dh_from_axes_stack(axes[:, orderings].reshape(-1, 4, 3))
+    interior = joints[:, 1:3].tolist()
+    signs = np.sign(joints[:, 1:3]).astype(int).tolist()
+    twists = twists.tolist()
     groups: dict[CanonicalSignature, list] = {}
-    for rec in solutions:
-        for ordering in chain_orderings():
-            axes = PointSet(rec.axes.array[list(ordering)])
-            dh = dh_from_axes(axes)
-            sig = canonical_signature(dh)
-            member = ClassMember(
-                rec.index,
-                tuple(i + 1 for i in ordering),
-                (int(np.sign(dh.joints[1])), int(np.sign(dh.joints[2]))),
-            )
-            groups.setdefault(sig, []).append((member, dh))
+    for k, (index, ordering) in enumerate(chains):
+        member = ClassMember(index, tuple(i + 1 for i in ordering), tuple(signs[k]))
+        groups.setdefault(_signature(twists[k], *interior[k]), []).append((member, k))
     if len(groups) != 8:
         dump = "\n".join(str(sig) for sig in sorted(groups))
         raise ArithmeticError(f"expected 8 signature classes, got {len(groups)}:\n{dump}")
-    classes = []
+    found = []
     for sig, items in groups.items():
         label = _LABELS.get(sig)
         if label is None:
             raise ArithmeticError(f"signature {sig} matches no known wrist class")
-        items.sort(key=lambda md: (md[0].solution_index, md[0].ordering))
-        rep_member, rep_dh = next((m, d) for m, d in items if d.joints[1] > 0.0)
-        couplings = tuple(sorted({m.joint_signs for m, _ in items}))
-        magnitudes = (abs(rep_dh.joints[1]), abs(rep_dh.joints[2]))
-        classes.append(
-            WristClass(
-                label=label,
-                signature=sig,
-                twists=rep_dh.twists,
-                interior_joints=(rep_dh.joints[1], rep_dh.joints[2]),
-                representative=rep_member,
-                members=tuple(m for m, _ in items),
-                couplings=couplings,
-                isotropic_couplings=_isotropic_couplings(rep_dh.twists, magnitudes),
-            )
+        items.sort(key=lambda mk: (mk[0].solution_index, mk[0].ordering))
+        rep_member, rep = next((m, k) for m, k in items if interior[k][0] > 0.0)
+        found.append((label, sig, items, rep_member, DHChain(twists[rep], joints[rep])))
+    couplings = _isotropic_couplings([dh for *_, dh in found])
+    classes = [
+        WristClass(
+            label=label,
+            signature=sig,
+            twists=dh.twists,
+            interior_joints=(dh.joints[1], dh.joints[2]),
+            representative=rep_member,
+            members=tuple(m for m, _ in items),
+            couplings=tuple(sorted({m.joint_signs for m, _ in items})),
+            isotropic_couplings=iso,
         )
+        for (label, sig, items, rep_member, dh), iso in zip(found, couplings)
+    ]
     classes.sort(key=lambda w: w.label)
     return classes
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 
 import click
@@ -33,6 +34,21 @@ def _emit(text: str, output: str | None) -> None:
         raise click.BadParameter(f"{output!r}: {exc.strerror}", param_hint="'--output'") from exc
     with fh:
         fh.write(text)
+
+
+def _output_dir(ctx, param, value: str | None) -> str | None:
+    """Reject an --output whose directory is missing before the command does any work."""
+    if value:
+        folder = os.path.dirname(os.path.abspath(value))
+        if not os.path.isdir(folder):
+            raise click.BadParameter(f"{value!r}: {folder!r} is not an existing directory")
+    return value
+
+
+def _output_option(help_text: str = "Write to a file instead of stdout."):
+    return click.option(
+        "--output", type=click.Path(dir_okay=False), default=None, callback=_output_dir, help=help_text
+    )
 
 
 def _json_text(doc: dict) -> str:
@@ -68,7 +84,7 @@ def cli():
 
 @cli.command("enumerate")
 @click.option("--format", "fmt", type=click.Choice(["table", "json", "csv"]), default="table", show_default=True)
-@click.option("--output", type=click.Path(dir_okay=False), default=None, help="Write to a file instead of stdout.")
+@_output_option()
 def cmd_enumerate(fmt: str, output: str | None):
     """Emit all 32 solutions of the isotropy system in catalog order."""
     solutions = enumerate_solutions()
@@ -83,7 +99,7 @@ def cmd_enumerate(fmt: str, output: str | None):
 
 @cli.command("classify")
 @click.option("--format", "fmt", type=click.Choice(["table", "json"]), default="table", show_default=True)
-@click.option("--output", type=click.Path(dir_okay=False), default=None, help="Write to a file instead of stdout.")
+@_output_option()
 def cmd_classify(fmt: str, output: str | None):
     """Emit the eight distinct wrist classes and the symmetry-map tables."""
     solutions = enumerate_solutions()
@@ -107,7 +123,7 @@ def cmd_classify(fmt: str, output: str | None):
 @click.option(
     "--seed", type=click.IntRange(min=0), default=0, show_default=True, help="Seed for all randomized checks."
 )
-@click.option("--output", type=click.Path(dir_okay=False), default=None, help="Also write the report to a file.")
+@_output_option("Also write the report to a file.")
 def cmd_verify(tolerance: float, oracle_starts: int, seed: int, output: str | None):
     """Run every invariant check and report worst-case margins."""
     results = run_checks(tolerance=tolerance, oracle_starts=oracle_starts, seed=seed)
@@ -139,7 +155,7 @@ def cmd_verify(tolerance: float, oracle_starts: int, seed: int, output: str | No
     "--theta4", type=float, default=0.0, show_default=True, callback=_finite, help="Free joint 4 angle in degrees."
 )
 @click.option("--format", "fmt", type=click.Choice(["json", "obj-lines"]), default="json", show_default=True)
-@click.option("--output", type=click.Path(dir_okay=False), default=None, help="Write to a file instead of stdout.")
+@_output_option()
 def cmd_posture(label: str, theta1: float, theta4: float, fmt: str, output: str | None):
     """Emit one wrist class's geometry at its isotropic posture."""
     theta1 %= 360.0
@@ -156,7 +172,7 @@ def cmd_posture(label: str, theta1: float, theta4: float, fmt: str, output: str 
 @cli.command("platonic")
 @click.argument("kind", type=click.Choice([k.name for k in PlatonicSolid]))
 @click.option("--format", "fmt", type=click.Choice(["table", "json"]), default="table", show_default=True)
-@click.option("--output", type=click.Path(dir_okay=False), default=None, help="Write to a file instead of stdout.")
+@_output_option()
 def cmd_platonic(kind: str, fmt: str, output: str | None):
     """Emit a Platonic vertex set with its isotropy constants."""
     solid = PlatonicSolid[kind]

@@ -192,20 +192,35 @@ def dh_from_axes(axes: PointSet) -> DHChain:
     (e_{i-1}, e_i) and (e_i, e_{i+1}), signed by the right-hand rule
     about e_i.  theta_1 and theta_n are free and stored as 0.
     """
-    if axes.n < 2:
+    twists, joints = dh_from_axes_stack(axes.array[None])
+    return DHChain(twists[0], joints[0])
+
+
+def dh_from_axes_stack(a: np.ndarray):
+    """dh_from_axes of a stack (m, n, 3) of axis arrays, as arrays.
+
+    Returns (twists (m, n-1), joints (m, n)); each row equals the
+    parameters dh_from_axes recovers from that axis set alone, bit for
+    bit.  Raises ValueError if any row has a degenerate twist, which also
+    keeps every twist inside the range DHChain accepts.  The axes are not
+    validated; pass unit vectors.
+    """
+    a = np.asarray(a, dtype=float)
+    m, n, _ = a.shape
+    if n < 2:
         raise ValueError("need at least two axes")
-    a = axes.array
-    dots = np.sum(a[:-1] * a[1:], axis=1)
+    dots = np.sum(a[:, :-1] * a[:, 1:], axis=-1)
     if np.any(np.abs(dots) >= 1.0 - TWIST_TOL):
         raise ValueError("degenerate twist: consecutive axes parallel or antiparallel")
-    twists = tuple(math.acos(float(d)) for d in dots)
+    twists = np.array([math.acos(d) for d in dots.ravel().tolist()]).reshape(m, n - 1)
     # unit common normals x_i between axes i and i+1
-    crosses = np.cross(a[:-1], a[1:])
-    normals = crosses / np.linalg.norm(crosses, axis=1, keepdims=True)
-    turns = np.cross(normals[:-1], normals[1:])
-    joints = [0.0]
-    for i in range(1, axes.n - 1):
-        x_prev, x_next, e = normals[i - 1], normals[i], a[i]
-        joints.append(math.atan2(float(np.dot(turns[i - 1], e)), float(np.dot(x_prev, x_next))))
-    joints.append(0.0)
-    return DHChain(twists, joints)
+    crosses = np.cross(a[:, :-1], a[:, 1:])
+    normals = crosses / np.linalg.norm(crosses, axis=-1, keepdims=True)
+    x_prev, x_next = normals[:, :-1], normals[:, 1:]
+    turns = np.cross(x_prev, x_next)
+    # the batched matmul takes each dot product exactly as np.dot of two 3-vectors does
+    sin_part = (turns[..., None, :] @ a[:, 1:-1, :, None]).ravel().tolist()
+    cos_part = (x_prev[..., None, :] @ x_next[..., :, None]).ravel().tolist()
+    joints = np.zeros((m, n))
+    joints[:, 1:-1] = np.array([math.atan2(y, x) for y, x in zip(sin_part, cos_part)]).reshape(m, n - 2)
+    return twists, joints

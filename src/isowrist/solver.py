@@ -250,12 +250,14 @@ def enumerate_solutions() -> list:
     floating-point output of the cascade only serves to establish the
     match.
     """
+    records = [solve_closed_form(pattern) for pattern in sign_patterns()]
+    # one distance table for all 32 cascade rows; as in match_catalog_index, at most one row matches
+    matches = catalog_distances([rec.axes.array for rec in records]) <= RESIDUAL_TOL
     by_index: dict[int, SolutionRecord] = {}
-    for pattern in sign_patterns():
-        rec = solve_closed_form(pattern)
-        idx = match_catalog_index(rec.axes.array)
-        if idx is None:
+    for rec, row in zip(records, matches):
+        if not row.any():
             raise ArithmeticError(f"closed-form solution {rec.components} matches no catalog row")
+        idx = int(np.argmax(row)) + 1
         if idx in by_index:
             raise ArithmeticError(f"catalog row {idx} matched by two sign patterns")
         by_index[idx] = SolutionRecord(*SOLUTION_CATALOG[idx - 1], index=idx, sign_pattern=rec.sign_pattern)

@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from isowrist.classify import (
+    _LABELS,
     CLASS_PATTERNS,
+    ClassMember,
+    WristClass,
     antipodal_map_table,
     apply_reflection,
     canonical_signature,
@@ -14,9 +17,11 @@ from isowrist.classify import (
     isotropic_posture_geometry,
     reflection_map_table,
 )
-from isowrist.kinematics import DHChain
+from isowrist.kinematics import (
+    DHChain, _forward_chain, dh_from_axes, isotropy_report_stack, jacobian_from_axes_stack,
+)
 from isowrist.solver import enumerate_solutions
-from isowrist.spheregeom import reflect_about_line, rotation_about_axis
+from isowrist.spheregeom import PointSet, reflect_about_line, rotation_about_axis
 
 OBTUSE = math.acos(-1.0 / 3.0)
 ACUTE = math.acos(1.0 / 3.0)
@@ -196,6 +201,55 @@ class TestDistinctWrists:
         for a in class_e.twists:
             assert abs(math.degrees(a) - 70.52878) < 1e-4
         assert class_e.couplings == ((-1, -1), (1, 1))
+
+
+def per_chain_distinct_wrists(solutions):
+    """distinct_wrists built one Python chain at a time: the reference for the stacked pass."""
+    groups = {}
+    for rec in solutions:
+        for ordering in chain_orderings():
+            dh = dh_from_axes(PointSet(rec.axes.array[list(ordering)]))
+            member = ClassMember(
+                rec.index,
+                tuple(i + 1 for i in ordering),
+                (int(np.sign(dh.joints[1])), int(np.sign(dh.joints[2]))),
+            )
+            groups.setdefault(canonical_signature(dh), []).append((member, dh))
+    classes = []
+    for sig, items in groups.items():
+        items.sort(key=lambda md: (md[0].solution_index, md[0].ordering))
+        rep_member, rep_dh = next((m, d) for m, d in items if d.joints[1] > 0.0)
+        pairs = list(itertools.product((1, -1), repeat=2))
+        theta = [(0.0, s2 * abs(rep_dh.joints[1]), s3 * abs(rep_dh.joints[2]), 0.0) for s2, s3 in pairs]
+        axes, _ = _forward_chain([rep_dh.twists] * len(pairs), theta)
+        *_, iso = isotropy_report_stack(jacobian_from_axes_stack(axes))
+        classes.append(
+            WristClass(
+                label=_LABELS[sig],
+                signature=sig,
+                twists=rep_dh.twists,
+                interior_joints=(rep_dh.joints[1], rep_dh.joints[2]),
+                representative=rep_member,
+                members=tuple(m for m, _ in items),
+                couplings=tuple(sorted({m.joint_signs for m, _ in items})),
+                isotropic_couplings=tuple(sorted(pair for pair, ok in zip(pairs, iso) if ok)),
+            )
+        )
+    return sorted(classes, key=lambda w: w.label)
+
+
+class TestStackedDistinctWrists:
+    def test_equals_the_per_chain_reference(self, solutions, wrists):
+        assert len(wrists) == 8
+        assert wrists == per_chain_distinct_wrists(solutions)
+
+    def test_subset_equals_the_per_chain_reference(self, solutions):
+        assert distinct_wrists(solutions[1:]) == per_chain_distinct_wrists(solutions[1:])
+
+    @pytest.mark.parametrize("count", [0, 5])
+    def test_too_few_solutions_keep_the_class_count_error(self, solutions, count):
+        with pytest.raises(ArithmeticError, match="expected 8 signature classes"):
+            distinct_wrists(solutions[:count])
 
 
 class TestPostureGeometry:

@@ -186,6 +186,35 @@ def test_bad_input_is_usage_error(runner, args):
     "args, target",
     [
         (["enumerate"], "isowrist.cli.enumerate_solutions"),
+        (["classify"], "isowrist.cli.enumerate_solutions"),
+        (["verify"], "isowrist.cli.run_checks"),
+        (["posture", "a"], "isowrist.cli.enumerate_solutions"),
+        (["platonic", "cube"], "isowrist.cli.documents.platonic_table"),
+    ],
+)
+def test_missing_output_directory_is_rejected_before_any_work(runner, monkeypatch, args, target):
+    calls = []
+    monkeypatch.setattr(target, lambda *a, **k: calls.append(a))
+    result = runner.invoke(cli, args + ["--output", "/nonexistent/dir/x.txt"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "Invalid value for '--output'" in result.output
+    assert calls == []
+
+
+def test_output_under_a_file_is_rejected(runner, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    result = runner.invoke(cli, ["platonic", "cube", "--output", str(blocker / "x.txt")])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "Invalid value for '--output'" in result.output
+
+
+@pytest.mark.parametrize(
+    "args, target",
+    [
+        (["enumerate"], "isowrist.cli.enumerate_solutions"),
         (["classify"], "isowrist.cli.distinct_wrists"),
         (["verify", "--oracle-starts", "0"], "isowrist.checks.enumerate_solutions"),
         (["posture", "a"], "isowrist.cli.enumerate_solutions"),

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from isowrist.checks import check_dh_round_trip
-from isowrist.classify import distinct_wrists
+from isowrist.classify import chain_orderings, distinct_wrists
 from isowrist.kinematics import (
     DHChain,
     _forward_chain,
     angular_velocity,
     dh_from_axes,
+    dh_from_axes_stack,
     forward_axes,
     isotropy_report,
     isotropy_report_stack,
@@ -269,6 +270,56 @@ class TestDHFromAxes:
     def test_too_few_axes(self):
         with pytest.raises(ValueError, match="two axes"):
             dh_from_axes(PointSet([[1.0, 0.0, 0.0]]))
+
+
+def _random_axis_stack(rng, m, n):
+    a = rng.normal(size=(m, n, 3))
+    return a / np.linalg.norm(a, axis=-1, keepdims=True)
+
+
+def _one_chain_dh(a):
+    """DH twists and joints of one (n, 3) axis array, one chain and one np.dot at a time."""
+    twists = tuple(math.acos(float(d)) for d in np.sum(a[:-1] * a[1:], axis=1))
+    crosses = np.cross(a[:-1], a[1:])
+    normals = crosses / np.linalg.norm(crosses, axis=1, keepdims=True)
+    turns = np.cross(normals[:-1], normals[1:])
+    interior = tuple(
+        math.atan2(float(np.dot(turns[i - 1], a[i])), float(np.dot(normals[i - 1], normals[i])))
+        for i in range(1, len(a) - 1)
+    )
+    return twists, (0.0,) + interior + (0.0,)
+
+
+class TestStackedDH:
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_rows_equal_single_chain_recovery(self, n):
+        a = _random_axis_stack(np.random.default_rng(100 + n), 2000, n)
+        twists, joints = dh_from_axes_stack(a)
+        assert twists.shape == (2000, n - 1) and joints.shape == (2000, n)
+        for k in range(2000):
+            dh = dh_from_axes(PointSet(a[k]))
+            assert tuple(twists[k].tolist()) == dh.twists
+            assert tuple(joints[k].tolist()) == dh.joints
+            assert (dh.twists, dh.joints) == _one_chain_dh(a[k])
+
+    def test_catalog_chains(self):
+        a = np.array([rec.axes.array[list(o)] for rec in enumerate_solutions() for o in chain_orderings()])
+        assert a.shape == (192, 4, 3)
+        twists, joints = dh_from_axes_stack(a)
+        for k in range(192):
+            dh = dh_from_axes(PointSet(a[k]))
+            assert tuple(twists[k].tolist()) == dh.twists
+            assert tuple(joints[k].tolist()) == dh.joints
+
+    def test_one_parallel_row_rejects_the_stack(self):
+        a = _random_axis_stack(np.random.default_rng(5), 10, 4)
+        a[6, 2] = -a[6, 1]
+        with pytest.raises(ValueError, match="degenerate twist"):
+            dh_from_axes_stack(a)
+
+    def test_too_few_axes(self):
+        with pytest.raises(ValueError, match="two axes"):
+            dh_from_axes_stack(np.ones((3, 1, 3)))
 
 
 class TestRoundTrip:
