@@ -14,24 +14,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import (
-    ANTIPODAL_SUBSETS, CLASS_PATTERNS, REFLECTIONS, antipodal_map_table, apply_reflection, distinct_wrists,
+    CLASS_PATTERNS, REFLECTIONS, _antipodal_images, _reflection_images, antipodal_map_table, distinct_wrists,
     reflection_map_table,
 )
 from .kinematics import DHChain, _forward_chain, dh_from_axes_stack, isotropy_report_stack, jacobian_from_axes_stack
 from .solver import (
-    NONVANISHING_FLOOR, SOLUTION_CATALOG, catalog_distances, enumerate_solutions, oracle_root_hunt, residuals,
-    solve_closed_form,
+    NONVANISHING_FLOOR, SOLUTION_CATALOG, _axes_of, catalog_distances, enumerate_solutions, oracle_root_hunt,
+    residuals, solve_closed_form,
 )
 from .spheregeom import ONE_THIRD as _T, SQRT2_THIRD as _R2, SQRT6_THIRD as _R6, TWO_SQRT2_THIRD as _S2
 from .spheregeom import (
     PlatonicSolid,
     PointSet,
     TETRAHEDRON,
-    antipodal_exchange,
+    _line_reflection,
+    _norms,
     isotropy_of,
     isotropy_of_stack,
     platonic_vertices,
-    reflect_about_line,
     reflect_about_plane,
     rotation_about_axis,
     second_moment,
@@ -95,17 +95,27 @@ def _result(name, worst, tol, extra_ok=True, detail="") -> CheckResult:
     return CheckResult(name, bool(extra_ok) and worst <= tol, float(worst), float(tol), detail)
 
 
+def _axis_stack(solutions) -> np.ndarray:
+    """The axes e_1..e_4 of every record, shape (len(solutions), 4, 3)."""
+    return _axes_of([r.components for r in solutions])
+
+
+def _closure_gap(images) -> float:
+    """Largest distance from any of the axis sets (m, 4, 3) to its nearest catalog row, from one distance table."""
+    return float(np.max(np.min(catalog_distances(images), axis=-1)))
+
+
 def check_solution_residuals(solutions, tolerance) -> CheckResult:
-    worst = max(float(np.max(np.abs(residuals(r.components)))) for r in solutions)
+    worst = float(np.max(np.abs(residuals([r.components for r in solutions]))))
     return _result("solution-residuals", worst, tolerance, detail="max |residual| over 32 solutions")
 
 
 def check_catalog_bijection(solutions, tolerance) -> CheckResult:
     indices = sorted(r.index for r in solutions)
     # records carry the catalog's own doubles, so re-run the cascade from each record's sign pattern
-    worst = max(
-        float(catalog_distances(solve_closed_form(r.sign_pattern).axes.array)[r.index - 1]) for r in solutions
-    )
+    cascade = _axes_of([solve_closed_form(r.sign_pattern).components for r in solutions])
+    own_rows = [r.index - 1 for r in solutions]
+    worst = float(np.max(catalog_distances(cascade)[np.arange(len(solutions)), own_rows]))
     ok = indices == list(range(1, 33)) and len({r.sign_pattern for r in solutions}) == 32
     return _result("catalog-bijection", worst, tolerance, ok, "closed forms match catalog rows 1..32")
 
@@ -125,24 +135,22 @@ def check_distinctness(solutions) -> CheckResult:
 
 
 def check_axis_dot_products(solutions, tolerance) -> CheckResult:
-    worst = 0.0
-    for r in solutions:
-        a = r.axes.array
-        for i in range(4):
-            for j in range(i + 1, 4):
-                worst = max(worst, abs(abs(float(a[i] @ a[j])) - _T))
+    a = _axis_stack(solutions)
+    # each Gram entry is bit-equal to the 1-D dot a[k, i] @ a[k, j] of the same two axes
+    gram = a @ a.swapaxes(1, 2)
+    i, j = np.triu_indices(4, k=1)
+    worst = float(np.max(np.abs(np.abs(gram[:, i, j]) - _T)))
     return _result("axis-dot-products", worst, tolerance, detail="all pairwise axis angles are arccos(+-1/3)")
 
 
 def check_antipodal_closure(solutions, tolerance) -> CheckResult:
-    images = (antipodal_exchange(r.axes, subset) for r in solutions for subset in ANTIPODAL_SUBSETS)
-    worst = max(float(np.min(catalog_distances(img.array))) for img in images)
+    worst = max(_closure_gap(images) for images in _antipodal_images(_axis_stack(solutions)))
     return _result("antipodal-closure", worst, tolerance, detail="32 solutions closed under antipodal exchanges")
 
 
 def check_reflection_closure(solutions, tolerance) -> CheckResult:
-    images = (apply_reflection(r.axes, op) for op in REFLECTIONS for r in solutions)
-    worst = max(float(np.min(catalog_distances(img.array))) for img in images)
+    axes = _axis_stack(solutions)
+    worst = max(_closure_gap(_reflection_images(axes, op)) for op in REFLECTIONS)
     return _result("reflection-closure", worst, tolerance, detail="32 solutions closed under coordinate reflections")
 
 
@@ -186,22 +194,16 @@ def check_reflected_tetrahedra(tolerance) -> CheckResult:
 
 def check_line_reflection(tolerance, seed=0) -> CheckResult:
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    eye = np.eye(3)
-    axes = []
-    for _ in range(LINE_REFLECTION_COUNT):
-        e = rng.normal(size=3)
-        e /= np.linalg.norm(e)
-        axes.append(e)
-    for e, half_turn in zip(axes, rotation_about_axis(np.array(axes), math.pi)):
-        ell = reflect_about_line(e)
-        worst = max(
-            worst,
-            float(np.max(np.abs(ell @ ell.T - eye))),
-            abs(float(np.linalg.det(ell)) - 1.0),
-            float(np.max(np.abs(ell @ e - e))),
-            float(np.max(np.abs(ell - half_turn))),
-        )
+    # one (count, 3) draw is the same stream as count draws of size 3; _norms matches each 1-D norm bit for bit
+    axes = rng.normal(size=(LINE_REFLECTION_COUNT, 3))
+    axes /= _norms(axes)
+    ell = _line_reflection(axes)
+    worst = max(
+        float(np.max(np.abs(ell @ ell.swapaxes(1, 2) - np.eye(3)))),
+        float(np.max(np.abs(np.linalg.det(ell) - 1.0))),
+        float(np.max(np.abs((ell @ axes[..., None])[..., 0] - axes))),
+        float(np.max(np.abs(ell - rotation_about_axis(axes, math.pi)))),
+    )
     detail = f"2ee^T - I proper orthogonal over {LINE_REFLECTION_COUNT} random axes"
     return _result("line-reflection", worst, tolerance, detail=detail)
 
@@ -275,7 +277,7 @@ def check_jacobian_moment_agreement(solutions, seed=0) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     agree = True
-    sets = [r.axes.array for r in solutions] + [platonic_vertices(k).array for k in PlatonicSolid]
+    sets = list(_axis_stack(solutions)) + [platonic_vertices(k).array for k in PlatonicSolid]
     sets += _random_unit_sets(rng, MOMENT_AGREEMENT_COUNT)
     for _, group in _by_size(sets):
         stack = np.array(group)

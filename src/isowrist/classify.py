@@ -28,8 +28,8 @@ from .kinematics import (
     DHChain, _forward_chain, dh_from_axes_stack, isotropy_report, isotropy_report_stack, jacobian_from_axes,
     jacobian_from_axes_stack,
 )
-from .solver import SolutionRecord, TRIVIAL_SET_INDEX, match_catalog_index
-from .spheregeom import ONE_THIRD, PointSet, antipodal_exchange, reflect_about_plane
+from .solver import SolutionRecord, TRIVIAL_SET_INDEX, _axes_of, _catalog_rows
+from .spheregeom import ONE_THIRD, PointSet, _plane_reflection
 
 SIGNATURE_TOL = 1e-9
 
@@ -39,6 +39,9 @@ REFLECTION_SEEDS = (18, 10, 23, 17, 16, 24, 9, 15)
 
 #: Every subset of the points 2..4 (1-based) that an antipodal exchange flips.
 ANTIPODAL_SUBSETS = tuple(subset for size in range(4) for subset in itertools.combinations((2, 3, 4), size))
+
+#: Per ANTIPODAL_SUBSETS entry, the factor -1 or 1 of each of the four points, shape (8, 4, 1).
+_ANTIPODAL_SIGNS = np.array([[[-1.0 if k in subset else 1.0] for k in range(1, 5)] for subset in ANTIPODAL_SUBSETS])
 
 #: The coordinate-plane reflections by name, as the unit plane normals
 #: applied in order; the last is a half-turn about the x axis.
@@ -125,11 +128,21 @@ def chain_orderings(full: bool = False) -> list:
     return [(0,) + p for p in itertools.permutations((1, 2, 3))]
 
 
-def _find_by_axes(axes: PointSet) -> int:
-    index = match_catalog_index(axes.array)
-    if index is None:
-        raise ArithmeticError(f"axes {axes.array.tolist()} match no catalog row")
-    return index
+def _find_by_axes(axes: np.ndarray) -> list:
+    """1-based catalog rows of axis sets (m, 4, 3), from one distance table; raises if one matches no row."""
+    rows = _catalog_rows(axes)
+    if not rows.all():
+        unmatched = axes[int(np.argmin(rows))]
+        raise ArithmeticError(f"axes {unmatched.tolist()} match no catalog row")
+    return rows.tolist()
+
+
+def _antipodal_images(axes: np.ndarray) -> np.ndarray:
+    """Images of axis sets (m, 4, 3) under every ANTIPODAL_SUBSETS exchange: shape (8, m, 4, 3).
+
+    Image [i, k] equals antipodal_exchange of set k by subset i.
+    """
+    return _ANTIPODAL_SIGNS[:, None] * axes
 
 
 def antipodal_map_table(solutions: Sequence[SolutionRecord]) -> list:
@@ -139,17 +152,22 @@ def antipodal_map_table(solutions: Sequence[SolutionRecord]) -> list:
     source to itself.
     """
     source = next(r for r in solutions if r.index == TRIVIAL_SET_INDEX)
+    targets = _find_by_axes(_antipodal_images(_axes_of(source.components))[:, 0])
     return [
-        SolutionMap(source.index, "antipodal", _find_by_axes(antipodal_exchange(source.axes, subset)), subset)
-        for subset in ANTIPODAL_SUBSETS
+        SolutionMap(source.index, "antipodal", target, subset) for subset, target in zip(ANTIPODAL_SUBSETS, targets)
     ]
+
+
+def _reflection_images(axes: np.ndarray, operation: str) -> np.ndarray:
+    """Image of axis sets (..., 4, 3) under one of the named REFLECTIONS, same shape."""
+    for normal in REFLECTIONS[operation]:
+        axes = _plane_reflection(axes, normal)
+    return axes
 
 
 def apply_reflection(axes: PointSet, operation: str) -> PointSet:
     """Image of an axis set under one of the named REFLECTIONS."""
-    for normal in REFLECTIONS[operation]:
-        axes = reflect_about_plane(axes, normal)
-    return axes
+    return PointSet(_reflection_images(axes.array, operation))
 
 
 def reflection_map_table(solutions: Sequence[SolutionRecord]) -> list:
@@ -160,11 +178,10 @@ def reflection_map_table(solutions: Sequence[SolutionRecord]) -> list:
     and therefore never produces a new wrist.
     """
     by_index = {r.index: r for r in solutions}
-    return [
-        SolutionMap(seed, operation, _find_by_axes(apply_reflection(by_index[seed].axes, operation)))
-        for operation in REFLECTIONS
-        for seed in REFLECTION_SEEDS
-    ]
+    seeds = _axes_of([by_index[seed].components for seed in REFLECTION_SEEDS])
+    images = np.concatenate([_reflection_images(seeds, operation) for operation in REFLECTIONS])
+    pairs = itertools.product(REFLECTIONS, REFLECTION_SEEDS)
+    return [SolutionMap(seed, operation, target) for (operation, seed), target in zip(pairs, _find_by_axes(images))]
 
 
 _SNAP_CANDIDATES = (0.0, ONE_THIRD, -ONE_THIRD, 0.5, -0.5, 1.0, -1.0)
@@ -252,7 +269,7 @@ def distinct_wrists(solutions: Sequence[SolutionRecord]) -> list:
     """
     orderings = chain_orderings()
     chains = [(rec.index, ordering) for rec in solutions for ordering in orderings]
-    axes = np.array([rec.axes.array for rec in solutions]).reshape(-1, 4, 3)
+    axes = _axes_of([rec.components for rec in solutions])
     twists, joints = dh_from_axes_stack(axes[:, orderings].reshape(-1, 4, 3))
     interior = joints[:, 1:3].tolist()
     signs = np.sign(joints[:, 1:3]).astype(int).tolist()

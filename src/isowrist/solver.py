@@ -125,18 +125,26 @@ class SolutionRecord:
     @property
     def axes(self) -> PointSet:
         """The induced four axes e_1..e_4 on the unit sphere."""
-        return PointSet(
-            [
-                [1.0, 0.0, 0.0],
-                [self.c, self.s, 0.0],
-                [self.x, self.y, self.z],
-                [self.u, self.v, self.w],
-            ]
-        )
+        return PointSet(_axes_of(self.components)[0])
+
+
+def _axes_of(points) -> np.ndarray:
+    """Axes e_1..e_4 induced by unknowns (c, s, x, y, z, u, v, w), stacked (m, 8): shape (m, 4, 3).
+
+    One tuple of unknowns gives m = 1.  The axes are not validated, so a
+    stack costs no PointSet per row; SolutionRecord.axes validates one.
+    """
+    pts = np.asarray(points, dtype=float).reshape(-1, 8)
+    axes = np.zeros((pts.shape[0], 4, 3))
+    axes[:, 0, 0] = 1.0
+    axes[:, 1, :2] = pts[:, :2]
+    axes[:, 2] = pts[:, 2:5]
+    axes[:, 3] = pts[:, 5:]
+    return axes
 
 
 #: The axes e_1..e_4 of every catalog row, shape (32, 4, 3).
-_CATALOG_AXES = np.array([SolutionRecord(*row).axes.array for row in SOLUTION_CATALOG])
+_CATALOG_AXES = _axes_of(SOLUTION_CATALOG)
 
 
 def residuals(points) -> np.ndarray:
@@ -232,13 +240,18 @@ def catalog_distances(axes) -> np.ndarray:
     return np.max(np.abs(np.asarray(axes, dtype=float)[..., None, :, :] - _CATALOG_AXES), axis=(-2, -1))
 
 
+def _catalog_rows(axes) -> np.ndarray:
+    """match_catalog_index of axis sets (..., 4, 3), one distance table for all: shape (...), 0 where none matches."""
+    hits = catalog_distances(axes) <= RESIDUAL_TOL
+    return np.where(hits.any(axis=-1), np.argmax(hits, axis=-1) + 1, 0)
+
+
 def match_catalog_index(axes) -> int | None:
     """1-based catalog row whose axes e_1..e_4 all match within RESIDUAL_TOL, if any.
 
     Catalog rows lie at least 2/3 apart in max-norm, so at most one row matches.
     """
-    (hits,) = np.nonzero(catalog_distances(axes) <= RESIDUAL_TOL)
-    return int(hits[0]) + 1 if hits.size else None
+    return int(_catalog_rows(np.reshape(axes, (4, 3)))) or None
 
 
 def enumerate_solutions() -> list:
@@ -251,13 +264,11 @@ def enumerate_solutions() -> list:
     match.
     """
     records = [solve_closed_form(pattern) for pattern in sign_patterns()]
-    # one distance table for all 32 cascade rows; as in match_catalog_index, at most one row matches
-    matches = catalog_distances([rec.axes.array for rec in records]) <= RESIDUAL_TOL
+    rows = _catalog_rows(_axes_of([rec.components for rec in records]))
     by_index: dict[int, SolutionRecord] = {}
-    for rec, row in zip(records, matches):
-        if not row.any():
+    for rec, idx in zip(records, rows.tolist()):
+        if not idx:
             raise ArithmeticError(f"closed-form solution {rec.components} matches no catalog row")
-        idx = int(np.argmax(row)) + 1
         if idx in by_index:
             raise ArithmeticError(f"catalog row {idx} matched by two sign patterns")
         by_index[idx] = SolutionRecord(*SOLUTION_CATALOG[idx - 1], index=idx, sign_pattern=rec.sign_pattern)

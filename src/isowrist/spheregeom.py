@@ -243,9 +243,16 @@ def reflect_about_plane(s: PointSet, unit_normal) -> PointSet:
     Each point maps as p -> (I - 2 n n^T) p.  Reflections are isometries,
     so isotropy of the second moment is preserved.
     """
-    n = _as_unit(unit_normal).reshape(3)
-    refl = np.eye(3) - 2.0 * np.outer(n, n)
-    return PointSet(s.array @ refl.T)
+    return PointSet(_plane_reflection(s.array, _as_unit(unit_normal).reshape(3)))
+
+
+def _plane_reflection(points: np.ndarray, unit_normal: np.ndarray) -> np.ndarray:
+    """Points (..., 3) reflected through the plane with unit normal (3,): p -> (I - 2 n n^T) p.
+
+    Each point set of a stack comes out equal to reflect_about_plane of
+    that set alone.  The normal is not validated; pass a unit vector.
+    """
+    return points @ (np.eye(3) - 2.0 * np.outer(unit_normal, unit_normal)).T
 
 
 def reflect_about_line(axis) -> np.ndarray:
@@ -255,8 +262,16 @@ def reflect_about_line(axis) -> np.ndarray:
     about a line equals the rotation through pi about that line.  L fixes
     the axis and negates every vector orthogonal to it.
     """
-    e = _as_unit(axis).reshape(3)
-    return 2.0 * np.outer(e, e) - np.eye(3)
+    return _line_reflection(_as_unit(axis).reshape(3))
+
+
+def _line_reflection(axes: np.ndarray) -> np.ndarray:
+    """reflect_about_line of unit axes (..., 3): matrices 2 e e^T - I of shape (..., 3, 3).
+
+    Each matrix equals reflect_about_line of its axis alone.  The axes are
+    not validated; pass unit vectors.
+    """
+    return 2.0 * (axes[..., :, None] * axes[..., None, :]) - np.eye(3)
 
 
 def project_onto_line(p, axis) -> np.ndarray:

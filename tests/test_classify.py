@@ -6,7 +6,14 @@ import pytest
 
 from isowrist.classify import (
     _LABELS,
+    ANTIPODAL_SUBSETS,
     CLASS_PATTERNS,
+    REFLECTION_SEEDS,
+    REFLECTIONS,
+    SolutionMap,
+    _antipodal_images,
+    _find_by_axes,
+    _reflection_images,
     ClassMember,
     WristClass,
     antipodal_map_table,
@@ -20,8 +27,10 @@ from isowrist.classify import (
 from isowrist.kinematics import (
     DHChain, _forward_chain, dh_from_axes, isotropy_report_stack, jacobian_from_axes_stack,
 )
-from isowrist.solver import enumerate_solutions
-from isowrist.spheregeom import PointSet, reflect_about_line, rotation_about_axis
+from isowrist.solver import TRIVIAL_SET_INDEX, _axes_of, enumerate_solutions, match_catalog_index
+from isowrist.spheregeom import (
+    PointSet, antipodal_exchange, reflect_about_line, reflect_about_plane, rotation_about_axis,
+)
 
 OBTUSE = math.acos(-1.0 / 3.0)
 ACUTE = math.acos(1.0 / 3.0)
@@ -286,3 +295,73 @@ class TestPostureGeometry:
         for k, frame in enumerate(geo.frames):
             assert np.max(np.abs(frame.T @ frame - np.eye(3))) < 1e-12
             assert np.max(np.abs(frame[:, 2] - geo.axes.array[k])) < 1e-12
+
+
+def per_image_find(axes: PointSet) -> int:
+    index = match_catalog_index(axes.array)
+    if index is None:
+        raise ArithmeticError(f"axes {axes.array.tolist()} match no catalog row")
+    return index
+
+
+def per_plane_reflection(axes: PointSet, operation: str) -> PointSet:
+    """apply_reflection as one reflect_about_plane call per plane."""
+    for normal in REFLECTIONS[operation]:
+        axes = reflect_about_plane(axes, normal)
+    return axes
+
+
+def per_image_antipodal_map_table(solutions):
+    """antipodal_map_table built one PointSet image and one catalog lookup at a time."""
+    source = next(r for r in solutions if r.index == TRIVIAL_SET_INDEX)
+    return [
+        SolutionMap(source.index, "antipodal", per_image_find(antipodal_exchange(source.axes, subset)), subset)
+        for subset in ANTIPODAL_SUBSETS
+    ]
+
+
+def per_image_reflection_map_table(solutions):
+    """reflection_map_table built one PointSet image and one catalog lookup at a time."""
+    by_index = {r.index: r for r in solutions}
+    return [
+        SolutionMap(seed, operation, per_image_find(per_plane_reflection(by_index[seed].axes, operation)))
+        for operation in REFLECTIONS
+        for seed in REFLECTION_SEEDS
+    ]
+
+
+class TestStackedSymmetryImages:
+    def test_antipodal_images_equal_single_exchanges(self, solutions):
+        images = _antipodal_images(_axes_of([r.components for r in solutions]))
+        assert images.shape == (8, 32, 4, 3)
+        for i, subset in enumerate(ANTIPODAL_SUBSETS):
+            for k, rec in enumerate(solutions):
+                assert np.array_equal(images[i, k], antipodal_exchange(rec.axes, subset).array)
+
+    @pytest.mark.parametrize("operation", list(REFLECTIONS))
+    def test_reflection_images_equal_single_reflections(self, solutions, operation):
+        images = _reflection_images(_axes_of([r.components for r in solutions]), operation)
+        assert images.shape == (32, 4, 3)
+        for k, rec in enumerate(solutions):
+            assert np.array_equal(images[k], apply_reflection(rec.axes, operation).array)
+            assert np.array_equal(images[k], per_plane_reflection(rec.axes, operation).array)
+
+    def test_antipodal_map_table_equals_the_per_image_reference(self, solutions):
+        assert antipodal_map_table(solutions) == per_image_antipodal_map_table(solutions)
+
+    def test_reflection_map_table_equals_the_per_image_reference(self, solutions):
+        assert reflection_map_table(solutions) == per_image_reflection_map_table(solutions)
+
+    def test_tables_reach_only_the_records_they_read(self, solutions):
+        # the antipodal table reads the trivial set alone, the reflection table the eight seeds
+        seeds = [r for r in solutions if r.index in REFLECTION_SEEDS]
+        assert antipodal_map_table(seeds) == per_image_antipodal_map_table(solutions)
+        assert reflection_map_table(seeds[::-1]) == per_image_reflection_map_table(solutions)
+
+    def test_unmatched_image_raises_with_its_axes(self, solutions):
+        stack = _axes_of([r.components for r in solutions[:3]])
+        stack[1, 3] = stack[1, 3, ::-1]
+        with pytest.raises(ArithmeticError, match="match no catalog row") as info:
+            _find_by_axes(stack)
+        assert str(stack[1].tolist()) in str(info.value)
+        assert _find_by_axes(stack[::2]) == [1, 3]

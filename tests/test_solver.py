@@ -7,6 +7,8 @@ import pytest
 
 from isowrist.checks import check_catalog_bijection, check_distinctness, check_nonvanishing, check_oracle
 from isowrist.solver import (
+    _axes_of,
+    _catalog_rows,
     _cluster,
     _jacobian_batch,
     BEZOUT_COUNT,
@@ -150,6 +152,27 @@ class TestCatalogLookup:
         d = catalog_distances(stack)
         assert d.shape == (32, 32)
         assert np.array_equal(np.diag(d), np.zeros(32))
+
+
+class TestStackedCatalogLookup:
+    def test_axes_of_lays_out_e1_to_e4(self):
+        for row, axes in zip(SOLUTION_CATALOG, _axes_of(SOLUTION_CATALOG)):
+            c, s, x, y, z, u, v, w = row
+            assert np.array_equal(axes, [[1.0, 0.0, 0.0], [c, s, 0.0], [x, y, z], [u, v, w]])
+        assert _axes_of(ROW_18).shape == (1, 4, 3)
+        assert _axes_of([]).shape == (0, 4, 3)
+        assert np.array_equal(SolutionRecord(*ROW_18).axes.array, _axes_of(ROW_18)[0])
+
+    def test_rows_equal_single_lookups(self):
+        rng = np.random.default_rng(5)
+        axes = _axes_of(SOLUTION_CATALOG)
+        noisy = axes + rng.choice([0.0, 1e-13, 1e-11], size=(32, 1, 1))
+        stack = np.concatenate([axes, noisy, axes[:, ::-1]])
+        rows = _catalog_rows(stack)
+        assert rows.shape == (96,)
+        assert [match_catalog_index(a) or 0 for a in stack] == rows.tolist()
+        assert rows[:32].tolist() == list(range(1, 33))
+        assert not rows[64:].any()
 
 
 class TestNonvanishing:

@@ -7,6 +7,8 @@ from isowrist.spheregeom import (
     PlatonicSolid,
     PointSet,
     TETRAHEDRON,
+    _line_reflection,
+    _plane_reflection,
     antipodal_exchange,
     isotropy_of,
     isotropy_of_stack,
@@ -295,6 +297,23 @@ class TestStackedForms:
     def test_second_moment_stack_rejects_empty_sets(self):
         with pytest.raises(ValueError, match="empty"):
             second_moment_stack(np.zeros((4, 0, 3)))
+
+    def test_line_reflection_stack_rows_equal_single_reflections(self):
+        axes = random_unit_rows(np.random.default_rng(17), 300)
+        stacked = _line_reflection(axes)
+        assert stacked.shape == (300, 3, 3)
+        for e, ell in zip(axes, stacked):
+            assert np.array_equal(ell, reflect_about_line(e))
+        assert np.array_equal(_line_reflection(axes.reshape(3, 100, 3))[2, 5], stacked[205])
+
+    def test_plane_reflection_of_a_stack_equals_single_reflections(self):
+        rng = np.random.default_rng(18)
+        sets = np.array([random_unit_rows(rng, 5) for _ in range(40)])
+        for normal in list(random_unit_rows(rng, 5)) + [np.eye(3)[k] for k in range(3)]:
+            stacked = _plane_reflection(sets, normal)
+            assert stacked.shape == sets.shape
+            for pts, img in zip(sets, stacked):
+                assert np.array_equal(img, reflect_about_plane(PointSet(pts), normal).array)
 
     def test_single_vector_callers_reject_stacks_of_axes(self):
         axes = random_unit_rows(np.random.default_rng(16), 2)
