@@ -25,7 +25,9 @@ that argument into runtime assertions.
 An independent multi-start damped-Newton root hunt over the residual map
 cross-checks the enumeration: converged starts must cluster at the 32
 closed-form solutions and nowhere else.  The hunt is vectorized and
-deterministic for a fixed seed.
+deterministic for a fixed seed.  It solves its Newton systems in fixed,
+cache-sized batches of starts; every step of the hunt acts on each start
+alone, so the batch size does not change a single bit of the result.
 """
 
 from __future__ import annotations
@@ -315,6 +317,33 @@ def _cluster(points: np.ndarray, radius: float) -> np.ndarray:
 START_BOX = 1.5  # half-width of the cube the oracle's starts are drawn from
 CONVERGE_TOL = 1e-10  # residual norm below which a start has converged
 CLUSTER_RADIUS = 1e-6  # converged points this close are one root
+_SOLVE_CHUNK = 2048  # starts per Jacobian solve: a (2048, 8, 8) buffer is 1 MB and stays in cache
+
+
+def _newton_steps(pts: np.ndarray, r: np.ndarray, jac_buf: np.ndarray) -> np.ndarray:
+    """Newton steps solving J(pts) step = -r, stacked (m, 8), _SOLVE_CHUNK rows at a time.
+
+    jac_buf is a zeroed (_SOLVE_CHUNK, 8, 8) buffer that _jacobian_batch
+    refills for each slice.  LAPACK factors every matrix of a batch on its
+    own, so the steps do not depend on the slicing.  A slice holding an
+    exactly singular Jacobian is solved one matrix at a time; a matrix
+    LAPACK refuses gets a zero step.
+    """
+    step = np.empty_like(pts)
+    for lo in range(0, pts.shape[0], _SOLVE_CHUNK):
+        hi = min(lo + _SOLVE_CHUNK, pts.shape[0])
+        jac = _jacobian_batch(pts[lo:hi], jac_buf[: hi - lo])
+        rhs = -r[lo:hi, :, None]
+        try:
+            step[lo:hi] = np.linalg.solve(jac, rhs)[..., 0]
+        except np.linalg.LinAlgError:
+            step[lo:hi] = 0.0
+            for k in range(hi - lo):
+                try:
+                    step[lo + k] = np.linalg.solve(jac[k : k + 1], rhs[k : k + 1])[0, :, 0]
+                except np.linalg.LinAlgError:
+                    pass
+    return step
 
 
 def oracle_root_hunt(
@@ -331,6 +360,14 @@ def oracle_root_hunt(
     polished, clustered and returned sorted, so the outcome is independent
     of scheduling for a fixed seed.  Non-convergent starts (including those
     whose Jacobian LAPACK finds singular) are discarded and counted.
+
+    The Newton systems are solved _SOLVE_CHUNK starts at a time, so the
+    Jacobians stay in cache.  The result does not depend on that batch
+    size: the residuals, the Jacobian, the norms and LAPACK's solve all
+    act on each start alone.  The polish shares the singular fallback, so
+    a polish system LAPACK refuses would leave its point unmoved rather
+    than raise; at a converged start that cannot happen, since
+    |det J| = 256 sqrt(2)/81 at every root.
     """
     if starts is None:
         if n_starts < 1:
@@ -341,53 +378,44 @@ def oracle_root_hunt(
         pts = np.array(starts, dtype=float).reshape(-1, 8)
         n_starts = pts.shape[0]
     iters = np.full(n_starts, -1, dtype=int)
-    # one Jacobian buffer for every batch; its structural zeros are never written
-    jac_buf = np.zeros((n_starts, 8, 8))
-    active = np.arange(n_starts)
-    res = residuals(pts)
-    done = np.linalg.norm(res, axis=1) < CONVERGE_TOL
-    iters[active[done]] = 0
-    active = active[~done]
-    r = res[~done]  # residuals at pts[active], carried across iterations
+    # one Jacobian buffer per hunt; its structural zeros are never written
+    jac_buf = np.zeros((_SOLVE_CHUNK, 8, 8))
+    r = residuals(pts)
+    norm = np.linalg.norm(r, axis=1)
+    done = norm < CONVERGE_TOL
+    iters[done] = 0
+    # the active starts' points, residuals and residual norms, carried
+    # compactly across iterations; a start is written back to pts once it converges
+    active = np.nonzero(~done)[0]
+    cur, r, norm = pts[active], r[active], norm[active]
     for it in range(1, max_iters + 1):
         if active.size == 0:
             break
-        cur = pts[active]
-        jac = _jacobian_batch(cur, jac_buf[: active.size])
-        try:
-            step = np.linalg.solve(jac, -r[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            # an exactly singular Jacobian: solve one at a time; a refused one keeps a zero step and stalls
-            step = np.zeros_like(cur)
-            for k in range(active.size):
-                try:
-                    step[k] = np.linalg.solve(jac[k : k + 1], -r[k : k + 1, :, None])[0, :, 0]
-                except np.linalg.LinAlgError:
-                    pass
-        # backtracking line search on the residual norm; the residuals of
-        # each accepted trial are kept for the convergence test and the
-        # next iteration
-        norm0 = np.linalg.norm(r, axis=1)
-        new = np.array(cur)
-        new_r = np.array(r)
-        improved = np.zeros(active.size, dtype=bool)
-        for lam in 0.5 ** np.arange(7):
-            pending = ~improved
-            if not np.any(pending):
+        step = _newton_steps(cur, r, jac_buf)
+        # backtracking line search on the residual norm: the full step for
+        # every start, then halved steps for the starts still pending
+        new = cur + step
+        new_r = residuals(new)
+        new_norm = np.linalg.norm(new_r, axis=1)
+        improved = new_norm < norm
+        pending = np.nonzero(~improved)[0]
+        for lam in 0.5 ** np.arange(1, 7):
+            if pending.size == 0:
                 break
             trial = cur[pending] + lam * step[pending]
             trial_r = residuals(trial)
-            ok = np.linalg.norm(trial_r, axis=1) < norm0[pending]
-            sel = np.nonzero(pending)[0][ok]
-            new[sel] = trial[ok]
-            new_r[sel] = trial_r[ok]
+            trial_norm = np.linalg.norm(trial_r, axis=1)
+            ok = trial_norm < norm[pending]
+            sel = pending[ok]
+            new[sel], new_r[sel], new_norm[sel] = trial[ok], trial_r[ok], trial_norm[ok]
             improved[sel] = True
-        pts[active] = new
-        conv = improved & (np.linalg.norm(new_r, axis=1) < CONVERGE_TOL)
+            pending = pending[~ok]
+        conv = improved & (new_norm < CONVERGE_TOL)
+        pts[active[conv]] = new[conv]
         iters[active[conv]] = it
         keep = improved & ~conv
         active = active[keep]
-        r = new_r[keep]
+        cur, r, norm = new[keep], new_r[keep], new_norm[keep]
     converged = iters >= 0
     n_converged = int(np.count_nonzero(converged))
     hits = pts[converged]
@@ -395,8 +423,7 @@ def oracle_root_hunt(
         # polish with undamped Newton so clusters collapse to machine precision;
         # converged starts lie next to simple roots, where |det J| = 256 sqrt(2)/81
         for _ in range(3):
-            jac = _jacobian_batch(hits, jac_buf[: hits.shape[0]])
-            hits += np.linalg.solve(jac, -residuals(hits)[..., None])[..., 0]
+            hits += _newton_steps(hits, residuals(hits), jac_buf)
         roots = _cluster(hits, CLUSTER_RADIUS)
     else:
         roots = np.empty((0, 8))

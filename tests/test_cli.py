@@ -290,6 +290,7 @@ GOLDEN_COMMANDS = {
     "platonic-icosahedron.json": ["platonic", "icosahedron", "--format", "json"],
     "verify-quick-seed7.txt": ["verify", "--oracle-starts", "0", "--seed", "7"],
     "verify-quick-seed125.txt": ["verify", "--oracle-starts", "0", "--seed", "125"],
+    "verify-seed0.txt": ["verify", "--seed", "0"],
 }
 
 

@@ -11,6 +11,8 @@ from isowrist.solver import (
     _catalog_rows,
     _cluster,
     _jacobian_batch,
+    _newton_steps,
+    _SOLVE_CHUNK,
     BEZOUT_COUNT,
     BKK_BOUND_CITED,
     SOLUTION_CATALOG,
@@ -282,13 +284,23 @@ class TestOracle:
         assert report.n_discarded == 1
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("fill", [0.0, np.nan])
-    def test_singular_start_leaves_the_rest_of_its_batch_unchanged(self, fill):
-        starts = np.random.default_rng(8).uniform(-START_BOX, START_BOX, size=(300, 8))
+    @pytest.mark.parametrize(
+        ("fill", "n_starts", "at"),
+        [
+            (0.0, 300, 150),
+            (np.nan, 300, 150),
+            # three slices, the singular start in the second
+            (0.0, 2 * _SOLVE_CHUNK + 300, _SOLVE_CHUNK + 5),
+            (np.nan, 2 * _SOLVE_CHUNK + 300, _SOLVE_CHUNK + 5),
+        ],
+        ids=["0.0", "nan", "0.0-later-slice", "nan-later-slice"],
+    )
+    def test_singular_start_leaves_the_rest_of_its_batch_unchanged(self, fill, n_starts, at):
+        starts = np.random.default_rng(8).uniform(-START_BOX, START_BOX, size=(n_starts, 8))
         base = oracle_root_hunt(starts=starts)
-        report = oracle_root_hunt(starts=np.insert(starts, 150, np.full(8, fill), axis=0))
-        assert report.iterations[150] == -1
-        assert np.array_equal(np.delete(report.iterations, 150), base.iterations)
+        report = oracle_root_hunt(starts=np.insert(starts, at, np.full(8, fill), axis=0))
+        assert report.iterations[at] == -1
+        assert np.array_equal(np.delete(report.iterations, at), base.iterations)
         assert np.array_equal(report.roots, base.roots)
         assert base.n_converged > 0
 
@@ -298,9 +310,23 @@ class TestOracle:
         assert report.n_starts == 0
 
     def test_pinned_counts_for_fixed_seed(self):
-        report = oracle_root_hunt(n_starts=2000, seed=42)
+        report = oracle_root_hunt(n_starts=2000, seed=42)  # fits one solve slice
         assert (report.n_converged, report.n_discarded) == (1217, 783)
         assert int(report.iterations.sum()) == 10960
+        assert report.n_roots == 32
+
+    @pytest.mark.parametrize(
+        ("n_starts", "seed", "counts", "iterations"),
+        [
+            (5000, 3, (2991, 2009), 26991),  # three slices, the last one partial
+            (20000, 0, (11991, 8009), 107691),  # the CLI default
+        ],
+        ids=["5000-starts", "20000-starts"],
+    )
+    def test_pinned_counts_across_solve_slices(self, n_starts, seed, counts, iterations):
+        report = oracle_root_hunt(n_starts=n_starts, seed=seed)
+        assert (report.n_converged, report.n_discarded) == counts
+        assert int(report.iterations.sum()) == iterations
         assert report.n_roots == 32
 
 
@@ -355,6 +381,22 @@ class TestJacobianBatch:
         # every root is simple, so the oracle's polish solves regular systems
         det = np.abs(np.linalg.det(_jacobian_batch(np.array(SOLUTION_CATALOG))))
         assert det == pytest.approx(np.full(32, 256 * math.sqrt(2) / 81), rel=1e-12, abs=0.0)
+
+    def test_newton_steps_match_one_whole_batch_solve(self):
+        # three slices, the last one partial; LAPACK solves each matrix alone
+        pts = np.random.default_rng(5).uniform(-1.5, 1.5, size=(2 * _SOLVE_CHUNK + 7, 8))
+        r = residuals(pts)
+        whole = np.linalg.solve(_jacobian_batch(pts), -r[..., None])[..., 0]
+        assert np.array_equal(_newton_steps(pts, r, np.zeros((_SOLVE_CHUNK, 8, 8))), whole)
+
+    def test_refused_newton_step_is_zero(self):
+        pts = np.random.default_rng(6).uniform(-1.5, 1.5, size=(_SOLVE_CHUNK + 9, 8))
+        pts[_SOLVE_CHUNK + 4] = 0.0  # J = 0 there
+        r = residuals(pts)
+        step = _newton_steps(pts, r, np.zeros((_SOLVE_CHUNK, 8, 8)))
+        assert np.array_equal(step[_SOLVE_CHUNK + 4], np.zeros(8))
+        rest = np.delete(np.arange(pts.shape[0]), _SOLVE_CHUNK + 4)
+        assert np.array_equal(step[rest], _newton_steps(pts[rest], r[rest], np.zeros((_SOLVE_CHUNK, 8, 8))))
 
     def test_reused_buffer_matches_fresh(self):
         rng = np.random.default_rng(4)
