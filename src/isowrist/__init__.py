@@ -20,7 +20,6 @@ from .classify import (
 from .kinematics import (
     DHChain,
     IsotropyReport,
-    angular_velocity,
     dh_from_axes,
     forward_axes,
     isotropy_report,
@@ -46,7 +45,6 @@ from .spheregeom import (
     antipodal_exchange,
     isotropy_of,
     platonic_vertices,
-    project_onto_line,
     reflect_about_line,
     reflect_about_plane,
     rotation_about_axis,
@@ -73,7 +71,6 @@ __all__ = [
     "TETRAHEDRON",
     "TRIVIAL_SET_INDEX",
     "WristClass",
-    "angular_velocity",
     "antipodal_exchange",
     "antipodal_map_table",
     "canonical_signature",
@@ -87,7 +84,6 @@ __all__ = [
     "jacobian_from_axes",
     "oracle_root_hunt",
     "platonic_vertices",
-    "project_onto_line",
     "reflect_about_line",
     "reflect_about_plane",
     "reflection_map_table",

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import (
-    CLASS_PATTERNS, REFLECTIONS, _antipodal_images, _reflection_images, antipodal_map_table, distinct_wrists,
-    reflection_map_table,
+    ANTIPODAL_SUBSETS, CLASS_PATTERNS, antipodal_map_table, distinct_wrists, reflection_map_table, symmetry_images,
 )
 from .kinematics import DHChain, _forward_chain, dh_from_axes_stack, isotropy_report_stack, jacobian_from_axes_stack
 from .solver import (
@@ -144,13 +143,14 @@ def check_axis_dot_products(solutions, tolerance) -> CheckResult:
 
 
 def check_antipodal_closure(solutions, tolerance) -> CheckResult:
-    worst = max(_closure_gap(images) for images in _antipodal_images(_axis_stack(solutions)))
+    images = symmetry_images(_axis_stack(solutions))[: len(ANTIPODAL_SUBSETS)]
+    worst = max(_closure_gap(image) for image in images)
     return _result("antipodal-closure", worst, tolerance, detail="32 solutions closed under antipodal exchanges")
 
 
 def check_reflection_closure(solutions, tolerance) -> CheckResult:
-    axes = _axis_stack(solutions)
-    worst = max(_closure_gap(_reflection_images(axes, op)) for op in REFLECTIONS)
+    images = symmetry_images(_axis_stack(solutions))[len(ANTIPODAL_SUBSETS) :]
+    worst = max(_closure_gap(image) for image in images)
     return _result("reflection-closure", worst, tolerance, detail="32 solutions closed under coordinate reflections")
 
 

@@ -29,7 +29,7 @@ from .kinematics import (
     jacobian_from_axes_stack,
 )
 from .solver import SolutionRecord, TRIVIAL_SET_INDEX, _axes_of, _catalog_rows
-from .spheregeom import ONE_THIRD, PointSet, _plane_reflection
+from .spheregeom import ONE_THIRD, PointSet, _antipodal_signs
 
 SIGNATURE_TOL = 1e-9
 
@@ -40,9 +40,6 @@ REFLECTION_SEEDS = (18, 10, 23, 17, 16, 24, 9, 15)
 #: Every subset of the points 2..4 (1-based) that an antipodal exchange flips.
 ANTIPODAL_SUBSETS = tuple(subset for size in range(4) for subset in itertools.combinations((2, 3, 4), size))
 
-#: Per ANTIPODAL_SUBSETS entry, the factor -1 or 1 of each of the four points, shape (8, 4, 1).
-_ANTIPODAL_SIGNS = np.array([[[-1.0 if k in subset else 1.0] for k in range(1, 5)] for subset in ANTIPODAL_SUBSETS])
-
 #: The coordinate-plane reflections by name, as the unit plane normals
 #: applied in order; the last is a half-turn about the x axis.
 REFLECTIONS = {
@@ -50,6 +47,15 @@ REFLECTIONS = {
     "reflect_xz": ((0.0, 1.0, 0.0),),
     "reflect_xz_then_xy": ((0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
 }
+
+#: The factor -1 or 1 of each coordinate of each of the four axes, shape (11, 4, 3): one row per
+#: ANTIPODAL_SUBSETS exchange (whole points flip), then one per REFLECTIONS entry (coordinates flip).
+#: A coordinate normal n makes I - 2 n n^T the diagonal matrix with entries 1 - 2 n^2, each exactly -1 or 1.
+_SYMMETRY_SIGNS = np.array(
+    [_antipodal_signs(4, subset) * np.ones(3) for subset in ANTIPODAL_SUBSETS]
+    + [np.ones((4, 1)) * np.prod(1.0 - 2.0 * np.square(normals), axis=0) for normals in REFLECTIONS.values()]
+)
+_SYMMETRY_SIGNS.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -137,12 +143,15 @@ def _find_by_axes(axes: np.ndarray) -> list:
     return rows.tolist()
 
 
-def _antipodal_images(axes: np.ndarray) -> np.ndarray:
-    """Images of axis sets (m, 4, 3) under every ANTIPODAL_SUBSETS exchange: shape (8, m, 4, 3).
+def symmetry_images(axes: np.ndarray) -> np.ndarray:
+    """Images of axis sets (m, 4, 3) under every catalog symmetry: shape (11, m, 4, 3).
 
-    Image [i, k] equals antipodal_exchange of set k by subset i.
+    Images [:8] are the ANTIPODAL_SUBSETS exchanges in order, each equal
+    to antipodal_exchange of the set; images [8:] are the REFLECTIONS in
+    order, each equal to its reflect_about_plane chain up to the sign of
+    exact zeros.
     """
-    return _ANTIPODAL_SIGNS[:, None] * axes
+    return _SYMMETRY_SIGNS[:, None] * axes
 
 
 def antipodal_map_table(solutions: Sequence[SolutionRecord]) -> list:
@@ -152,22 +161,10 @@ def antipodal_map_table(solutions: Sequence[SolutionRecord]) -> list:
     source to itself.
     """
     source = next(r for r in solutions if r.index == TRIVIAL_SET_INDEX)
-    targets = _find_by_axes(_antipodal_images(_axes_of(source.components))[:, 0])
+    targets = _find_by_axes(symmetry_images(_axes_of(source.components))[: len(ANTIPODAL_SUBSETS), 0])
     return [
         SolutionMap(source.index, "antipodal", target, subset) for subset, target in zip(ANTIPODAL_SUBSETS, targets)
     ]
-
-
-def _reflection_images(axes: np.ndarray, operation: str) -> np.ndarray:
-    """Image of axis sets (..., 4, 3) under one of the named REFLECTIONS, same shape."""
-    for normal in REFLECTIONS[operation]:
-        axes = _plane_reflection(axes, normal)
-    return axes
-
-
-def apply_reflection(axes: PointSet, operation: str) -> PointSet:
-    """Image of an axis set under one of the named REFLECTIONS."""
-    return PointSet(_reflection_images(axes.array, operation))
 
 
 def reflection_map_table(solutions: Sequence[SolutionRecord]) -> list:
@@ -179,7 +176,7 @@ def reflection_map_table(solutions: Sequence[SolutionRecord]) -> list:
     """
     by_index = {r.index: r for r in solutions}
     seeds = _axes_of([by_index[seed].components for seed in REFLECTION_SEEDS])
-    images = np.concatenate([_reflection_images(seeds, operation) for operation in REFLECTIONS])
+    images = symmetry_images(seeds)[len(ANTIPODAL_SUBSETS) :].reshape(-1, 4, 3)
     pairs = itertools.product(REFLECTIONS, REFLECTION_SEEDS)
     return [SolutionMap(seed, operation, target) for (operation, seed), target in zip(pairs, _find_by_axes(images))]
 

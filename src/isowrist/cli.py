@@ -24,20 +24,21 @@ from .spheregeom import PlatonicSolid
 
 
 def _emit(text: str, output: str | None) -> None:
-    """Echo text, or write it to the --output file; a file that cannot be opened is a usage error."""
+    """Echo text, or write it to the --output file; a file that cannot be opened or written is a usage error."""
     if not output:
         click.echo(text, nl=False)
         return
     try:
-        fh = open(output, "w", encoding="utf-8")
+        with open(output, "w", encoding="utf-8") as fh:
+            fh.write(text)
     except OSError as exc:
         raise click.BadParameter(f"{output!r}: {exc.strerror}", param_hint="'--output'") from exc
-    with fh:
-        fh.write(text)
 
 
 def _output_dir(ctx, param, value: str | None) -> str | None:
-    """Reject an --output whose directory is missing before the command does any work."""
+    """Reject an empty --output, or one whose directory is missing, before the command does any work."""
+    if value == "":
+        raise click.BadParameter("'' is not a file name")
     if value:
         folder = os.path.dirname(os.path.abspath(value))
         if not os.path.isdir(folder):

@@ -94,15 +94,6 @@ def jacobian_from_axes_stack(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a.swapaxes(-1, -2))
 
 
-def angular_velocity(j: np.ndarray, joint_rates) -> np.ndarray:
-    """End-effector angular velocity omega = J * theta_dot (rad/s)."""
-    j = np.asarray(j, dtype=float)
-    rates = np.asarray(joint_rates, dtype=float).reshape(-1)
-    if rates.shape[0] != j.shape[1]:
-        raise ValueError(f"expected {j.shape[1]} joint rates, got {rates.shape[0]}")
-    return j @ rates
-
-
 def isotropy_report(j: np.ndarray) -> IsotropyReport:
     """Singular values, condition number and isotropy flag of a Jacobian.
 

@@ -46,10 +46,12 @@ def _as_unit(v) -> np.ndarray:
     if a.shape[-1] != 3:
         raise ValueError(f"expected 3-vectors of shape (..., 3), got shape {a.shape}")
     nrm = _norms(a).ravel()
-    off = np.abs(nrm - 1.0) > UNIT_TOL
+    # written as "not within" so that a NaN norm is rejected too
+    off = ~(np.abs(nrm - 1.0) <= UNIT_TOL)
     if off.any():
         k = int(np.argmax(off))
-        raise ValueError(f"vector {a.reshape(-1, 3)[k].tolist()} has norm {nrm[k]!r}, expected 1 within {UNIT_TOL}")
+        bad = a.reshape(-1, 3)[k].tolist()
+        raise ValueError(f"vector {bad} has norm {float(nrm[k])!r}, expected 1 within {UNIT_TOL}")
     return a
 
 
@@ -68,10 +70,7 @@ class PointSet:
         a = np.array(points, dtype=float)
         if a.ndim != 2 or a.shape[1] != 3:
             raise ValueError(f"expected an (n, 3) array of points, got shape {a.shape}")
-        norms = np.linalg.norm(a, axis=1)
-        bad = np.nonzero(np.abs(norms - 1.0) > UNIT_TOL)[0]
-        if bad.size:
-            raise ValueError(f"point {bad[0]} has norm {norms[bad[0]]!r}, expected 1 within {UNIT_TOL}")
+        _as_unit(a)
         a.setflags(write=False)
         object.__setattr__(self, "array", a)
 
@@ -228,13 +227,21 @@ def antipodal_exchange(s: PointSet, subset: Iterable[int]) -> PointSet:
     Because (-e)(-e)^T = e e^T, the second-moment tensor is preserved
     exactly, so antipodal exchanges map isotropic sets to isotropic sets.
     """
-    idx = sorted(set(int(k) for k in subset))
-    a = np.array(s.array)
-    for k in idx:
-        if not 1 <= k <= s.n:
-            raise IndexError(f"antipodal index {k} out of range 1..{s.n}")
-        a[k - 1] = -a[k - 1]
-    return PointSet(a)
+    return PointSet(_antipodal_signs(s.n, subset) * s.array)
+
+
+def _antipodal_signs(n: int, subset: Iterable[int]) -> np.ndarray:
+    """Factor -1 for each 1-based index k in subset and 1 for the other points of an n-point set, shape (n, 1).
+
+    Multiplying by -1 gives the same bits as negating.  Raises IndexError
+    for the smallest index outside 1..n.
+    """
+    signs = np.ones((n, 1))
+    for k in sorted(set(int(k) for k in subset)):
+        if not 1 <= k <= n:
+            raise IndexError(f"antipodal index {k} out of range 1..{n}")
+        signs[k - 1] = -1.0
+    return signs
 
 
 def reflect_about_plane(s: PointSet, unit_normal) -> PointSet:
@@ -272,12 +279,6 @@ def _line_reflection(axes: np.ndarray) -> np.ndarray:
     not validated; pass unit vectors.
     """
     return 2.0 * (axes[..., :, None] * axes[..., None, :]) - np.eye(3)
-
-
-def project_onto_line(p, axis) -> np.ndarray:
-    """Orthogonal projection e e^T p of a point onto the line along e."""
-    e = _as_unit(axis).reshape(3)
-    return e * float(np.dot(e, np.asarray(p, dtype=float).reshape(3)))
 
 
 def rotation_about_axis(axis, angle) -> np.ndarray:

@@ -17,9 +17,9 @@ from isowrist.checks import (
     check_reflection_closure,
     check_solution_residuals,
 )
-from isowrist.classify import ANTIPODAL_SUBSETS, REFLECTIONS, apply_reflection
+from isowrist.classify import ANTIPODAL_SUBSETS, REFLECTIONS
 from isowrist.solver import catalog_distances, enumerate_solutions, residuals, solve_closed_form
-from isowrist.spheregeom import _norms, antipodal_exchange, reflect_about_line, rotation_about_axis
+from isowrist.spheregeom import _norms, antipodal_exchange, reflect_about_line, reflect_about_plane, rotation_about_axis
 
 T = 1.0 / 3.0
 
@@ -62,8 +62,14 @@ def per_image_antipodal_closure(solutions, tolerance):
     return _result("antipodal-closure", worst, tolerance, detail="32 solutions closed under antipodal exchanges")
 
 
+def per_plane_reflection(axes, operation):
+    for normal in REFLECTIONS[operation]:
+        axes = reflect_about_plane(axes, normal)
+    return axes
+
+
 def per_image_reflection_closure(solutions, tolerance):
-    images = (apply_reflection(r.axes, op) for op in REFLECTIONS for r in solutions)
+    images = (per_plane_reflection(r.axes, op) for op in REFLECTIONS for r in solutions)
     worst = max(float(np.min(catalog_distances(img.array))) for img in images)
     return _result("reflection-closure", worst, tolerance, detail="32 solutions closed under coordinate reflections")
 

@@ -11,18 +11,16 @@ from isowrist.classify import (
     REFLECTION_SEEDS,
     REFLECTIONS,
     SolutionMap,
-    _antipodal_images,
     _find_by_axes,
-    _reflection_images,
     ClassMember,
     WristClass,
     antipodal_map_table,
-    apply_reflection,
     canonical_signature,
     chain_orderings,
     distinct_wrists,
     isotropic_posture_geometry,
     reflection_map_table,
+    symmetry_images,
 )
 from isowrist.kinematics import (
     DHChain, _forward_chain, dh_from_axes, isotropy_report_stack, jacobian_from_axes_stack,
@@ -102,14 +100,14 @@ class TestSymmetryMaps:
     def test_all_maps_verified_as_ordered_lists(self, solutions):
         by_index = {r.index: r for r in solutions}
         for m in reflection_map_table(solutions):
-            img = apply_reflection(by_index[m.source_index].axes, m.operation)
+            img = per_plane_reflection(by_index[m.source_index].axes, m.operation)
             assert img.allclose(by_index[m.target_index].axes, 1e-12)
 
     def test_double_reflection_is_half_turn_about_x(self, solutions):
         by_index = {r.index: r for r in solutions}
         half_turn = reflect_about_line([1.0, 0.0, 0.0])
         src = by_index[18].axes.array
-        img = apply_reflection(by_index[18].axes, "reflect_xz_then_xy")
+        img = per_plane_reflection(by_index[18].axes, "reflect_xz_then_xy")
         assert np.max(np.abs(img.array - src @ half_turn.T)) < 1e-12
         assert img.allclose(by_index[26].axes, 1e-12)
 
@@ -125,7 +123,7 @@ class TestSymmetryMaps:
     def test_closure_under_reflections(self, solutions):
         for rec in solutions:
             for op in ("reflect_xy", "reflect_xz", "reflect_xz_then_xy"):
-                img = apply_reflection(rec.axes, op)
+                img = per_plane_reflection(rec.axes, op)
                 assert any(img.allclose(s.axes, 1e-12) for s in solutions)
 
 
@@ -305,7 +303,7 @@ def per_image_find(axes: PointSet) -> int:
 
 
 def per_plane_reflection(axes: PointSet, operation: str) -> PointSet:
-    """apply_reflection as one reflect_about_plane call per plane."""
+    """Image of an axis set under one of the named REFLECTIONS, one reflect_about_plane call per plane."""
     for normal in REFLECTIONS[operation]:
         axes = reflect_about_plane(axes, normal)
     return axes
@@ -332,18 +330,18 @@ def per_image_reflection_map_table(solutions):
 
 class TestStackedSymmetryImages:
     def test_antipodal_images_equal_single_exchanges(self, solutions):
-        images = _antipodal_images(_axes_of([r.components for r in solutions]))
-        assert images.shape == (8, 32, 4, 3)
+        images = symmetry_images(_axes_of([r.components for r in solutions]))
+        assert images.shape == (11, 32, 4, 3)
         for i, subset in enumerate(ANTIPODAL_SUBSETS):
             for k, rec in enumerate(solutions):
                 assert np.array_equal(images[i, k], antipodal_exchange(rec.axes, subset).array)
 
     @pytest.mark.parametrize("operation", list(REFLECTIONS))
     def test_reflection_images_equal_single_reflections(self, solutions, operation):
-        images = _reflection_images(_axes_of([r.components for r in solutions]), operation)
+        images = symmetry_images(_axes_of([r.components for r in solutions]))[8 + list(REFLECTIONS).index(operation)]
         assert images.shape == (32, 4, 3)
         for k, rec in enumerate(solutions):
-            assert np.array_equal(images[k], apply_reflection(rec.axes, operation).array)
+            # equal as numbers; a reflected exact zero may differ from the matmul's in its sign alone
             assert np.array_equal(images[k], per_plane_reflection(rec.axes, operation).array)
 
     def test_antipodal_map_table_equals_the_per_image_reference(self, solutions):

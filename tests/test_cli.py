@@ -1,5 +1,8 @@
+import errno
+import io
 import json
 import math
+import os
 import re
 from pathlib import Path
 
@@ -182,16 +185,17 @@ def test_bad_input_is_usage_error(runner, args):
     assert "Invalid value" in result.output
 
 
-@pytest.mark.parametrize(
-    "args, target",
-    [
-        (["enumerate"], "isowrist.cli.enumerate_solutions"),
-        (["classify"], "isowrist.cli.enumerate_solutions"),
-        (["verify"], "isowrist.cli.run_checks"),
-        (["posture", "a"], "isowrist.cli.enumerate_solutions"),
-        (["platonic", "cube"], "isowrist.cli.documents.platonic_table"),
-    ],
-)
+#: Each subcommand with the first library call it makes.
+FIRST_WORK = [
+    (["enumerate"], "isowrist.cli.enumerate_solutions"),
+    (["classify"], "isowrist.cli.enumerate_solutions"),
+    (["verify"], "isowrist.cli.run_checks"),
+    (["posture", "a"], "isowrist.cli.enumerate_solutions"),
+    (["platonic", "cube"], "isowrist.cli.documents.platonic_table"),
+]
+
+
+@pytest.mark.parametrize("args, target", FIRST_WORK)
 def test_missing_output_directory_is_rejected_before_any_work(runner, monkeypatch, args, target):
     calls = []
     monkeypatch.setattr(target, lambda *a, **k: calls.append(a))
@@ -200,6 +204,58 @@ def test_missing_output_directory_is_rejected_before_any_work(runner, monkeypatc
     assert result.stdout == ""
     assert "Invalid value for '--output'" in result.output
     assert calls == []
+
+
+@pytest.mark.parametrize("args, target", FIRST_WORK)
+def test_empty_output_is_rejected_before_any_work(runner, monkeypatch, args, target):
+    calls = []
+    monkeypatch.setattr(target, lambda *a, **k: calls.append(a))
+    result = runner.invoke(cli, args + ["--output", ""])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "Invalid value for '--output'" in result.output
+    assert calls == []
+
+
+class _FullDiskFile(io.StringIO):
+    """A file that accepts nothing: write or close (the buffer flush) fails with ENOSPC."""
+
+    def __init__(self, failing: str):
+        super().__init__()
+        self.failing = failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return super().write(text)
+
+    def close(self):
+        was_open = not self.closed  # fail once only, not again when the object is collected
+        super().close()
+        if self.failing == "close" and was_open:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("failing", ["write", "close"])
+@pytest.mark.parametrize(
+    "args",
+    [["enumerate"], ["classify"], ["verify", "--oracle-starts", "0"], ["posture", "a"], ["platonic", "cube"]],
+    ids=lambda args: args[0],
+)
+def test_failed_output_write_is_usage_error(runner, monkeypatch, tmp_path, args, failing):
+    opened = []
+
+    def full_disk_open(path, *a, **k):
+        opened.append(path)
+        return _FullDiskFile(failing)
+
+    monkeypatch.setattr("isowrist.cli.open", full_disk_open, raising=False)
+    target = str(tmp_path / "out.txt")
+    result = runner.invoke(cli, args + ["--output", target], catch_exceptions=False)
+    assert opened == [target]
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    assert f"Invalid value for '--output': {target!r}: No space left on device" in result.output
 
 
 def test_output_under_a_file_is_rejected(runner, tmp_path):

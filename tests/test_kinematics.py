@@ -9,7 +9,6 @@ from isowrist.classify import chain_orderings, distinct_wrists
 from isowrist.kinematics import (
     DHChain,
     _forward_chain,
-    angular_velocity,
     dh_from_axes,
     dh_from_axes_stack,
     forward_axes,
@@ -60,31 +59,6 @@ class TestJacobian:
         j = jacobian_from_axes(PointSet([[0.0, 1.0, 0.0]]))
         assert j.shape == (3, 1)
         assert np.array_equal(j[:, 0], [0.0, 1.0, 0.0])
-
-
-class TestAngularVelocity:
-    def test_identity_map(self):
-        j = jacobian_from_axes(PointSet(np.eye(3)))
-        assert np.array_equal(angular_velocity(j, [1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
-
-    def test_zero_rates(self):
-        j = jacobian_from_axes(PointSet(TETRAHEDRON))
-        assert np.array_equal(angular_velocity(j, np.zeros(4)), np.zeros(3))
-
-    def test_tetrahedron_equal_rates_cancel(self):
-        # the four axis vectors sum to zero: check by plain accumulation
-        total = [0.0, 0.0, 0.0]
-        for row in TETRAHEDRON:
-            for i in range(3):
-                total[i] += float(row[i])
-        assert max(abs(t) for t in total) < 1e-15
-        omega = angular_velocity(jacobian_from_axes(PointSet(TETRAHEDRON)), np.ones(4))
-        assert np.max(np.abs(omega)) < 1e-15
-
-    def test_rate_length_mismatch(self):
-        j = jacobian_from_axes(PointSet(TETRAHEDRON))
-        with pytest.raises(ValueError, match="joint rates"):
-            angular_velocity(j, [1.0, 2.0, 3.0])
 
 
 class TestIsotropyReport:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -13,7 +14,6 @@ from isowrist.spheregeom import (
     isotropy_of,
     isotropy_of_stack,
     platonic_vertices,
-    project_onto_line,
     reflect_about_line,
     reflect_about_plane,
     rotation_about_axis,
@@ -145,6 +145,21 @@ class TestAntipodalExchange:
             antipodal_exchange(PointSet(TETRAHEDRON), {5})
         with pytest.raises(IndexError):
             antipodal_exchange(PointSet(TETRAHEDRON), {0})
+        with pytest.raises(IndexError, match="antipodal index 0 out of range 1..4"):
+            antipodal_exchange(PointSet(TETRAHEDRON), {5, 2, 0})
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_subset_equals_point_negation_bit_for_bit(self, n):
+        rng = np.random.default_rng(30 + n)
+        pts = random_unit_rows(rng, n)
+        pts[0] = [0.0, -1.0, 0.0]  # exact zeros of both signs after the flip
+        for size in range(n + 1):
+            for subset in itertools.combinations(range(1, n + 1), size):
+                expected = np.array(pts)
+                for k in subset:
+                    expected[k - 1] = -expected[k - 1]
+                out = antipodal_exchange(PointSet(pts), subset).array
+                assert out.tobytes() == expected.tobytes()
 
 
 class TestReflectAboutPlane:
@@ -216,21 +231,25 @@ class TestReflectAboutLine:
         assert np.max(np.abs(ell @ p + p)) < 1e-15
 
 
-class TestProjectOntoLine:
-    def test_onto_x(self):
-        assert np.array_equal(project_onto_line([1.0, 1.0, 0.0], [1.0, 0.0, 0.0]), [1.0, 0.0, 0.0])
-
-    def test_orthogonal_gives_zero(self):
-        assert np.array_equal(project_onto_line([0.0, 2.0, 0.0], [1.0, 0.0, 0.0]), [0.0, 0.0, 0.0])
-
-    def test_onto_z(self):
-        assert np.array_equal(project_onto_line([1.0, 2.0, 3.0], [0.0, 0.0, 1.0]), [0.0, 0.0, 3.0])
-
-
 class TestPointSet:
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError, match="norm"):
             PointSet([[1.0, 1.0, 0.0]])
+
+    @pytest.mark.parametrize("bad", [[math.nan, 0.0, 0.0], [math.inf, 0.0, 0.0], [0.0, math.nan, 1.0]])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda v: PointSet([v, [1.0, 0.0, 0.0]]),
+            lambda v: rotation_about_axis(v, 1.0),
+            lambda v: reflect_about_line(v),
+            lambda v: reflect_about_plane(PointSet(TETRAHEDRON), v),
+        ],
+        ids=["PointSet", "rotation_about_axis", "reflect_about_line", "reflect_about_plane"],
+    )
+    def test_rejects_non_finite_vectors(self, call, bad):
+        with pytest.raises(ValueError, match="has norm nan|has norm inf"):
+            call(bad)
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
@@ -321,8 +340,5 @@ class TestStackedForms:
             reflect_about_plane(PointSet(TETRAHEDRON), axes)
         with pytest.raises(ValueError):
             reflect_about_line(axes)
-        with pytest.raises(ValueError):
-            project_onto_line([1.0, 2.0, 3.0], axes)
         # one axis given as a (1, 3) row is still a single axis
-        assert project_onto_line([1.0, 2.0, 3.0], axes[:1]).shape == (3,)
         assert np.array_equal(reflect_about_line(axes[:1]), reflect_about_line(axes[0]))
