@@ -4,7 +4,9 @@ Subcommands: enumerate (the 32-solution catalog), classify (the eight
 wrist classes plus symmetry maps), verify (the full invariant suite),
 posture (geometry of one wrist at its isotropic posture), and platonic
 (vertex sets of the Platonic solids).  Exit codes: 0 success, 1
-verification or internal consistency failure, 2 usage error.
+verification or internal consistency failure, 2 usage error.  When
+verify fails a check and its --output file cannot be written, the
+failed check wins: the write error is printed and the exit code is 1.
 """
 
 from __future__ import annotations
@@ -143,7 +145,12 @@ def cmd_verify(tolerance: float, oracle_starts: int, seed: int, output: str | No
     text = "\n".join(lines) + "\n"
     click.echo(text, nl=False)
     if output:
-        _emit(text, output)
+        try:
+            _emit(text, output)
+        except click.BadParameter as exc:
+            if not failures:
+                raise
+            exc.show()  # a failed check outranks the failed write: report both, exit 1
     sys.exit(1 if failures else 0)
 
 

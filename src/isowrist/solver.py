@@ -26,14 +26,21 @@ An independent multi-start damped-Newton root hunt over the residual map
 cross-checks the enumeration: converged starts must cluster at the 32
 closed-form solutions and nowhere else.  The hunt is vectorized and
 deterministic for a fixed seed.  It solves its Newton systems in fixed,
-cache-sized batches of starts; every step of the hunt acts on each start
-alone, so the batch size does not change a single bit of the result.
+cache-sized batches of starts, and it hunts the starts in contiguous
+blocks: on Linux, when more than one CPU is usable and the caller has one
+thread, every block but the first runs in a forked worker.  Every step of
+the hunt acts on each start alone, so neither the batch size nor the
+blocks change a single bit of the result.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
+import pickle
+import sys
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -346,39 +353,29 @@ def _newton_steps(pts: np.ndarray, r: np.ndarray, jac_buf: np.ndarray) -> np.nda
     return step
 
 
-def oracle_root_hunt(
-    n_starts: int = 20000,
-    seed: int = 0,
-    starts: np.ndarray | None = None,
-    max_iters: int = 60,
-) -> OracleReport:
-    """Hunt for real roots of the system by damped Newton from random starts.
 
-    Starts are uniform in [-START_BOX, START_BOX]^8 (all unknowns are sines
-    or cosines, so the box with margin is a sound search region); an
-    explicit starts array overrides the random draw.  Converged points are
-    polished, clustered and returned sorted, so the outcome is independent
-    of scheduling for a fixed seed.  Non-convergent starts (including those
-    whose Jacobian LAPACK finds singular) are discarded and counted.
 
-    The Newton systems are solved _SOLVE_CHUNK starts at a time, so the
-    Jacobians stay in cache.  The result does not depend on that batch
-    size: the residuals, the Jacobian, the norms and LAPACK's solve all
-    act on each start alone.  The polish shares the singular fallback, so
-    a polish system LAPACK refuses would leave its point unmoved rather
-    than raise; at a converged start that cannot happen, since
-    |det J| = 256 sqrt(2)/81 at every root.
+def _usable_cpus() -> int:
+    """How many CPUs the hunt may spread its blocks over.
+
+    1 wherever a forked worker is unsafe: without os.fork, off Linux (fork
+    without exec is unsafe under the macOS system frameworks), or while
+    another Python thread is alive, whose locks a child would inherit held.
     """
-    if starts is None:
-        if n_starts < 1:
-            return OracleReport(np.empty((0, 8)), 0, 0, 0, np.empty(0, dtype=int))
-        rng = np.random.default_rng(seed)
-        pts = rng.uniform(-START_BOX, START_BOX, size=(n_starts, 8))
-    else:
-        pts = np.array(starts, dtype=float).reshape(-1, 8)
-        n_starts = pts.shape[0]
-    iters = np.full(n_starts, -1, dtype=int)
-    # one Jacobian buffer per hunt; its structural zeros are never written
+    if not hasattr(os, "fork") or sys.platform != "linux" or threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _hunt_block(pts: np.ndarray, max_iters: int) -> tuple:
+    """Damped Newton from every start of pts (m, 8), then a polish of the converged ones.
+
+    Returns the polished converged points (in start order) and the
+    iterations (m,) each start took to converge, -1 if discarded.
+    Converged starts are written back into pts.
+    """
+    iters = np.full(pts.shape[0], -1, dtype=int)
+    # one Jacobian buffer per block; its structural zeros are never written
     jac_buf = np.zeros((_SOLVE_CHUNK, 8, 8))
     r = residuals(pts)
     norm = np.linalg.norm(r, axis=1)
@@ -416,15 +413,141 @@ def oracle_root_hunt(
         keep = improved & ~conv
         active = active[keep]
         cur, r, norm = new[keep], new_r[keep], new_norm[keep]
-    converged = iters >= 0
-    n_converged = int(np.count_nonzero(converged))
-    hits = pts[converged]
-    if hits.size:
-        # polish with undamped Newton so clusters collapse to machine precision;
-        # converged starts lie next to simple roots, where |det J| = 256 sqrt(2)/81
-        for _ in range(3):
-            hits += _newton_steps(hits, residuals(hits), jac_buf)
-        roots = _cluster(hits, CLUSTER_RADIUS)
+    hits = pts[iters >= 0]
+    # polish with undamped Newton so clusters collapse to machine precision;
+    # converged starts lie next to simple roots, where |det J| = 256 sqrt(2)/81
+    for _ in range(3):
+        hits += _newton_steps(hits, residuals(hits), jac_buf)
+    return hits, iters
+
+
+def _fork_block(pts: np.ndarray, max_iters: int) -> tuple:
+    """Hunt pts in a forked worker; returns its pid and a file reading its pickled _hunt_block result.
+
+    The worker leaves through os._exit on every path, with status 0 only
+    once its whole result is written: it never returns into the caller's
+    stack and never flushes the stdio buffers it inherited.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as out:
+                pickle.dump(_hunt_block(pts, max_iters), out, protocol=pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _reap(pid: int) -> int:
+    """Wait for worker pid to end; its exit code, or 0 if the caller ignores SIGCHLD and it was reaped already.
+
+    A 0 only lets its result be unpickled: a short or garbled one still fails there.
+    """
+    try:
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    except ChildProcessError:
+        return 0
+
+
+def _hunt_blocks(pts: np.ndarray, max_iters: int) -> list:
+    """_hunt_block results for contiguous blocks of pts, in start order.
+
+    The blocks number min(usable CPUs, ceil(n / _SOLVE_CHUNK)) for n
+    starts, at least one.  This process hunts the first block and forked
+    workers the others.  A block whose fork fails, whose worker does not
+    exit 0, or whose result does not unpickle is hunted here instead, so
+    the result never depends on a worker.  Every worker is reaped before
+    this returns or raises, and killed first if it raises.
+    """
+    n = pts.shape[0]
+    k = max(1, min(_usable_cpus(), -(-n // _SOLVE_CHUNK)))
+    bounds = [n * b // k for b in range(k + 1)]
+    blocks = [pts[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    workers = {}  # block index -> (pid, result file), until reaped
+    try:
+        for b in range(1, k):
+            try:
+                workers[b] = _fork_block(blocks[b], max_iters)
+            except OSError:
+                pass  # no worker: this process hunts the block below
+        results = [_hunt_block(blocks[0], max_iters)]
+        for b in range(1, k):
+            result = None
+            if b in workers:
+                pid, result_file = workers[b]
+                with result_file:
+                    data = result_file.read()
+                status = _reap(pid)
+                del workers[b]
+                if status == 0:
+                    try:
+                        result = pickle.loads(data)
+                    except (pickle.UnpicklingError, EOFError):  # a short result: hunt the block here
+                        pass
+            results.append(result if result is not None else _hunt_block(blocks[b], max_iters))
+    finally:
+        if workers:
+            from signal import SIGKILL
+
+            for pid, result_file in workers.values():
+                result_file.close()
+                try:
+                    os.kill(pid, SIGKILL)
+                except ProcessLookupError:  # reaped already
+                    pass
+                _reap(pid)
+    return results
+
+
+def oracle_root_hunt(
+    n_starts: int = 20000,
+    seed: int = 0,
+    starts: np.ndarray | None = None,
+    max_iters: int = 60,
+) -> OracleReport:
+    """Hunt for real roots of the system by damped Newton from random starts.
+
+    Starts are uniform in [-START_BOX, START_BOX]^8 (all unknowns are sines
+    or cosines, so the box with margin is a sound search region); an
+    explicit starts array overrides the random draw.  Converged points are
+    polished, clustered and returned sorted, so the outcome is independent
+    of scheduling for a fixed seed.  Non-convergent starts (including those
+    whose Jacobian LAPACK finds singular) are discarded and counted.
+
+    The starts are hunted in min(usable CPUs, ceil(n / _SOLVE_CHUNK))
+    contiguous blocks, so up to _SOLVE_CHUNK starts stay in one.  On Linux,
+    when more than one CPU is usable and no other Python thread is alive,
+    every block but the first runs in a forked worker; otherwise one block
+    holds every start.  Within a block
+    the Newton systems are solved _SOLVE_CHUNK starts at a time, so the
+    Jacobians stay in cache.  The result is the same bit for bit whatever
+    the blocks and the batch size: the residuals, the Jacobian, the norms
+    and LAPACK's solve all act on each start alone, and the converged points
+    are clustered once, in start order.  The polish shares the singular
+    fallback, so a polish system LAPACK refuses would leave its point
+    unmoved rather than raise; at a converged start that cannot happen,
+    since |det J| = 256 sqrt(2)/81 at every root.
+    """
+    if starts is None:
+        if n_starts < 1:
+            return OracleReport(np.empty((0, 8)), 0, 0, 0, np.empty(0, dtype=int))
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(-START_BOX, START_BOX, size=(n_starts, 8))
     else:
-        roots = np.empty((0, 8))
-    return OracleReport(roots, n_starts, n_converged, n_starts - n_converged, iters)
+        pts = np.array(starts, dtype=float).reshape(-1, 8)
+        n_starts = pts.shape[0]
+    results = _hunt_blocks(pts, max_iters)
+    hits = np.concatenate([block_hits for block_hits, _ in results])
+    iters = np.concatenate([block_iters for _, block_iters in results])
+    n_converged = hits.shape[0]
+    return OracleReport(_cluster(hits, CLUSTER_RADIUS), n_starts, n_converged, n_starts - n_converged, iters)

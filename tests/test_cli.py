@@ -258,6 +258,18 @@ def test_failed_output_write_is_usage_error(runner, monkeypatch, tmp_path, args,
     assert f"Invalid value for '--output': {target!r}: No space left on device" in result.output
 
 
+@pytest.mark.parametrize("failing", ["write", "close"])
+def test_failed_check_outranks_failed_output_write(runner, monkeypatch, tmp_path, failing):
+    monkeypatch.setattr("isowrist.cli.open", lambda path, *a, **k: _FullDiskFile(failing), raising=False)
+    target = str(tmp_path / "out.txt")
+    args = ["verify", "--oracle-starts", "0", "--tolerance", "1e-20", "--output", target]
+    result = runner.invoke(cli, args, catch_exceptions=False)
+    assert result.exit_code == 1
+    assert "[FAIL]" in result.stdout
+    assert "Traceback" not in result.output
+    assert f"Invalid value for '--output': {target!r}: No space left on device" in result.stderr
+
+
 def test_output_under_a_file_is_rejected(runner, tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("")

@@ -1,5 +1,8 @@
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import isowrist
@@ -28,3 +31,16 @@ def test_readme_library_overview_names_resolve():
     assert ("isowrist.classify", "symmetry_images") in named
     missing = [f"{m}.{name}" for m, name in named if not hasattr(importlib.import_module(m), name)]
     assert missing == []
+
+
+def test_cli_import_pulls_in_no_process_pool():
+    # the oracle's workers use os.fork and pickle alone, so start-up imports neither pool module
+    src = str(Path(isowrist.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys, isowrist.cli; "
+        "assert isowrist.cli.__file__.startswith(sys.argv[1]), isowrist.cli.__file__; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
+    )
+    done = subprocess.run([sys.executable, "-c", code, src], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"

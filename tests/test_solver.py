@@ -1,10 +1,18 @@
 import dataclasses
+import io
 import itertools
 import math
+import os
+import pickle
+import signal
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from isowrist import solver
 from isowrist.checks import check_catalog_bijection, check_distinctness, check_nonvanishing, check_oracle
 from isowrist.solver import (
     _axes_of,
@@ -309,6 +317,12 @@ class TestOracle:
         assert report.n_roots == 0
         assert report.n_starts == 0
 
+    def test_no_explicit_starts(self):
+        report = oracle_root_hunt(starts=np.empty((0, 8)))
+        assert (report.n_starts, report.n_converged, report.n_discarded, report.n_roots) == (0, 0, 0, 0)
+        assert report.roots.shape == (0, 8)
+        assert report.iterations.shape == (0,)
+
     def test_pinned_counts_for_fixed_seed(self):
         report = oracle_root_hunt(n_starts=2000, seed=42)  # fits one solve slice
         assert (report.n_converged, report.n_discarded) == (1217, 783)
@@ -328,6 +342,199 @@ class TestOracle:
         assert (report.n_converged, report.n_discarded) == counts
         assert int(report.iterations.sum()) == iterations
         assert report.n_roots == 32
+
+
+def _assert_no_children():
+    # every worker has been reaped: no zombie is left, and no orphan runs on
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _same_report(a, b):
+    assert np.array_equal(a.roots, b.roots)
+    assert np.array_equal(a.iterations, b.iterations)
+    assert (a.n_starts, a.n_converged, a.n_discarded) == (b.n_starts, b.n_converged, b.n_discarded)
+
+
+def _block_bounds(n, cpus):
+    k = min(cpus, -(-n // _SOLVE_CHUNK))
+    return [n * b // k for b in range(k + 1)]
+
+
+class TestOracleBlocks:
+    """The hunt split into contiguous blocks, all but the first in forked workers."""
+
+    @pytest.fixture()
+    def hunt(self, monkeypatch):
+        """oracle_root_hunt with the usable CPU count patched; counts the workers forked."""
+        real_fork_block = solver._fork_block
+        forks = []
+
+        def counting_fork_block(pts, max_iters):
+            forks.append(pts.shape[0])
+            return real_fork_block(pts, max_iters)
+
+        monkeypatch.setattr(solver, "_fork_block", counting_fork_block)
+
+        def run(cpus, **kwargs):
+            monkeypatch.setattr(solver, "_usable_cpus", lambda: cpus)
+            forks.clear()
+            report = oracle_root_hunt(**kwargs)
+            _assert_no_children()
+            return report, len(forks)
+
+        return run
+
+    @pytest.mark.parametrize("n_starts", [2049, 5000, 20000])
+    def test_every_block_count_gives_the_one_block_report(self, hunt, n_starts):
+        one, forks = hunt(1, n_starts=n_starts)
+        assert forks == 0
+        for cpus in (2, 3, 7):
+            report, forks = hunt(cpus, n_starts=n_starts)
+            assert forks == len(_block_bounds(n_starts, cpus)) - 2
+            _same_report(report, one)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("cpus", [2, 3, 7])
+    @pytest.mark.parametrize("fills", [(0.0, np.nan), (np.nan, 0.0)], ids=["zero-nan", "nan-zero"])
+    def test_singular_starts_either_side_of_a_block_boundary(self, hunt, cpus, fills):
+        starts = np.random.default_rng(9).uniform(-START_BOX, START_BOX, size=(5003, 8))
+        edges = _block_bounds(starts.shape[0], cpus)[1:-1]
+        for edge in edges:
+            starts[edge - 1], starts[edge] = fills
+        one, _ = hunt(1, starts=starts)
+        report, forks = hunt(cpus, starts=starts)
+        assert forks == len(edges)
+        _same_report(report, one)
+        assert all(report.iterations[edge - 1] == report.iterations[edge] == -1 for edge in edges)
+
+    def test_failed_fork_hunts_the_block_here(self, hunt, monkeypatch):
+        one, _ = hunt(1, n_starts=5000, seed=3)
+
+        def failing_fork():
+            raise OSError("fork refused")
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        report, forks = hunt(3, n_starts=5000, seed=3)
+        assert forks == 2
+        _same_report(report, one)
+
+    @pytest.mark.parametrize("failure", ["exit-3", "sigkill", "garbled", "short"])
+    def test_failed_worker_hunts_the_block_here(self, hunt, monkeypatch, failure):
+        one, _ = hunt(1, n_starts=5000, seed=3)
+        caller, real_hunt_block = os.getpid(), solver._hunt_block
+
+        def failing_hunt_block(pts, max_iters):
+            if os.getpid() != caller:
+                if failure == "exit-3":
+                    os._exit(3)
+                if failure == "sigkill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+            return real_hunt_block(pts, max_iters)
+
+        def failing_dump(obj, out, protocol):
+            data = pickle.dumps(obj, protocol)
+            out.write(b"not a pickle" if failure == "garbled" else data[: len(data) // 2])
+
+        monkeypatch.setattr(solver, "_hunt_block", failing_hunt_block)
+        if failure in ("garbled", "short"):
+            monkeypatch.setattr(pickle, "dump", failing_dump)
+        report, forks = hunt(3, n_starts=5000, seed=3)
+        assert forks == 2
+        _same_report(report, one)
+
+    def test_caller_ignoring_sigchld_gets_the_same_report(self, hunt):
+        one, _ = hunt(1, n_starts=5000, seed=3)
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)  # the kernel reaps every worker itself
+        try:
+            report, forks = hunt(3, n_starts=5000, seed=3)
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert forks == 2
+        _same_report(report, one)
+
+    def test_error_in_a_worker_block_is_raised_here_with_its_type(self, hunt, monkeypatch):
+        real_hunt_block = solver._hunt_block
+
+        def hunt_block_refusing_inf(pts, max_iters):
+            if np.isinf(pts).any():
+                raise FloatingPointError("an infinite start")
+            return real_hunt_block(pts, max_iters)
+
+        monkeypatch.setattr(solver, "_hunt_block", hunt_block_refusing_inf)
+        starts = np.random.default_rng(9).uniform(-START_BOX, START_BOX, size=(5000, 8))
+        starts[-1] = np.inf  # in the last block: its worker fails, then this process hunts it and raises
+        with pytest.raises(FloatingPointError, match="an infinite start"):
+            hunt(3, starts=starts)
+        _assert_no_children()
+
+    def test_error_here_kills_and_reaps_the_workers(self, hunt, monkeypatch):
+        caller, real_hunt_block = os.getpid(), solver._hunt_block
+
+        def hunt_block(pts, max_iters):
+            if os.getpid() != caller:
+                threading.Event().wait(60)  # a worker that would outlive the caller unless killed
+            else:
+                raise KeyboardInterrupt
+            return real_hunt_block(pts, max_iters)
+
+        monkeypatch.setattr(solver, "_hunt_block", hunt_block)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            hunt(7, n_starts=20000)
+        assert time.monotonic() - start < 30  # the workers were killed, not waited out
+        _assert_no_children()
+
+    def test_worker_stdout_is_not_doubled(self, hunt, monkeypatch, capfd):
+        caller, real_hunt_block = os.getpid(), solver._hunt_block
+
+        def chatty_hunt_block(pts, max_iters):
+            if os.getpid() != caller:
+                print("buffered in a worker")  # left in the inherited buffer, which the worker never flushes
+                os.write(1, b"written by a worker\n")
+            return real_hunt_block(pts, max_iters)
+
+        # a block-buffered stdout, as when output goes to a pipe, with a line still pending at the fork
+        stdout = io.TextIOWrapper(io.BufferedWriter(io.FileIO(os.dup(1), "w")))
+        monkeypatch.setattr(sys, "stdout", stdout)
+        monkeypatch.setattr(solver, "_hunt_block", chatty_hunt_block)
+        print("pending in the caller")
+        report, forks = hunt(2, n_starts=5000, seed=3)
+        stdout.close()
+        out = capfd.readouterr().out
+        assert forks == 1
+        assert out.count("pending in the caller") == 1
+        assert out.count("written by a worker") == 1
+        assert "buffered in a worker" not in out
+        assert (report.n_converged, report.n_discarded) == (2991, 2009)
+
+    def test_usable_cpus_is_the_affinity_set(self):
+        assert solver._usable_cpus() == len(os.sched_getaffinity(0))
+
+    def test_one_block_without_fork_or_off_linux(self, monkeypatch):
+        monkeypatch.setattr(sys, "platform", "darwin")
+        assert solver._usable_cpus() == 1
+        monkeypatch.undo()
+        monkeypatch.delattr(os, "fork")
+        assert solver._usable_cpus() == 1
+
+    def test_one_block_while_another_thread_is_alive(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked while another thread was alive")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert solver._usable_cpus() == 1
+            report = oracle_root_hunt(n_starts=5000, seed=3)
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert (report.n_converged, report.n_discarded) == (2991, 2009)
+        assert int(report.iterations.sum()) == 26991
 
 
 def _greedy_cluster(points, radius):
