@@ -123,14 +123,12 @@ class PostureGeometry:
     report: object
 
 
-def chain_orderings(full: bool = False) -> list:
+def chain_orderings() -> list:
     """Axis orderings that start a kinematic chain at the first point.
 
-    Returns 0-based index tuples: the 6 orderings fixing e_1 first and
-    permuting the other three, or all 24 orderings when full is set.
+    Returns the 6 orderings, as 0-based index tuples, that keep e_1 first
+    and permute the other three axes.
     """
-    if full:
-        return [p for p in itertools.permutations(range(4))]
     return [(0,) + p for p in itertools.permutations((1, 2, 3))]
 
 

@@ -16,7 +16,7 @@ import math
 
 from .classify import WristClass, antipodal_map_table, reflection_map_table
 from .kinematics import IsotropyReport
-from .solver import RESIDUAL_TOL, SolutionRecord, radical_string
+from .solver import RESIDUAL_TOL, radical_string
 from .spheregeom import PlatonicSolid, isotropy_of, platonic_vertices, second_moment
 
 SCHEMA_VERSION = "1"
@@ -46,14 +46,6 @@ def solution_document(solutions) -> dict:
         entries.append(entry)
     metadata = {**_metadata(), "tolerance": RESIDUAL_TOL}
     return {"schema_version": SCHEMA_VERSION, "metadata": metadata, "solutions": entries}
-
-
-def parse_solution_document(doc: dict) -> list:
-    """Rebuild SolutionRecord values from a parsed solution document."""
-    return [
-        SolutionRecord(*(entry[name] for name in COMPONENT_NAMES), index=entry["index"])
-        for entry in doc["solutions"]
-    ]
 
 
 def solution_csv(solutions) -> str:

@@ -32,16 +32,14 @@ class DHChain:
 
     twists holds alpha_1..alpha_{n-1} in radians (the angle between
     consecutive axes; there is no alpha_n for an n-revolute wrist).
-    joints holds theta_1..theta_n in radians; entries flagged in
-    free_joints (the first and last) do not affect isotropy and default
-    to 0 until a caller supplies them.
+    joints holds theta_1..theta_n in radians; theta_1 and theta_n are free:
+    they do not affect isotropy, and dh_from_axes stores them as 0.
     """
 
     twists: tuple
     joints: tuple
-    free_joints: tuple
 
-    def __init__(self, twists: Sequence[float], joints: Sequence[float], free_joints: Sequence[bool] | None = None):
+    def __init__(self, twists: Sequence[float], joints: Sequence[float]):
         twists = tuple(float(a) for a in twists)
         joints = tuple(float(t) for t in joints)
         if len(joints) != len(twists) + 1:
@@ -49,14 +47,8 @@ class DHChain:
         for a in twists:
             if not TWIST_TOL < a < math.pi - TWIST_TOL:
                 raise ValueError(f"twist {a!r} outside (0, pi): consecutive axes parallel or antiparallel")
-        if free_joints is None:
-            free_joints = (True,) + (False,) * (len(joints) - 2) + (True,)
-        free_joints = tuple(bool(f) for f in free_joints)
-        if len(free_joints) != len(joints):
-            raise ValueError("free_joints length must match joints")
         object.__setattr__(self, "twists", twists)
         object.__setattr__(self, "joints", joints)
-        object.__setattr__(self, "free_joints", free_joints)
 
     @property
     def n(self) -> int:

@@ -250,17 +250,13 @@ def catalog_distances(axes) -> np.ndarray:
 
 
 def _catalog_rows(axes) -> np.ndarray:
-    """match_catalog_index of axis sets (..., 4, 3), one distance table for all: shape (...), 0 where none matches."""
-    hits = catalog_distances(axes) <= RESIDUAL_TOL
-    return np.where(hits.any(axis=-1), np.argmax(hits, axis=-1) + 1, 0)
+    """1-based catalog rows of axis sets (..., 4, 3), from one distance table: shape (...), 0 where none matches.
 
-
-def match_catalog_index(axes) -> int | None:
-    """1-based catalog row whose axes e_1..e_4 all match within RESIDUAL_TOL, if any.
-
+    A row matches when its axes e_1..e_4 all lie within RESIDUAL_TOL.
     Catalog rows lie at least 2/3 apart in max-norm, so at most one row matches.
     """
-    return int(_catalog_rows(np.reshape(axes, (4, 3)))) or None
+    hits = catalog_distances(axes) <= RESIDUAL_TOL
+    return np.where(hits.any(axis=-1), np.argmax(hits, axis=-1) + 1, 0)
 
 
 def enumerate_solutions() -> list:
@@ -322,6 +318,7 @@ def _cluster(points: np.ndarray, radius: float) -> np.ndarray:
 
 
 START_BOX = 1.5  # half-width of the cube the oracle's starts are drawn from
+MAX_ITERS = 60  # damped Newton iterations before an unconverged start is discarded
 CONVERGE_TOL = 1e-10  # residual norm below which a start has converged
 CLUSTER_RADIUS = 1e-6  # converged points this close are one root
 _SOLVE_CHUNK = 2048  # starts per Jacobian solve: a (2048, 8, 8) buffer is 1 MB and stays in cache
@@ -353,8 +350,6 @@ def _newton_steps(pts: np.ndarray, r: np.ndarray, jac_buf: np.ndarray) -> np.nda
     return step
 
 
-
-
 def _usable_cpus() -> int:
     """How many CPUs the hunt may spread its blocks over.
 
@@ -367,7 +362,7 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _hunt_block(pts: np.ndarray, max_iters: int) -> tuple:
+def _hunt_block(pts: np.ndarray) -> tuple:
     """Damped Newton from every start of pts (m, 8), then a polish of the converged ones.
 
     Returns the polished converged points (in start order) and the
@@ -385,7 +380,7 @@ def _hunt_block(pts: np.ndarray, max_iters: int) -> tuple:
     # compactly across iterations; a start is written back to pts once it converges
     active = np.nonzero(~done)[0]
     cur, r, norm = pts[active], r[active], norm[active]
-    for it in range(1, max_iters + 1):
+    for it in range(1, MAX_ITERS + 1):
         if active.size == 0:
             break
         step = _newton_steps(cur, r, jac_buf)
@@ -421,7 +416,7 @@ def _hunt_block(pts: np.ndarray, max_iters: int) -> tuple:
     return hits, iters
 
 
-def _fork_block(pts: np.ndarray, max_iters: int) -> tuple:
+def _fork_block(pts: np.ndarray) -> tuple:
     """Hunt pts in a forked worker; returns its pid and a file reading its pickled _hunt_block result.
 
     The worker leaves through os._exit on every path, with status 0 only
@@ -440,7 +435,7 @@ def _fork_block(pts: np.ndarray, max_iters: int) -> tuple:
         try:
             os.close(read_fd)
             with open(write_fd, "wb") as out:
-                pickle.dump(_hunt_block(pts, max_iters), out, protocol=pickle.HIGHEST_PROTOCOL)
+                pickle.dump(_hunt_block(pts), out, protocol=pickle.HIGHEST_PROTOCOL)
             status = 0
         finally:
             os._exit(status)
@@ -459,7 +454,7 @@ def _reap(pid: int) -> int:
         return 0
 
 
-def _hunt_blocks(pts: np.ndarray, max_iters: int) -> list:
+def _hunt_blocks(pts: np.ndarray) -> list:
     """_hunt_block results for contiguous blocks of pts, in start order.
 
     The blocks number min(usable CPUs, ceil(n / _SOLVE_CHUNK)) for n
@@ -477,10 +472,10 @@ def _hunt_blocks(pts: np.ndarray, max_iters: int) -> list:
     try:
         for b in range(1, k):
             try:
-                workers[b] = _fork_block(blocks[b], max_iters)
+                workers[b] = _fork_block(blocks[b])
             except OSError:
                 pass  # no worker: this process hunts the block below
-        results = [_hunt_block(blocks[0], max_iters)]
+        results = [_hunt_block(blocks[0])]
         for b in range(1, k):
             result = None
             if b in workers:
@@ -494,7 +489,7 @@ def _hunt_blocks(pts: np.ndarray, max_iters: int) -> list:
                         result = pickle.loads(data)
                     except (pickle.UnpicklingError, EOFError):  # a short result: hunt the block here
                         pass
-            results.append(result if result is not None else _hunt_block(blocks[b], max_iters))
+            results.append(result if result is not None else _hunt_block(blocks[b]))
     finally:
         if workers:
             from signal import SIGKILL
@@ -509,31 +504,27 @@ def _hunt_blocks(pts: np.ndarray, max_iters: int) -> list:
     return results
 
 
-def oracle_root_hunt(
-    n_starts: int = 20000,
-    seed: int = 0,
-    starts: np.ndarray | None = None,
-    max_iters: int = 60,
-) -> OracleReport:
+def oracle_root_hunt(n_starts: int = 20000, seed: int = 0, starts: np.ndarray | None = None) -> OracleReport:
     """Hunt for real roots of the system by damped Newton from random starts.
 
     Starts are uniform in [-START_BOX, START_BOX]^8 (all unknowns are sines
     or cosines, so the box with margin is a sound search region); an
     explicit starts array overrides the random draw.  Converged points are
     polished, clustered and returned sorted, so the outcome is independent
-    of scheduling for a fixed seed.  Non-convergent starts (including those
-    whose Jacobian LAPACK finds singular) are discarded and counted.
+    of scheduling for a fixed seed.  A start is discarded, and counted, once
+    no damped step lowers its residual norm (a Jacobian LAPACK finds
+    singular gives no step) or when MAX_ITERS iterations leave it unconverged.
 
     The starts are hunted in min(usable CPUs, ceil(n / _SOLVE_CHUNK))
     contiguous blocks, so up to _SOLVE_CHUNK starts stay in one.  On Linux,
     when more than one CPU is usable and no other Python thread is alive,
     every block but the first runs in a forked worker; otherwise one block
-    holds every start.  Within a block
-    the Newton systems are solved _SOLVE_CHUNK starts at a time, so the
-    Jacobians stay in cache.  The result is the same bit for bit whatever
-    the blocks and the batch size: the residuals, the Jacobian, the norms
-    and LAPACK's solve all act on each start alone, and the converged points
-    are clustered once, in start order.  The polish shares the singular
+    holds every start.  Within a block the Newton systems are solved
+    _SOLVE_CHUNK starts at a time, so the Jacobians stay in cache.  The
+    result is the same bit for bit whatever the blocks and the batch size:
+    the residuals, the Jacobian, the norms and LAPACK's solve all act on
+    each start alone, and the converged points are clustered once, in start
+    order.  The polish shares the singular
     fallback, so a polish system LAPACK refuses would leave its point
     unmoved rather than raise; at a converged start that cannot happen,
     since |det J| = 256 sqrt(2)/81 at every root.
@@ -546,7 +537,7 @@ def oracle_root_hunt(
     else:
         pts = np.array(starts, dtype=float).reshape(-1, 8)
         n_starts = pts.shape[0]
-    results = _hunt_blocks(pts, max_iters)
+    results = _hunt_blocks(pts)
     hits = np.concatenate([block_hits for block_hits, _ in results])
     iters = np.concatenate([block_iters for _, block_iters in results])
     n_converged = hits.shape[0]

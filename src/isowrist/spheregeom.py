@@ -60,8 +60,7 @@ class PointSet:
     """An ordered list of n unit vectors on the unit sphere.
 
     Ordering matters: the same points in a different order describe a
-    different kinematic chain.  Compare with :meth:`allclose` or, for
-    set-like equality, :func:`same_points_up_to_permutation`.
+    different kinematic chain, so two sets compare through their arrays.
     """
 
     array: np.ndarray = field(repr=False)
@@ -86,12 +85,6 @@ class PointSet:
 
     def __iter__(self):
         return iter(self.array)
-
-    def allclose(self, other: "PointSet", tol: float = UNIT_TOL) -> bool:
-        """Ordered comparison: max entrywise deviation at most tol."""
-        if self.n != other.n:
-            return False
-        return bool(np.max(np.abs(self.array - other.array)) <= tol)
 
 
 class IsotropyCheck(NamedTuple):
@@ -301,19 +294,3 @@ def rotation_about_axis(axis, angle) -> np.ndarray:
     cos = np.fromiter(map(math.cos, flat), float, len(flat)).reshape(angle.shape + (1, 1))
     return np.eye(3) + sin * k + (1.0 - cos) * (k @ k)
 
-
-def same_points_up_to_permutation(a: PointSet, b: PointSet) -> bool:
-    """Set-like equality: the points match pairwise, within 1e-9, under some permutation."""
-    if a.n != b.n:
-        return False
-    remaining = list(range(b.n))
-    for p in a.array:
-        hit = None
-        for j in remaining:
-            if np.max(np.abs(p - b.array[j])) <= 1e-9:
-                hit = j
-                break
-        if hit is None:
-            return False
-        remaining.remove(hit)
-    return True

@@ -25,7 +25,7 @@ from isowrist.classify import (
 from isowrist.kinematics import (
     DHChain, _forward_chain, dh_from_axes, isotropy_report_stack, jacobian_from_axes_stack,
 )
-from isowrist.solver import TRIVIAL_SET_INDEX, _axes_of, enumerate_solutions, match_catalog_index
+from isowrist.solver import TRIVIAL_SET_INDEX, _axes_of, _catalog_rows, enumerate_solutions
 from isowrist.spheregeom import (
     PointSet, antipodal_exchange, reflect_about_line, reflect_about_plane, rotation_about_axis,
 )
@@ -81,11 +81,6 @@ class TestChainOrderings:
         assert orderings[0] == (0, 1, 2, 3)
         assert all(o[0] == 0 for o in orderings)
 
-    def test_full_twenty_four(self, solutions):
-        orderings = chain_orderings(full=True)
-        assert len(orderings) == 24
-        assert len(set(orderings)) == 24
-
 
 class TestSymmetryMaps:
     def test_antipodal_targets(self, solutions):
@@ -101,7 +96,7 @@ class TestSymmetryMaps:
         by_index = {r.index: r for r in solutions}
         for m in reflection_map_table(solutions):
             img = per_plane_reflection(by_index[m.source_index].axes, m.operation)
-            assert img.allclose(by_index[m.target_index].axes, 1e-12)
+            np.testing.assert_allclose(img.array, by_index[m.target_index].axes.array, rtol=0, atol=1e-12)
 
     def test_double_reflection_is_half_turn_about_x(self, solutions):
         by_index = {r.index: r for r in solutions}
@@ -109,7 +104,7 @@ class TestSymmetryMaps:
         src = by_index[18].axes.array
         img = per_plane_reflection(by_index[18].axes, "reflect_xz_then_xy")
         assert np.max(np.abs(img.array - src @ half_turn.T)) < 1e-12
-        assert img.allclose(by_index[26].axes, 1e-12)
+        np.testing.assert_allclose(img.array, by_index[26].axes.array, rtol=0, atol=1e-12)
 
     def test_closure_under_antipodal_group(self, solutions):
         from isowrist.spheregeom import antipodal_exchange
@@ -118,13 +113,13 @@ class TestSymmetryMaps:
             for size in range(0, 4):
                 for subset in itertools.combinations((2, 3, 4), size):
                     img = antipodal_exchange(rec.axes, subset)
-                    assert any(img.allclose(s.axes, 1e-12) for s in solutions)
+                    np.testing.assert_allclose(img.array, nearest_axes(img, solutions), rtol=0, atol=1e-12)
 
     def test_closure_under_reflections(self, solutions):
         for rec in solutions:
             for op in ("reflect_xy", "reflect_xz", "reflect_xz_then_xy"):
                 img = per_plane_reflection(rec.axes, op)
-                assert any(img.allclose(s.axes, 1e-12) for s in solutions)
+                np.testing.assert_allclose(img.array, nearest_axes(img, solutions), rtol=0, atol=1e-12)
 
 
 class TestCanonicalSignature:
@@ -295,9 +290,14 @@ class TestPostureGeometry:
             assert np.max(np.abs(frame[:, 2] - geo.axes.array[k])) < 1e-12
 
 
+def nearest_axes(img: PointSet, solutions) -> np.ndarray:
+    """The axes of the solution nearest to img in max-norm, so that img matches some solution iff it matches these."""
+    return min((s.axes.array for s in solutions), key=lambda a: np.max(np.abs(img.array - a)))
+
+
 def per_image_find(axes: PointSet) -> int:
-    index = match_catalog_index(axes.array)
-    if index is None:
+    index = int(_catalog_rows(axes.array))
+    if not index:
         raise ArithmeticError(f"axes {axes.array.tolist()} match no catalog row")
     return index
 

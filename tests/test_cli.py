@@ -10,7 +10,6 @@ import click
 import pytest
 from click.testing import CliRunner
 
-from isowrist import documents
 from isowrist.cli import cli
 from isowrist.solver import SOLUTION_CATALOG
 
@@ -50,9 +49,9 @@ class TestEnumerate:
         assert doc["schema_version"] == "1"
         assert len(doc["solutions"]) == 32
         assert [e["index"] for e in doc["solutions"]] == list(range(1, 33))
-        recs = documents.parse_solution_document(doc)
-        for rec in recs:
-            assert rec.components == SOLUTION_CATALOG[rec.index - 1]
+        names = ("c", "s", "x", "y", "z", "u", "v", "w")
+        for entry in doc["solutions"]:
+            assert tuple(entry[name] for name in names) == SOLUTION_CATALOG[entry["index"] - 1]
 
     def test_json_radical_strings(self, runner):
         result = runner.invoke(cli, ["enumerate", "--format", "json"])

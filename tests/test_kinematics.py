@@ -221,7 +221,6 @@ class TestDHFromAxes:
             assert math.degrees(a) == pytest.approx(109.47122, abs=1e-5)
         assert math.degrees(dh.joints[1]) == pytest.approx(-60.0, abs=1e-9)
         assert math.degrees(dh.joints[2]) == pytest.approx(60.0, abs=1e-9)
-        assert dh.free_joints == (True, False, False, True)
 
     def test_acute_twist_chain(self):
         flipped = np.vstack([TETRAHEDRON[0], -TETRAHEDRON[1], TETRAHEDRON[2:]])
@@ -330,7 +329,6 @@ class TestDHChainValidation:
         with pytest.raises(ValueError, match="twist"):
             DHChain((math.pi,), (0.0, 0.0))
 
-    def test_free_flags_default(self):
+    def test_n_counts_joints(self):
         dh = DHChain((1.0, 1.0, 1.0), (0.0, 1.0, 2.0, 0.0))
-        assert dh.free_joints == (True, False, False, True)
         assert dh.n == 4

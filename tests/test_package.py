@@ -1,3 +1,5 @@
+import ast
+import doctest
 import importlib
 import os
 import re
@@ -8,6 +10,20 @@ from pathlib import Path
 import isowrist
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SOURCES = Path(isowrist.__file__).resolve().parent
+
+#: Every (function, parameter) of the library with a default value.  A new
+#: settable value means a deliberate edit here, and a caller that sets it.
+PARAMETERS_WITH_DEFAULTS = {
+    ("isowrist.checks._result", "extra_ok"),
+    ("isowrist.checks._result", "detail"),
+    ("isowrist.checks._by_size", "size"),
+    ("isowrist.cli._output_option", "help_text"),
+    ("isowrist.solver._jacobian_batch", "out"),
+    ("isowrist.solver.oracle_root_hunt", "n_starts"),
+    ("isowrist.solver.oracle_root_hunt", "seed"),
+    ("isowrist.solver.oracle_root_hunt", "starts"),
+}
 
 
 def test_all_names_exist_sorted_and_unique():
@@ -31,6 +47,40 @@ def test_readme_library_overview_names_resolve():
     assert ("isowrist.classify", "symmetry_images") in named
     missing = [f"{m}.{name}" for m, name in named if not hasattr(importlib.import_module(m), name)]
     assert missing == []
+
+
+def _parameters_with_defaults(node, qualname):
+    """(qualified function, parameter) for each parameter with a default, in node and every scope inside it."""
+    for child in ast.iter_child_nodes(node):
+        name = qualname
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            name = f"{qualname}.{getattr(child, 'name', '<lambda>')}"
+            args = child.args
+            positional = args.posonlyargs + args.args
+            for arg in positional[len(positional) - len(args.defaults) :]:
+                yield name, arg.arg
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield name, arg.arg
+        elif isinstance(child, ast.ClassDef):
+            name = f"{qualname}.{child.name}"
+        yield from _parameters_with_defaults(child, name)
+
+
+def test_parameters_with_defaults_are_the_allowed_ones():
+    found = set()
+    for path in sorted(SOURCES.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found.update(_parameters_with_defaults(tree, f"isowrist.{path.stem}".removesuffix(".__init__")))
+    assert found == PARAMETERS_WITH_DEFAULTS
+
+
+def test_readme_python_example_runs():
+    text = README.read_text(encoding="utf-8")
+    start = text.index("```python\n") + len("```python\n")
+    block = text[start : text.index("```", start)]  # without the closing fence, which doctest would read as output
+    test = doctest.DocTestParser().get_doctest(block, {}, "README.md", str(README), text.count("\n", 0, start))
+    assert doctest.DocTestRunner().run(test) == doctest.TestResults(failed=0, attempted=4)
 
 
 def test_cli_import_pulls_in_no_process_pool():

@@ -29,7 +29,6 @@ from isowrist.solver import (
     SolutionRecord,
     catalog_distances,
     enumerate_solutions,
-    match_catalog_index,
     oracle_root_hunt,
     radical_string,
     residuals,
@@ -89,8 +88,8 @@ class TestClosedForm:
     def test_single_sign_flip_changes_solution(self):
         base = solve_closed_form((1, 1, 1, -1, 1))
         flipped = solve_closed_form((-1, 1, 1, -1, 1))
-        assert match_catalog_index(base.axes.array) == 1
-        assert match_catalog_index(flipped.axes.array) == 4
+        assert _catalog_rows(base.axes.array) == 1
+        assert _catalog_rows(flipped.axes.array) == 4
 
     def test_rejects_bad_pattern(self):
         with pytest.raises(ValueError, match="sign pattern"):
@@ -150,12 +149,13 @@ class TestEnumerate:
 class TestCatalogLookup:
     def test_each_row_matches_itself(self):
         for k, row in enumerate(SOLUTION_CATALOG, start=1):
-            assert match_catalog_index(SolutionRecord(*row).axes.array) == k
+            assert _catalog_rows(SolutionRecord(*row).axes.array) == k
 
     def test_far_axis_set_matches_nothing(self):
         far = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
         assert np.min(catalog_distances(far)) > 0.5
-        assert match_catalog_index(far) is None
+        assert _catalog_rows(far) == 0
+        assert _catalog_rows(np.full((4, 3), np.nan)) == 0  # NaN lies within no tolerance of any row
 
     def test_distances_broadcast_over_stacks(self):
         stack = np.array([r.axes.array for r in enumerate_solutions()])
@@ -180,7 +180,7 @@ class TestStackedCatalogLookup:
         stack = np.concatenate([axes, noisy, axes[:, ::-1]])
         rows = _catalog_rows(stack)
         assert rows.shape == (96,)
-        assert [match_catalog_index(a) or 0 for a in stack] == rows.tolist()
+        assert [int(_catalog_rows(a)) for a in stack] == rows.tolist()
         assert rows[:32].tolist() == list(range(1, 33))
         assert not rows[64:].any()
 
@@ -221,10 +221,11 @@ class TestCatalogChecks:
         assert result.status == "FAIL"
         assert result.worst == pytest.approx(2.0 * math.sqrt(6.0) / 3.0, rel=1e-12)
 
-    def test_oracle_without_converged_starts_fails_with_zero_worst(self):
+    def test_oracle_without_converged_starts_fails_with_infinite_worst(self):
         result = check_oracle(1, 3)  # the single start does not converge
         assert result.status == "FAIL"
-        assert result.worst == 0.0
+        assert result.passed is False
+        assert result.worst == math.inf
 
     def test_oracle_worst_matches_per_root_loop(self):
         report = oracle_root_hunt(n_starts=2000, seed=42)
@@ -287,7 +288,7 @@ class TestOracle:
         assert np.linalg.norm(report.roots[0] - start[0]) < 1e-8
 
     def test_zero_start_discarded_gracefully(self):
-        report = oracle_root_hunt(starts=np.zeros((1, 8)), max_iters=10)
+        report = oracle_root_hunt(starts=np.zeros((1, 8)))
         assert report.n_roots == 0
         assert report.n_discarded == 1
 
@@ -370,9 +371,9 @@ class TestOracleBlocks:
         real_fork_block = solver._fork_block
         forks = []
 
-        def counting_fork_block(pts, max_iters):
+        def counting_fork_block(pts):
             forks.append(pts.shape[0])
-            return real_fork_block(pts, max_iters)
+            return real_fork_block(pts)
 
         monkeypatch.setattr(solver, "_fork_block", counting_fork_block)
 
@@ -424,13 +425,13 @@ class TestOracleBlocks:
         one, _ = hunt(1, n_starts=5000, seed=3)
         caller, real_hunt_block = os.getpid(), solver._hunt_block
 
-        def failing_hunt_block(pts, max_iters):
+        def failing_hunt_block(pts):
             if os.getpid() != caller:
                 if failure == "exit-3":
                     os._exit(3)
                 if failure == "sigkill":
                     os.kill(os.getpid(), signal.SIGKILL)
-            return real_hunt_block(pts, max_iters)
+            return real_hunt_block(pts)
 
         def failing_dump(obj, out, protocol):
             data = pickle.dumps(obj, protocol)
@@ -456,10 +457,10 @@ class TestOracleBlocks:
     def test_error_in_a_worker_block_is_raised_here_with_its_type(self, hunt, monkeypatch):
         real_hunt_block = solver._hunt_block
 
-        def hunt_block_refusing_inf(pts, max_iters):
+        def hunt_block_refusing_inf(pts):
             if np.isinf(pts).any():
                 raise FloatingPointError("an infinite start")
-            return real_hunt_block(pts, max_iters)
+            return real_hunt_block(pts)
 
         monkeypatch.setattr(solver, "_hunt_block", hunt_block_refusing_inf)
         starts = np.random.default_rng(9).uniform(-START_BOX, START_BOX, size=(5000, 8))
@@ -471,12 +472,12 @@ class TestOracleBlocks:
     def test_error_here_kills_and_reaps_the_workers(self, hunt, monkeypatch):
         caller, real_hunt_block = os.getpid(), solver._hunt_block
 
-        def hunt_block(pts, max_iters):
+        def hunt_block(pts):
             if os.getpid() != caller:
                 threading.Event().wait(60)  # a worker that would outlive the caller unless killed
             else:
                 raise KeyboardInterrupt
-            return real_hunt_block(pts, max_iters)
+            return real_hunt_block(pts)
 
         monkeypatch.setattr(solver, "_hunt_block", hunt_block)
         start = time.monotonic()
@@ -488,11 +489,11 @@ class TestOracleBlocks:
     def test_worker_stdout_is_not_doubled(self, hunt, monkeypatch, capfd):
         caller, real_hunt_block = os.getpid(), solver._hunt_block
 
-        def chatty_hunt_block(pts, max_iters):
+        def chatty_hunt_block(pts):
             if os.getpid() != caller:
                 print("buffered in a worker")  # left in the inherited buffer, which the worker never flushes
                 os.write(1, b"written by a worker\n")
-            return real_hunt_block(pts, max_iters)
+            return real_hunt_block(pts)
 
         # a block-buffered stdout, as when output goes to a pipe, with a line still pending at the fork
         stdout = io.TextIOWrapper(io.BufferedWriter(io.FileIO(os.dup(1), "w")))

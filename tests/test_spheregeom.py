@@ -17,7 +17,6 @@ from isowrist.spheregeom import (
     reflect_about_line,
     reflect_about_plane,
     rotation_about_axis,
-    same_points_up_to_permutation,
     second_moment,
     second_moment_stack,
 )
@@ -111,7 +110,7 @@ class TestPlatonic:
 
     def test_octahedron_is_coordinate_axes(self):
         ps = platonic_vertices(PlatonicSolid.octahedron)
-        assert same_points_up_to_permutation(ps, PointSet(np.vstack([np.eye(3), -np.eye(3)])))
+        assert np.array_equal(ps.array, np.vstack([np.eye(3), -np.eye(3)]))
 
 
 class TestAntipodalExchange:
@@ -259,14 +258,6 @@ class TestPointSet:
         ps = PointSet(TETRAHEDRON)
         with pytest.raises(ValueError):
             ps.array[0, 0] = 2.0
-
-    def test_permutation_equality(self):
-        a = PointSet(TETRAHEDRON)
-        b = PointSet(TETRAHEDRON[::-1])
-        assert same_points_up_to_permutation(a, b)
-        assert not a.allclose(b)
-        c = antipodal_exchange(a, {1})
-        assert not same_points_up_to_permutation(a, c)
 
 
 class TestStackedForms:
