@@ -18,8 +18,8 @@ from .classify import (
 )
 from .kinematics import DHChain, _forward_chain, dh_from_axes_stack, isotropy_report_stack, jacobian_from_axes_stack
 from .solver import (
-    NONVANISHING_FLOOR, SOLUTION_CATALOG, _axes_of, catalog_distances, enumerate_solutions, oracle_root_hunt,
-    residuals, solve_closed_form,
+    NONVANISHING_FLOOR, SOLUTION_CATALOG, _axes_of, _row_gaps, catalog_distances, enumerate_solutions,
+    oracle_root_hunt, residuals, solve_closed_form,
 )
 from .spheregeom import ONE_THIRD as _T, SQRT2_THIRD as _R2, SQRT6_THIRD as _R6, TWO_SQRT2_THIRD as _S2
 from .spheregeom import (
@@ -100,8 +100,8 @@ def _axis_stack(solutions) -> np.ndarray:
 
 
 def _closure_gap(images) -> float:
-    """Largest distance from any of the axis sets (m, 4, 3) to its nearest catalog row, from one distance table."""
-    return float(np.max(np.min(catalog_distances(images), axis=-1)))
+    """Largest distance from the axes of any of the unknowns (m, 8) to their nearest catalog row, from one table."""
+    return float(np.max(np.min(catalog_distances(_axes_of(images)), axis=-1)))
 
 
 def check_solution_residuals(solutions, tolerance) -> CheckResult:
@@ -112,9 +112,8 @@ def check_solution_residuals(solutions, tolerance) -> CheckResult:
 def check_catalog_bijection(solutions, tolerance) -> CheckResult:
     indices = sorted(r.index for r in solutions)
     # records carry the catalog's own doubles, so re-run the cascade from each record's sign pattern
-    cascade = _axes_of([solve_closed_form(r.sign_pattern).components for r in solutions])
-    own_rows = [r.index - 1 for r in solutions]
-    worst = float(np.max(catalog_distances(cascade)[np.arange(len(solutions)), own_rows]))
+    cascade = [solve_closed_form(r.sign_pattern).components for r in solutions]
+    worst = float(np.max(_row_gaps(cascade, [r.index for r in solutions])))
     ok = indices == list(range(1, 33)) and len({r.sign_pattern for r in solutions}) == 32
     return _result("catalog-bijection", worst, tolerance, ok, "closed forms match catalog rows 1..32")
 
@@ -143,13 +142,13 @@ def check_axis_dot_products(solutions, tolerance) -> CheckResult:
 
 
 def check_antipodal_closure(solutions, tolerance) -> CheckResult:
-    images = symmetry_images(_axis_stack(solutions))[: len(ANTIPODAL_SUBSETS)]
+    images = symmetry_images([r.components for r in solutions])[: len(ANTIPODAL_SUBSETS)]
     worst = max(_closure_gap(image) for image in images)
     return _result("antipodal-closure", worst, tolerance, detail="32 solutions closed under antipodal exchanges")
 
 
 def check_reflection_closure(solutions, tolerance) -> CheckResult:
-    images = symmetry_images(_axis_stack(solutions))[len(ANTIPODAL_SUBSETS) :]
+    images = symmetry_images([r.components for r in solutions])[len(ANTIPODAL_SUBSETS) :]
     worst = max(_closure_gap(image) for image in images)
     return _result("reflection-closure", worst, tolerance, detail="32 solutions closed under coordinate reflections")
 

@@ -28,7 +28,7 @@ from .kinematics import (
     DHChain, _forward_chain, dh_from_axes_stack, isotropy_report, isotropy_report_stack, jacobian_from_axes,
     jacobian_from_axes_stack,
 )
-from .solver import SolutionRecord, TRIVIAL_SET_INDEX, _axes_of, _catalog_rows
+from .solver import SolutionRecord, TRIVIAL_SET_INDEX, _AXIS_SLOTS, _axes_of, catalog_rows
 from .spheregeom import ONE_THIRD, PointSet, _antipodal_signs
 
 SIGNATURE_TOL = 1e-9
@@ -48,13 +48,14 @@ REFLECTIONS = {
     "reflect_xz_then_xy": ((0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
 }
 
-#: The factor -1 or 1 of each coordinate of each of the four axes, shape (11, 4, 3): one row per
-#: ANTIPODAL_SUBSETS exchange (whole points flip), then one per REFLECTIONS entry (coordinates flip).
-#: A coordinate normal n makes I - 2 n n^T the diagonal matrix with entries 1 - 2 n^2, each exactly -1 or 1.
+#: The factor -1 or 1 of each unknown (c, s, x, y, z, u, v, w), shape (11, 8): one row per ANTIPODAL_SUBSETS
+#: exchange (whole points flip), then one per REFLECTIONS entry (coordinates flip), read off the axes' factors at
+#: the unknowns' slots.  A coordinate normal n makes I - 2 n n^T the diagonal matrix with entries 1 - 2 n^2, each
+#: exactly -1 or 1.  Every symmetry fixes e_1 = [1, 0, 0].
 _SYMMETRY_SIGNS = np.array(
     [_antipodal_signs(4, subset) * np.ones(3) for subset in ANTIPODAL_SUBSETS]
     + [np.ones((4, 1)) * np.prod(1.0 - 2.0 * np.square(normals), axis=0) for normals in REFLECTIONS.values()]
-)
+).reshape(-1, 12)[:, _AXIS_SLOTS].astype(int)
 _SYMMETRY_SIGNS.setflags(write=False)
 
 
@@ -132,34 +133,25 @@ def chain_orderings() -> list:
     return [(0,) + p for p in itertools.permutations((1, 2, 3))]
 
 
-def _find_by_axes(axes: np.ndarray) -> list:
-    """1-based catalog rows of axis sets (m, 4, 3), from one distance table; raises if one matches no row."""
-    rows = _catalog_rows(axes)
-    if not rows.all():
-        unmatched = axes[int(np.argmin(rows))]
-        raise ArithmeticError(f"axes {unmatched.tolist()} match no catalog row")
-    return rows.tolist()
+def symmetry_images(points) -> np.ndarray:
+    """Images of unknowns (m, 8) under every catalog symmetry: shape (11, m, 8).
 
-
-def symmetry_images(axes: np.ndarray) -> np.ndarray:
-    """Images of axis sets (m, 4, 3) under every catalog symmetry: shape (11, m, 4, 3).
-
-    Images [:8] are the ANTIPODAL_SUBSETS exchanges in order, each equal
-    to antipodal_exchange of the set; images [8:] are the REFLECTIONS in
-    order, each equal to its reflect_about_plane chain up to the sign of
-    exact zeros.
+    Images [:8] are the ANTIPODAL_SUBSETS exchanges in order, images [8:]
+    the REFLECTIONS in order.  The axes of an image equal antipodal_exchange,
+    or the reflect_about_plane chain, of the set's axes up to the sign of
+    exact zeros.  The images of sign vectors are the images' sign vectors.
     """
-    return _SYMMETRY_SIGNS[:, None] * axes
+    return _SYMMETRY_SIGNS[:, None] * np.asarray(points)
 
 
 def antipodal_map_table(solutions: Sequence[SolutionRecord]) -> list:
     """Images of the trivial set under all antipodal exchanges of points 2..4.
 
-    Every image is itself a catalog solution; the empty subset maps the
-    source to itself.
+    Every image is itself a catalog solution, found exactly by its signs;
+    the empty subset maps the source to itself.
     """
     source = next(r for r in solutions if r.index == TRIVIAL_SET_INDEX)
-    targets = _find_by_axes(symmetry_images(_axes_of(source.components))[: len(ANTIPODAL_SUBSETS), 0])
+    targets = catalog_rows(symmetry_images(np.sign([source.components]))[: len(ANTIPODAL_SUBSETS)])
     return [
         SolutionMap(source.index, "antipodal", target, subset) for subset, target in zip(ANTIPODAL_SUBSETS, targets)
     ]
@@ -170,13 +162,14 @@ def reflection_map_table(solutions: Sequence[SolutionRecord]) -> list:
 
     Covers reflection about the x-y plane, about the x-z plane, and both
     in sequence; the double reflection is a half-turn about the x axis
-    and therefore never produces a new wrist.
+    and therefore never produces a new wrist.  Images are found exactly
+    by their signs.
     """
     by_index = {r.index: r for r in solutions}
-    seeds = _axes_of([by_index[seed].components for seed in REFLECTION_SEEDS])
-    images = symmetry_images(seeds)[len(ANTIPODAL_SUBSETS) :].reshape(-1, 4, 3)
+    seeds = np.sign([by_index[seed].components for seed in REFLECTION_SEEDS])
+    targets = catalog_rows(symmetry_images(seeds)[len(ANTIPODAL_SUBSETS) :])
     pairs = itertools.product(REFLECTIONS, REFLECTION_SEEDS)
-    return [SolutionMap(seed, operation, target) for (operation, seed), target in zip(pairs, _find_by_axes(images))]
+    return [SolutionMap(seed, operation, target) for (operation, seed), target in zip(pairs, targets)]
 
 
 _SNAP_CANDIDATES = (0.0, ONE_THIRD, -ONE_THIRD, 0.5, -0.5, 1.0, -1.0)

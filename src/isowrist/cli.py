@@ -129,7 +129,11 @@ def cmd_classify(fmt: str, output: str | None):
 @_output_option("Also write the report to a file.")
 def cmd_verify(tolerance: float, oracle_starts: int, seed: int, output: str | None):
     """Run every invariant check and report worst-case margins."""
-    results = run_checks(tolerance=tolerance, oracle_starts=oracle_starts, seed=seed)
+    try:
+        results = run_checks(tolerance=tolerance, oracle_starts=oracle_starts, seed=seed)
+    except MemoryError as exc:  # only the oracle's arrays grow with a flag
+        message = f"{oracle_starts} starts need more memory than is available"
+        raise click.BadParameter(message, param_hint="'--oracle-starts'") from exc
     width = max(len(r.name) for r in results)
     lines = []
     for r in results:

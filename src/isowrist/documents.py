@@ -16,7 +16,7 @@ import math
 
 from .classify import WristClass, antipodal_map_table, reflection_map_table
 from .kinematics import IsotropyReport
-from .solver import RESIDUAL_TOL, radical_string
+from .solver import CATALOG_RADICALS, RESIDUAL_TOL
 from .spheregeom import PlatonicSolid, isotropy_of, platonic_vertices, second_moment
 
 SCHEMA_VERSION = "1"
@@ -42,7 +42,8 @@ def solution_document(solutions) -> dict:
     for rec in solutions:
         entry = {"index": rec.index}
         entry.update({name: value for name, value in zip(COMPONENT_NAMES, rec.components)})
-        entry["radicals"] = {name: radical_string(value) for name, value in zip(COMPONENT_NAMES, rec.components)}
+        spelled = zip(COMPONENT_NAMES, rec.components, CATALOG_RADICALS)
+        entry["radicals"] = {name: "-" + radical if value < 0 else radical for name, value, radical in spelled}
         entries.append(entry)
     metadata = {**_metadata(), "tolerance": RESIDUAL_TOL}
     return {"schema_version": SCHEMA_VERSION, "metadata": metadata, "solutions": entries}

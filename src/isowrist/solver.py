@@ -17,10 +17,18 @@ and the remaining three follow by back-substitution,
 
     x = -w u / z,   y = -v w / z,   c = u (w y - v z) / (s z).
 
-The 2^5 = 32 sign patterns give the 32 solutions, every component of
-which has magnitude 1/3, sqrt(2)/3, sqrt(6)/3 or 2 sqrt(2)/3.  No
-unknown vanishes at any solution; division guards in the cascade turn
-that argument into runtime assertions.
+The 2^5 = 32 sign patterns give the 32 solutions.  Each unknown k of
+(c, s, x, y, z, u, v, w) is +-sqrt(m_k)/3 at every solution, with
+m = (1, 8, 1, 2, 6, 1, 2, 6).  At these magnitudes the diagonal equations
+and the unit norms hold for any signs s_k (times 9 they read 12 = 12 and
+9 = 9), and the off-diagonal ones reduce to three equations in the signs:
+
+    2 s_c s_s + s_x s_y + s_u s_v = 0,   s_y s_z + s_v s_w = 0,   s_x s_z + s_u s_w = 0.
+
+Exactly 32 of the 2^8 sign vectors solve them, the rows of CATALOG_SIGNS,
+and catalog rows are looked up by their signs exactly.  No unknown
+vanishes at any solution; division guards in the cascade turn that
+argument into runtime assertions.
 
 An independent multi-start damped-Newton root hunt over the residual map
 cross-checks the enumeration: converged starts must cluster at the 32
@@ -56,55 +64,36 @@ BEZOUT_COUNT = 2**8
 #: Sharper mixed-volume bound, quoted for reference; not recomputed here.
 BKK_BOUND_CITED = 192
 
+#: The magnitude sqrt(m_k)/3, m = (1, 8, 1, 2, 6, 1, 2, 6), of each unknown
+#: (c, s, x, y, z, u, v, w) at every solution, and its exact-radical spelling.
+CATALOG_MAGNITUDES = (_T, _S, _T, _R2, _R6, _T, _R2, _R6)
+CATALOG_RADICALS = ("1/3", "2*sqrt(2)/3", "1/3", "sqrt(2)/3", "sqrt(6)/3", "1/3", "sqrt(2)/3", "sqrt(6)/3")
+
+#: The signs of the unknowns (c, s, x, y, z, u, v, w) of the 32 solutions,
+#: one +-1 row each in catalog order 1..32: the one literal statement of the catalog.
+CATALOG_SIGNS = np.array([[1 if sign == "+" else -1 for sign in row] for row in (
+    "+---++++", "+---+---", "+----++-", "+------+",  # rows 1-4
+    "+-+++++-", "+-+++--+", "+-++-+++", "+-++----",  # rows 5-8
+    "++-+++-+", "++-++-+-", "++-+-+--", "++-+--++",  # rows 9-12
+    "+++-++--", "+++-+-++", "+++--+-+", "+++---+-",  # rows 13-16
+    "---+++-+", "---++-+-", "---+--++", "---+-+--",  # rows 17-20
+    "--+-++--", "--+-+-++", "--+---+-", "--+--+-+",  # rows 21-24
+    "-+---++-", "-+-----+", "-+--+---", "-+--++++",  # rows 25-28
+    "-+++----", "-+++-+++", "-++++--+", "-++++++-",  # rows 29-32
+)])
+CATALOG_SIGNS.setflags(write=False)
+
 #: The 32 solutions (c, s, x, y, z, u, v, w), exact radicals in double
-#: precision, in catalog order 1..32.
-SOLUTION_CATALOG = (
-    (_T, -_S, -_T, -_R2, _R6, _T, _R2, _R6),
-    (_T, -_S, -_T, -_R2, _R6, -_T, -_R2, -_R6),
-    (_T, -_S, -_T, -_R2, -_R6, _T, _R2, -_R6),
-    (_T, -_S, -_T, -_R2, -_R6, -_T, -_R2, _R6),
-    (_T, -_S, _T, _R2, _R6, _T, _R2, -_R6),
-    (_T, -_S, _T, _R2, _R6, -_T, -_R2, _R6),
-    (_T, -_S, _T, _R2, -_R6, _T, _R2, _R6),
-    (_T, -_S, _T, _R2, -_R6, -_T, -_R2, -_R6),
-    (_T, _S, -_T, _R2, _R6, _T, -_R2, _R6),
-    (_T, _S, -_T, _R2, _R6, -_T, _R2, -_R6),
-    (_T, _S, -_T, _R2, -_R6, _T, -_R2, -_R6),
-    (_T, _S, -_T, _R2, -_R6, -_T, _R2, _R6),
-    (_T, _S, _T, -_R2, _R6, _T, -_R2, -_R6),
-    (_T, _S, _T, -_R2, _R6, -_T, _R2, _R6),
-    (_T, _S, _T, -_R2, -_R6, _T, -_R2, _R6),
-    (_T, _S, _T, -_R2, -_R6, -_T, _R2, -_R6),
-    (-_T, -_S, -_T, _R2, _R6, _T, -_R2, _R6),
-    (-_T, -_S, -_T, _R2, _R6, -_T, _R2, -_R6),
-    (-_T, -_S, -_T, _R2, -_R6, -_T, _R2, _R6),
-    (-_T, -_S, -_T, _R2, -_R6, _T, -_R2, -_R6),
-    (-_T, -_S, _T, -_R2, _R6, _T, -_R2, -_R6),
-    (-_T, -_S, _T, -_R2, _R6, -_T, _R2, _R6),
-    (-_T, -_S, _T, -_R2, -_R6, -_T, _R2, -_R6),
-    (-_T, -_S, _T, -_R2, -_R6, _T, -_R2, _R6),
-    (-_T, _S, -_T, -_R2, -_R6, _T, _R2, -_R6),
-    (-_T, _S, -_T, -_R2, -_R6, -_T, -_R2, _R6),
-    (-_T, _S, -_T, -_R2, _R6, -_T, -_R2, -_R6),
-    (-_T, _S, -_T, -_R2, _R6, _T, _R2, _R6),
-    (-_T, _S, _T, _R2, -_R6, -_T, -_R2, -_R6),
-    (-_T, _S, _T, _R2, -_R6, _T, _R2, _R6),
-    (-_T, _S, _T, _R2, _R6, -_T, -_R2, _R6),
-    (-_T, _S, _T, _R2, _R6, _T, _R2, -_R6),
+#: precision, in catalog order 1..32: each row of signs times the magnitudes.
+SOLUTION_CATALOG = tuple(
+    tuple(sign * mag for sign, mag in zip(row, CATALOG_MAGNITUDES)) for row in CATALOG_SIGNS.tolist()
 )
 
 #: Index of the trivially isotropic set (the regular tetrahedron) in the catalog.
 TRIVIAL_SET_INDEX = 18
 
-_RADICAL_NAMES = ((_T, "1/3"), (_R2, "sqrt(2)/3"), (_R6, "sqrt(6)/3"), (_S, "2*sqrt(2)/3"))
-
-
-def radical_string(value: float) -> str:
-    """Exact-radical spelling of a catalog component, e.g. '-2*sqrt(2)/3'."""
-    for mag, name in _RADICAL_NAMES:
-        if abs(abs(value) - mag) <= RESIDUAL_TOL:
-            return name if value >= 0 else "-" + name
-    raise ValueError(f"{value!r} is not a catalog radical")
+#: The 1-based catalog row of each row of signs.
+_ROW_OF_SIGNS = {tuple(row): k for k, row in enumerate(CATALOG_SIGNS.tolist(), start=1)}
 
 
 @dataclass(frozen=True)
@@ -137,6 +126,11 @@ class SolutionRecord:
         return PointSet(_axes_of(self.components)[0])
 
 
+#: Where the unknowns (c, s, x, y, z, u, v, w) sit among the 12 coordinates of
+#: the axes e_1..e_4; e_1 = [1, 0, 0] and e_2 lies in the x-y plane.
+_AXIS_SLOTS = [3, 4, 6, 7, 8, 9, 10, 11]
+
+
 def _axes_of(points) -> np.ndarray:
     """Axes e_1..e_4 induced by unknowns (c, s, x, y, z, u, v, w), stacked (m, 8): shape (m, 4, 3).
 
@@ -144,16 +138,15 @@ def _axes_of(points) -> np.ndarray:
     stack costs no PointSet per row; SolutionRecord.axes validates one.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 8)
-    axes = np.zeros((pts.shape[0], 4, 3))
-    axes[:, 0, 0] = 1.0
-    axes[:, 1, :2] = pts[:, :2]
-    axes[:, 2] = pts[:, 2:5]
-    axes[:, 3] = pts[:, 5:]
-    return axes
+    axes = np.zeros((pts.shape[0], 12))
+    axes[:, 0] = 1.0
+    axes[:, _AXIS_SLOTS] = pts
+    return axes.reshape(-1, 4, 3)
 
 
-#: The axes e_1..e_4 of every catalog row, shape (32, 4, 3).
-_CATALOG_AXES = _axes_of(SOLUTION_CATALOG)
+#: The catalog as one (32, 8) array, and the axes e_1..e_4 of every row, shape (32, 4, 3).
+_CATALOG = np.array(SOLUTION_CATALOG)
+_CATALOG_AXES = _axes_of(_CATALOG)
 
 
 def residuals(points) -> np.ndarray:
@@ -249,31 +242,42 @@ def catalog_distances(axes) -> np.ndarray:
     return np.max(np.abs(np.asarray(axes, dtype=float)[..., None, :, :] - _CATALOG_AXES), axis=(-2, -1))
 
 
-def _catalog_rows(axes) -> np.ndarray:
-    """1-based catalog rows of axis sets (..., 4, 3), from one distance table: shape (...), 0 where none matches.
+def catalog_rows(signs) -> list:
+    """1-based catalog rows of sign vectors (m, 8), each equal to a row of CATALOG_SIGNS.
 
-    A row matches when its axes e_1..e_4 all lie within RESIDUAL_TOL.
-    Catalog rows lie at least 2/3 apart in max-norm, so at most one row matches.
+    The lookup is exact: a vector matches only the row whose entries it
+    equals, so one holding a 0 or a NaN matches none.  Raises
+    ArithmeticError for the first vector that matches no row.
     """
-    hits = catalog_distances(axes) <= RESIDUAL_TOL
-    return np.where(hits.any(axis=-1), np.argmax(hits, axis=-1) + 1, 0)
+    vectors = np.asarray(signs).reshape(-1, 8).tolist()
+    rows = [_ROW_OF_SIGNS.get(tuple(v)) for v in vectors]
+    if None in rows:
+        raise ArithmeticError(f"signs {vectors[rows.index(None)]} match no catalog row")
+    return rows
+
+
+def _row_gaps(points, rows) -> np.ndarray:
+    """Max-norm distances from unknowns (m, 8) to their 1-based catalog rows, shape (m,), as in catalog_distances."""
+    return np.max(np.abs(np.asarray(points, dtype=float) - _CATALOG[np.asarray(rows) - 1]), axis=-1)
 
 
 def enumerate_solutions() -> list:
     """All 32 solutions, matched bijectively to the catalog and sorted.
 
-    Raises if any branch fails to match a catalog row within
-    RESIDUAL_TOL or if the branch-to-row assignment is not a bijection.
+    Each branch is matched to the catalog row of its signs and must lie
+    within RESIDUAL_TOL of that row in max-norm.  Raises if a branch has
+    no such row or if the branch-to-row assignment is not a bijection.
     The returned records carry the catalog's exact-radical doubles; the
     floating-point output of the cascade only serves to establish the
     match.
     """
     records = [solve_closed_form(pattern) for pattern in sign_patterns()]
-    rows = _catalog_rows(_axes_of([rec.components for rec in records]))
+    points = np.array([rec.components for rec in records])
+    rows = catalog_rows(np.sign(points))
     by_index: dict[int, SolutionRecord] = {}
-    for rec, idx in zip(records, rows.tolist()):
-        if not idx:
-            raise ArithmeticError(f"closed-form solution {rec.components} matches no catalog row")
+    for rec, idx, gap in zip(records, rows, _row_gaps(points, rows).tolist()):
+        if not gap <= RESIDUAL_TOL:
+            raise ArithmeticError(f"closed-form solution {rec.components} matches no catalog row ({gap!r} from {idx})")
         if idx in by_index:
             raise ArithmeticError(f"catalog row {idx} matched by two sign patterns")
         by_index[idx] = SolutionRecord(*SOLUTION_CATALOG[idx - 1], index=idx, sign_pattern=rec.sign_pattern)

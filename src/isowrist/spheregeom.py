@@ -168,29 +168,18 @@ def isotropy_of_stack(h: np.ndarray):
     return (dev <= ISO_TOL) & (sigma_sq > ISO_TOL), sigma_sq
 
 
-def _icosahedron_vertices() -> np.ndarray:
-    p = _GOLDEN
-    raw = []
-    for a in (-1.0, 1.0):
-        for b in (-p, p):
-            raw.append([0.0, a, b])
-            raw.append([a, b, 0.0])
-            raw.append([b, 0.0, a])
-    v = np.array(raw)
+def _cyclic_points(a: float, b: float) -> list:
+    """The points (0, +-a, +-b) and their cyclic shifts (+-a, +-b, 0) and (+-b, 0, +-a), the sign of a outermost."""
+    return [pt for sa in (-a, a) for sb in (-b, b) for pt in ([0.0, sa, sb], [sa, sb, 0.0], [sb, 0.0, sa])]
+
+
+def _unit_rows(points: list) -> np.ndarray:
+    """The points, each scaled to unit norm, as an (n, 3) array."""
+    v = np.array(points, dtype=float)
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _dodecahedron_vertices() -> np.ndarray:
-    p = _GOLDEN
-    q = 1.0 / p
-    raw = [[sx, sy, sz] for sx in (-1.0, 1.0) for sy in (-1.0, 1.0) for sz in (-1.0, 1.0)]
-    for a in (-q, q):
-        for b in (-p, p):
-            raw.append([0.0, a, b])
-            raw.append([a, b, 0.0])
-            raw.append([b, 0.0, a])
-    v = np.array(raw)
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+_CUBE_CORNERS = [[sx, sy, sz] for sx in (-1.0, 1.0) for sy in (-1.0, 1.0) for sz in (-1.0, 1.0)]
 
 
 def platonic_vertices(kind: PlatonicSolid) -> PointSet:
@@ -205,12 +194,11 @@ def platonic_vertices(kind: PlatonicSolid) -> PointSet:
     if kind is PlatonicSolid.octahedron:
         return PointSet(np.vstack([np.eye(3), -np.eye(3)]))
     if kind is PlatonicSolid.cube:
-        corners = [[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)]
-        return PointSet(np.array(corners, dtype=float) / math.sqrt(3.0))
+        return PointSet(np.array(_CUBE_CORNERS) / math.sqrt(3.0))
     if kind is PlatonicSolid.icosahedron:
-        return PointSet(_icosahedron_vertices())
+        return PointSet(_unit_rows(_cyclic_points(1.0, _GOLDEN)))
     if kind is PlatonicSolid.dodecahedron:
-        return PointSet(_dodecahedron_vertices())
+        return PointSet(_unit_rows(_CUBE_CORNERS + _cyclic_points(1.0 / _GOLDEN, _GOLDEN)))
     raise ValueError(f"unknown Platonic solid: {kind!r}")
 
 

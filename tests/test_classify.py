@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -11,7 +12,6 @@ from isowrist.classify import (
     REFLECTION_SEEDS,
     REFLECTIONS,
     SolutionMap,
-    _find_by_axes,
     ClassMember,
     WristClass,
     antipodal_map_table,
@@ -25,7 +25,9 @@ from isowrist.classify import (
 from isowrist.kinematics import (
     DHChain, _forward_chain, dh_from_axes, isotropy_report_stack, jacobian_from_axes_stack,
 )
-from isowrist.solver import TRIVIAL_SET_INDEX, _axes_of, _catalog_rows, enumerate_solutions
+from isowrist.solver import (
+    RESIDUAL_TOL, TRIVIAL_SET_INDEX, _axes_of, catalog_distances, catalog_rows, enumerate_solutions,
+)
 from isowrist.spheregeom import (
     PointSet, antipodal_exchange, reflect_about_line, reflect_about_plane, rotation_about_axis,
 )
@@ -296,10 +298,11 @@ def nearest_axes(img: PointSet, solutions) -> np.ndarray:
 
 
 def per_image_find(axes: PointSet) -> int:
-    index = int(_catalog_rows(axes.array))
-    if not index:
-        raise ArithmeticError(f"axes {axes.array.tolist()} match no catalog row")
-    return index
+    """The 1-based catalog row within RESIDUAL_TOL of axes in max-norm, found by float distance, not by sign."""
+    (hits,) = np.nonzero(catalog_distances(axes.array) <= RESIDUAL_TOL)
+    if hits.size != 1:
+        raise ArithmeticError(f"axes {axes.array.tolist()} match {hits.size} catalog rows")
+    return int(hits[0]) + 1
 
 
 def per_plane_reflection(axes: PointSet, operation: str) -> PointSet:
@@ -330,15 +333,17 @@ def per_image_reflection_map_table(solutions):
 
 class TestStackedSymmetryImages:
     def test_antipodal_images_equal_single_exchanges(self, solutions):
-        images = symmetry_images(_axes_of([r.components for r in solutions]))
-        assert images.shape == (11, 32, 4, 3)
+        images = symmetry_images([r.components for r in solutions])
+        assert images.shape == (11, 32, 8)
+        images = _axes_of(images).reshape(11, 32, 4, 3)
         for i, subset in enumerate(ANTIPODAL_SUBSETS):
             for k, rec in enumerate(solutions):
                 assert np.array_equal(images[i, k], antipodal_exchange(rec.axes, subset).array)
 
     @pytest.mark.parametrize("operation", list(REFLECTIONS))
     def test_reflection_images_equal_single_reflections(self, solutions, operation):
-        images = symmetry_images(_axes_of([r.components for r in solutions]))[8 + list(REFLECTIONS).index(operation)]
+        images = symmetry_images([r.components for r in solutions])[8 + list(REFLECTIONS).index(operation)]
+        images = _axes_of(images)
         assert images.shape == (32, 4, 3)
         for k, rec in enumerate(solutions):
             # equal as numbers; a reflected exact zero may differ from the matmul's in its sign alone
@@ -357,9 +362,13 @@ class TestStackedSymmetryImages:
         assert reflection_map_table(seeds[::-1]) == per_image_reflection_map_table(solutions)
 
     def test_unmatched_image_raises_with_its_axes(self, solutions):
-        stack = _axes_of([r.components for r in solutions[:3]])
-        stack[1, 3] = stack[1, 3, ::-1]
+        stack = np.sign([r.components for r in solutions[:3]])
+        stack[1, 0] = -stack[1, 0]  # flipping c alone breaks the first sign equation
         with pytest.raises(ArithmeticError, match="match no catalog row") as info:
-            _find_by_axes(stack)
+            catalog_rows(stack)
         assert str(stack[1].tolist()) in str(info.value)
-        assert _find_by_axes(stack[::2]) == [1, 3]
+        assert catalog_rows(stack[::2]) == [1, 3]
+        trivial = solutions[TRIVIAL_SET_INDEX - 1]
+        broken = [dataclasses.replace(trivial, c=-trivial.c)]
+        with pytest.raises(ArithmeticError, match="match no catalog row"):
+            antipodal_map_table(broken)

@@ -355,6 +355,7 @@ GOLDEN_COMMANDS = {
     "platonic-cube.json": ["platonic", "cube", "--format", "json"],
     "platonic-icosahedron.txt": ["platonic", "icosahedron"],
     "platonic-icosahedron.json": ["platonic", "icosahedron", "--format", "json"],
+    "platonic-dodecahedron.json": ["platonic", "dodecahedron", "--format", "json"],
     "verify-quick-seed7.txt": ["verify", "--oracle-starts", "0", "--seed", "7"],
     "verify-quick-seed125.txt": ["verify", "--oracle-starts", "0", "--seed", "125"],
     "verify-seed0.txt": ["verify", "--seed", "0"],
@@ -427,3 +428,13 @@ class TestPlatonic:
     def test_unknown_kind_is_usage_error(self, runner):
         result = runner.invoke(cli, ["platonic", "sphere"])
         assert result.exit_code == 2
+
+
+def test_unallocatable_oracle_starts_is_usage_error(runner):
+    # numpy refuses the (10**14, 8) draw of starts, 5.7 PiB, at once: before any allocation or fork
+    result = runner.invoke(cli, ["verify", "--oracle-starts", str(10**14)], catch_exceptions=False)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "Traceback" not in result.output
+    message = "Error: Invalid value for '--oracle-starts': 100000000000000 starts need more memory than is available"
+    assert [line for line in result.stderr.splitlines() if line.startswith("Error")] == [message]

@@ -13,28 +13,31 @@ import numpy as np
 import pytest
 
 from isowrist import solver
+from isowrist.classify import _SYMMETRY_SIGNS, ANTIPODAL_SUBSETS, REFLECTIONS
 from isowrist.checks import check_catalog_bijection, check_distinctness, check_nonvanishing, check_oracle
 from isowrist.solver import (
     _axes_of,
-    _catalog_rows,
     _cluster,
     _jacobian_batch,
     _newton_steps,
     _SOLVE_CHUNK,
     BEZOUT_COUNT,
     BKK_BOUND_CITED,
+    CATALOG_MAGNITUDES,
+    CATALOG_SIGNS,
     SOLUTION_CATALOG,
     START_BOX,
     TRIVIAL_SET_INDEX,
     SolutionRecord,
     catalog_distances,
+    catalog_rows,
     enumerate_solutions,
     oracle_root_hunt,
-    radical_string,
     residuals,
     sign_patterns,
     solve_closed_form,
 )
+from isowrist.documents import solution_document
 from isowrist.spheregeom import TETRAHEDRON
 
 T = 1.0 / 3.0
@@ -88,8 +91,7 @@ class TestClosedForm:
     def test_single_sign_flip_changes_solution(self):
         base = solve_closed_form((1, 1, 1, -1, 1))
         flipped = solve_closed_form((-1, 1, 1, -1, 1))
-        assert _catalog_rows(base.axes.array) == 1
-        assert _catalog_rows(flipped.axes.array) == 4
+        assert catalog_rows(np.sign([base.components, flipped.components])) == [1, 4]
 
     def test_rejects_bad_pattern(self):
         with pytest.raises(ValueError, match="sign pattern"):
@@ -137,6 +139,22 @@ class TestEnumerate:
             for i, j in itertools.combinations(range(4), 2):
                 assert abs(abs(float(a[i] @ a[j])) - 1.0 / 3.0) < 1e-12
 
+    @pytest.mark.parametrize(("offset", "matches"), [(1e-13, True), (1e-11, False)])
+    def test_branch_must_lie_within_tolerance_of_its_row(self, monkeypatch, offset, matches):
+        # row 1's branch keeps its signs but moves off its row: 1e-11 is beyond RESIDUAL_TOL, so no match
+        cascade = solver.solve_closed_form
+
+        def shifted(pattern):
+            rec = cascade(pattern)
+            return dataclasses.replace(rec, c=rec.c + offset) if pattern == (1, 1, 1, -1, 1) else rec
+
+        monkeypatch.setattr(solver, "solve_closed_form", shifted)
+        if matches:
+            assert solver.enumerate_solutions()[0].components == SOLUTION_CATALOG[0]
+        else:
+            with pytest.raises(ArithmeticError, match="matches no catalog row"):
+                solver.enumerate_solutions()
+
     def test_xy_reflection_maps_18_to_19(self):
         recs = enumerate_solutions()
         r18, r19 = recs[17], recs[18]
@@ -149,19 +167,92 @@ class TestEnumerate:
 class TestCatalogLookup:
     def test_each_row_matches_itself(self):
         for k, row in enumerate(SOLUTION_CATALOG, start=1):
-            assert _catalog_rows(SolutionRecord(*row).axes.array) == k
+            assert catalog_rows(np.sign(row)) == [k]
+            assert catalog_rows(CATALOG_SIGNS[k - 1]) == [k]
 
     def test_far_axis_set_matches_nothing(self):
         far = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
         assert np.min(catalog_distances(far)) > 0.5
-        assert _catalog_rows(far) == 0
-        assert _catalog_rows(np.full((4, 3), np.nan)) == 0  # NaN lies within no tolerance of any row
+        # all plus fails the first sign equation; a 0 or a NaN equals no sign
+        for signs in ((1,) * 8, (0,) + tuple(CATALOG_SIGNS[0, 1:]), np.full(8, np.nan)):
+            with pytest.raises(ArithmeticError, match="match no catalog row"):
+                catalog_rows(signs)
 
     def test_distances_broadcast_over_stacks(self):
         stack = np.array([r.axes.array for r in enumerate_solutions()])
         d = catalog_distances(stack)
         assert d.shape == (32, 32)
         assert np.array_equal(np.diag(d), np.zeros(32))
+
+
+#: Each magnitude is sqrt(m_k)/3; the positions of the unknowns (c, s, x, y, z, u, v, w).
+M = (1, 8, 1, 2, 6, 1, 2, 6)
+C, S, X, Y, Z, U, V, W = range(8)
+
+#: The unknowns each generator of the catalog's (Z/2)^5 symmetry group flips.
+GENERATORS = {
+    (2,): (C, S),  # antipodal e_2
+    (3,): (X, Y, Z),  # antipodal e_3
+    (4,): (U, V, W),  # antipodal e_4
+    "reflect_xy": (Z, W),
+    "reflect_xz": (S, Y, V),
+}
+
+
+def solves_sign_equations(s) -> bool:
+    """Whether a +-1 vector (c, s, x, y, z, u, v, w) solves the three sign equations."""
+    sums = (2 * s[C] * s[S] + s[X] * s[Y] + s[U] * s[V], s[Y] * s[Z] + s[V] * s[W], s[X] * s[Z] + s[U] * s[W])
+    return sums == (0, 0, 0)
+
+
+class TestExactSigns:
+    """The catalog as integer sign vectors over the magnitudes sqrt(m_k)/3, checked without floats."""
+
+    def test_magnitudes_are_the_table_columns(self):
+        assert CATALOG_MAGNITUDES == pytest.approx([math.sqrt(m) / 3.0 for m in M], rel=1e-15, abs=0.0)
+        assert np.array_equal(np.sign(SOLUTION_CATALOG), CATALOG_SIGNS)
+        assert CATALOG_SIGNS.shape == (32, 8) and not CATALOG_SIGNS.flags.writeable
+
+    def test_exactly_the_table_rows_solve_the_sign_equations(self):
+        roots = [s for s in itertools.product((1, -1), repeat=8) if solves_sign_equations(s)]
+        assert len(roots) == 32
+        assert sorted(roots) == sorted(map(tuple, CATALOG_SIGNS.tolist()))
+
+    def test_scaled_equations_are_integer_identities(self):
+        # 9 x (equations 1-3, 7, 8): any signs solve them, since 9 u^2 = m_u and so on
+        assert 9 + M[C] + M[X] + M[U] == 12
+        assert M[S] + M[Y] + M[V] == 12
+        assert M[Z] + M[W] == 12
+        assert M[C] + M[S] == 9
+        assert M[X] + M[Y] + M[Z] == 9
+        # 9 x (equations 4-6): 9 |a b| = sqrt(m_a m_b) = k sqrt(r), with one radicand r per equation
+        for terms, radicand, coefficients in [
+            (((C, S), (X, Y), (U, V)), 2, (2, 1, 1)),  # sqrt(2) (2 s_c s_s + s_x s_y + s_u s_v)
+            (((Y, Z), (V, W)), 3, (2, 2)),  # 2 sqrt(3) (s_y s_z + s_v s_w)
+            (((X, Z), (U, W)), 6, (1, 1)),  # sqrt(6) (s_x s_z + s_u s_w)
+        ]:
+            assert [M[i] * M[j] for i, j in terms] == [radicand * k * k for k in coefficients]
+
+    def test_generators_permute_the_rows(self):
+        rows = set(map(tuple, CATALOG_SIGNS.tolist()))
+        table = dict(zip(list(ANTIPODAL_SUBSETS) + list(REFLECTIONS), _SYMMETRY_SIGNS.tolist()))
+        flips = [[-1 if k in flipped else 1 for k in range(8)] for flipped in GENERATORS.values()]
+        assert [table[name] for name in GENERATORS] == flips  # the library's table flips the same unknowns
+
+        def apply(flip, row):
+            return tuple(f * v for f, v in zip(flip, row))
+
+        for flip in flips:
+            assert {apply(flip, row) for row in rows} == rows
+        orbit = {tuple(CATALOG_SIGNS[TRIVIAL_SET_INDEX - 1].tolist())}
+        for _ in range(5):
+            orbit |= {apply(flip, row) for flip in flips for row in orbit}
+        assert orbit == rows  # the five flips generate a group acting simply transitively on the rows
+
+    def test_sign_pattern_is_read_off_the_row(self):
+        for rec in enumerate_solutions():
+            s = CATALOG_SIGNS[rec.index - 1].tolist()
+            assert rec.sign_pattern == (s[U], s[Z] * s[U], s[V] * s[U], s[S], s[W])
 
 
 class TestStackedCatalogLookup:
@@ -174,15 +265,12 @@ class TestStackedCatalogLookup:
         assert np.array_equal(SolutionRecord(*ROW_18).axes.array, _axes_of(ROW_18)[0])
 
     def test_rows_equal_single_lookups(self):
-        rng = np.random.default_rng(5)
-        axes = _axes_of(SOLUTION_CATALOG)
-        noisy = axes + rng.choice([0.0, 1e-13, 1e-11], size=(32, 1, 1))
-        stack = np.concatenate([axes, noisy, axes[:, ::-1]])
-        rows = _catalog_rows(stack)
-        assert rows.shape == (96,)
-        assert [int(_catalog_rows(a)) for a in stack] == rows.tolist()
-        assert rows[:32].tolist() == list(range(1, 33))
-        assert not rows[64:].any()
+        order = np.random.default_rng(5).permutation(32)
+        stack = np.concatenate([CATALOG_SIGNS, CATALOG_SIGNS[order]])
+        rows = catalog_rows(stack)
+        assert [catalog_rows(v)[0] for v in stack] == rows
+        assert rows == list(range(1, 33)) + (order + 1).tolist()
+        assert catalog_rows(stack.astype(float)) == rows  # float signs look up the same rows
 
 
 class TestNonvanishing:
@@ -249,7 +337,7 @@ class TestCatalogChecks:
 
 class TestRadicalStrings:
     def test_row_one_spellings(self):
-        names = [radical_string(v) for v in ROW_1]
+        names = list(solution_document(enumerate_solutions())["solutions"][0]["radicals"].values())
         assert names == [
             "1/3",
             "-2*sqrt(2)/3",
@@ -261,9 +349,9 @@ class TestRadicalStrings:
             "sqrt(6)/3",
         ]
 
-    def test_rejects_non_catalog_value(self):
-        with pytest.raises(ValueError):
-            radical_string(0.5)
+    def test_spellings_name_the_magnitudes(self):
+        for name, magnitude in zip(solver.CATALOG_RADICALS, CATALOG_MAGNITUDES):
+            assert eval(name, {"__builtins__": {}, "sqrt": math.sqrt}) == magnitude
 
 
 class TestOracle:
