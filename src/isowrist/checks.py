@@ -19,7 +19,7 @@ from .classify import (
 from .kinematics import DHChain, _forward_chain, dh_from_axes_stack, isotropy_report_stack, jacobian_from_axes_stack
 from .solver import (
     NONVANISHING_FLOOR, SOLUTION_CATALOG, _axes_of, _row_gaps, catalog_distances, enumerate_solutions,
-    oracle_root_hunt, residuals, solve_closed_form,
+    oracle_root_hunt, residuals, solve_closed_form_stack,
 )
 from .spheregeom import ONE_THIRD as _T, SQRT2_THIRD as _R2, SQRT6_THIRD as _R6, TWO_SQRT2_THIRD as _S2
 from .spheregeom import (
@@ -112,7 +112,7 @@ def check_solution_residuals(solutions, tolerance) -> CheckResult:
 def check_catalog_bijection(solutions, tolerance) -> CheckResult:
     indices = sorted(r.index for r in solutions)
     # records carry the catalog's own doubles, so re-run the cascade from each record's sign pattern
-    cascade = [solve_closed_form(r.sign_pattern).components for r in solutions]
+    cascade = solve_closed_form_stack([r.sign_pattern for r in solutions])
     worst = float(np.max(_row_gaps(cascade, [r.index for r in solutions])))
     ok = indices == list(range(1, 33)) and len({r.sign_pattern for r in solutions}) == 32
     return _result("catalog-bijection", worst, tolerance, ok, "closed forms match catalog rows 1..32")

@@ -144,16 +144,29 @@ def symmetry_images(points) -> np.ndarray:
     return _SYMMETRY_SIGNS[:, None] * np.asarray(points)
 
 
+def _components_of(solutions: Sequence[SolutionRecord], indices) -> list:
+    """Components of the records with these catalog indices, in order.
+
+    Raises ArithmeticError naming the first index that no record carries.
+    """
+    by_index = {r.index: r.components for r in solutions}
+    missing = [i for i in indices if i not in by_index]
+    if missing:
+        raise ArithmeticError(f"no solution record for catalog index {missing[0]}")
+    return [by_index[i] for i in indices]
+
+
 def antipodal_map_table(solutions: Sequence[SolutionRecord]) -> list:
     """Images of the trivial set under all antipodal exchanges of points 2..4.
 
     Every image is itself a catalog solution, found exactly by its signs;
     the empty subset maps the source to itself.
     """
-    source = next(r for r in solutions if r.index == TRIVIAL_SET_INDEX)
-    targets = catalog_rows(symmetry_images(np.sign([source.components]))[: len(ANTIPODAL_SUBSETS)])
+    source = np.sign(_components_of(solutions, [TRIVIAL_SET_INDEX]))
+    targets = catalog_rows(symmetry_images(source)[: len(ANTIPODAL_SUBSETS)])
     return [
-        SolutionMap(source.index, "antipodal", target, subset) for subset, target in zip(ANTIPODAL_SUBSETS, targets)
+        SolutionMap(TRIVIAL_SET_INDEX, "antipodal", target, subset)
+        for subset, target in zip(ANTIPODAL_SUBSETS, targets)
     ]
 
 
@@ -165,21 +178,31 @@ def reflection_map_table(solutions: Sequence[SolutionRecord]) -> list:
     and therefore never produces a new wrist.  Images are found exactly
     by their signs.
     """
-    by_index = {r.index: r for r in solutions}
-    seeds = np.sign([by_index[seed].components for seed in REFLECTION_SEEDS])
+    seeds = np.sign(_components_of(solutions, REFLECTION_SEEDS))
     targets = catalog_rows(symmetry_images(seeds)[len(ANTIPODAL_SUBSETS) :])
     pairs = itertools.product(REFLECTIONS, REFLECTION_SEEDS)
     return [SolutionMap(seed, operation, target) for (operation, seed), target in zip(pairs, targets)]
 
 
-_SNAP_CANDIDATES = (0.0, ONE_THIRD, -ONE_THIRD, 0.5, -0.5, 1.0, -1.0)
+#: The values a signature cosine snaps to, in the order they are tried.
+_SNAP_CANDIDATES = np.array((0.0, ONE_THIRD, -ONE_THIRD, 0.5, -0.5, 1.0, -1.0))
 
 
-def _snap(v: float) -> float:
-    for cand in _SNAP_CANDIDATES:
-        if abs(v - cand) <= SIGNATURE_TOL:
-            return cand
-    return round(v, 9)
+def _snapped_cosines(angles: np.ndarray) -> list:
+    """Cosines of angles (m, k), snapped, as m lists of k floats.
+
+    A cosine within SIGNATURE_TOL of a _SNAP_CANDIDATES value becomes the
+    first such value; any other is rounded to 9 decimals.  The cosines are
+    math.cos and the rounding is round, mapped over the values, since
+    np.cos and np.round may differ from them in the last bit.
+    """
+    cos = np.array([math.cos(a) for a in angles.ravel().tolist()]).reshape(angles.shape)
+    near = np.abs(cos[..., None] - _SNAP_CANDIDATES) <= SIGNATURE_TOL
+    snapped = near.any(axis=-1)
+    values = np.where(snapped, _SNAP_CANDIDATES[np.argmax(near, axis=-1)], cos).tolist()
+    for i, j in zip(*np.nonzero(~snapped)):
+        values[i][j] = round(values[i][j], 9)
+    return values
 
 
 def canonical_signature(dh: DHChain) -> CanonicalSignature:
@@ -192,16 +215,15 @@ def canonical_signature(dh: DHChain) -> CanonicalSignature:
     """
     if dh.n != 4:
         raise ValueError(f"expected a 4-axis chain, got n={dh.n}")
-    return _signature(dh.twists, dh.joints[1], dh.joints[2])
+    return _signatures([dh.twists], [dh.joints[1:3]])[0]
 
 
-def _signature(twists, t2: float, t3: float) -> CanonicalSignature:
-    """canonical_signature of the 4-axis chain with these twists and interior joints."""
-    return CanonicalSignature(
-        tuple(_snap(math.cos(a)) for a in twists),
-        (_snap(math.cos(t2)), _snap(math.cos(t3))),
-        int(np.sign(t2) * np.sign(t3)),
-    )
+def _signatures(twists, interior) -> list:
+    """canonical_signature of each 4-axis chain with twists (m, 3) and interior joints (m, 2), in one pass."""
+    twists, interior = np.asarray(twists, dtype=float), np.asarray(interior, dtype=float)
+    cosines = _snapped_cosines(np.concatenate([twists, interior], axis=1))
+    products = (np.sign(interior[:, 0]) * np.sign(interior[:, 1])).tolist()
+    return [CanonicalSignature(tuple(cos[:3]), tuple(cos[3:]), int(p)) for cos, p in zip(cosines, products)]
 
 
 _COS_ACUTE = ONE_THIRD  # cos 70.5 deg
@@ -221,7 +243,7 @@ CLASS_PATTERNS = {
 }
 
 
-#: Class label by signature.  _snap puts every cosine within SIGNATURE_TOL
+#: Class label by signature.  _snapped_cosines puts every cosine within SIGNATURE_TOL
 #: of a pattern value exactly onto it, so a lookup is an exact match.
 _LABELS = {pat: label for label, pat in CLASS_PATTERNS.items()}
 
@@ -256,16 +278,18 @@ def distinct_wrists(solutions: Sequence[SolutionRecord]) -> list:
     classes.
     """
     orderings = chain_orderings()
-    chains = [(rec.index, ordering) for rec in solutions for ordering in orderings]
+    positions = [tuple(i + 1 for i in ordering) for ordering in orderings]
+    chains = [(rec.index, position) for rec in solutions for position in positions]
     axes = _axes_of([rec.components for rec in solutions])
     twists, joints = dh_from_axes_stack(axes[:, orderings].reshape(-1, 4, 3))
+    signatures = _signatures(twists, joints[:, 1:3])
     interior = joints[:, 1:3].tolist()
     signs = np.sign(joints[:, 1:3]).astype(int).tolist()
     twists = twists.tolist()
     groups: dict[CanonicalSignature, list] = {}
-    for k, (index, ordering) in enumerate(chains):
-        member = ClassMember(index, tuple(i + 1 for i in ordering), tuple(signs[k]))
-        groups.setdefault(_signature(twists[k], *interior[k]), []).append((member, k))
+    for k, (index, position) in enumerate(chains):
+        member = ClassMember(index, position, tuple(signs[k]))
+        groups.setdefault(signatures[k], []).append((member, k))
     if len(groups) != 8:
         dump = "\n".join(str(sig) for sig in sorted(groups))
         raise ArithmeticError(f"expected 8 signature classes, got {len(groups)}:\n{dump}")

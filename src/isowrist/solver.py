@@ -17,7 +17,10 @@ and the remaining three follow by back-substitution,
 
     x = -w u / z,   y = -v w / z,   c = u (w y - v z) / (s z).
 
-The 2^5 = 32 sign patterns give the 32 solutions.  Each unknown k of
+The 2^5 = 32 sign patterns give the 32 solutions.  The cascade runs as
+one array pass over a stack of sign patterns, with the same operations in
+the same order for every row, so a row does not depend on the others and
+one pattern gives the same bits alone or in the stack.  Each unknown k of
 (c, s, x, y, z, u, v, w) is +-sqrt(m_k)/3 at every solution, with
 m = (1, 8, 1, 2, 6, 1, 2, 6).  At these magnitudes the diagonal equations
 and the unit norms hold for any signs s_k (times 9 they read 12 = 12 and
@@ -206,32 +209,46 @@ def sign_patterns() -> list:
     return list(itertools.product((1, -1), repeat=5))
 
 
-def solve_closed_form(pattern: Sequence[int]) -> SolutionRecord:
-    """Evaluate the elimination cascade for one square-root sign pattern.
+def solve_closed_form_stack(patterns) -> np.ndarray:
+    """Evaluate the elimination cascade for square-root sign patterns (m, 5): unknowns (m, 8).
 
-    pattern is (s_u, s_z, s_v, s_s, s_w) with entries +-1.  Every one of
-    the 32 patterns is regular: the divisions by z and s are guarded by
-    runtime assertions (|z| = sqrt(6)/3, |s| = 2 sqrt(2)/3 always).
+    Each row of patterns is (s_u, s_z, s_v, s_s, s_w) with entries +-1, and
+    row k of the result is (c, s, x, y, z, u, v, w) for row k of patterns.
+    Every one of the 32 patterns is regular: the divisions by z and s are
+    guarded by runtime assertions (|z| = sqrt(6)/3, |s| = 2 sqrt(2)/3
+    always), and one residual evaluation checks every row.
     """
-    s_u, s_z, s_v, s_s, s_w = (int(b) for b in pattern)
-    for b in (s_u, s_z, s_v, s_s, s_w):
-        if b not in (1, -1):
-            raise ValueError(f"sign pattern entries must be +-1, got {pattern!r}")
+    signs = np.asarray(patterns)
+    if signs.ndim != 2 or signs.shape[1] != 5:
+        raise ValueError(f"expected sign patterns of 5 entries (s_u, s_z, s_v, s_s, s_w), got shape {signs.shape}")
+    bad = ~((signs == 1) | (signs == -1)).all(axis=1)
+    if bad.any():
+        raise ValueError(f"sign pattern entries must be +-1, got {signs[bad][0].tolist()!r}")
+    s_u, s_z, s_v, s_s, s_w = signs.T.astype(float)
     u = s_u * (1.0 / 3.0)
     z = s_z * math.sqrt(6.0) * u
     v = s_v * math.sqrt(2.0) * u
     s = s_s * (2.0 * math.sqrt(2.0) / 3.0)
-    w = s_w * (1.0 / 3.0) * math.sqrt(6.0 * (2.0 - 9.0 * u * u))
-    if abs(z) < 0.1 or abs(s) < 0.1:
-        raise ArithmeticError(f"vanishing divisor in back-substitution: z={z!r}, s={s!r}")
+    w = s_w * (1.0 / 3.0) * np.sqrt(6.0 * (2.0 - 9.0 * u * u))
+    vanishing = (np.abs(z) < 0.1) | (np.abs(s) < 0.1)
+    if vanishing.any():
+        k = int(np.argmax(vanishing))
+        raise ArithmeticError(f"vanishing divisor in back-substitution: z={float(z[k])!r}, s={float(s[k])!r}")
     x = -w * u / z
     y = -v * w / z
     c = u * (w * y - v * z) / (s * z)
-    rec = SolutionRecord(c, s, x, y, z, u, v, w, sign_pattern=(s_u, s_z, s_v, s_s, s_w))
-    worst = float(np.max(np.abs(residuals(rec.components))))
-    if worst > RESIDUAL_TOL:
-        raise ArithmeticError(f"closed-form solution violates the system: residual {worst!r}")
-    return rec
+    points = np.stack([c, s, x, y, z, u, v, w], axis=-1)
+    worst = np.max(np.abs(residuals(points)), axis=-1)
+    if not (worst <= RESIDUAL_TOL).all():
+        raise ArithmeticError(f"closed-form solution violates the system: residual {float(np.max(worst))!r}")
+    return points
+
+
+def solve_closed_form(pattern: Sequence[int]) -> SolutionRecord:
+    """The elimination cascade for one sign pattern (s_u, s_z, s_v, s_s, s_w): solve_closed_form_stack with m = 1."""
+    signs = np.asarray(pattern)[None]
+    point = solve_closed_form_stack(signs)[0]
+    return SolutionRecord(*point.tolist(), sign_pattern=tuple(int(b) for b in signs[0]))
 
 
 def catalog_distances(axes) -> np.ndarray:
@@ -271,16 +288,16 @@ def enumerate_solutions() -> list:
     floating-point output of the cascade only serves to establish the
     match.
     """
-    records = [solve_closed_form(pattern) for pattern in sign_patterns()]
-    points = np.array([rec.components for rec in records])
+    patterns = sign_patterns()
+    points = solve_closed_form_stack(patterns)
     rows = catalog_rows(np.sign(points))
     by_index: dict[int, SolutionRecord] = {}
-    for rec, idx, gap in zip(records, rows, _row_gaps(points, rows).tolist()):
+    for pattern, point, idx, gap in zip(patterns, points.tolist(), rows, _row_gaps(points, rows).tolist()):
         if not gap <= RESIDUAL_TOL:
-            raise ArithmeticError(f"closed-form solution {rec.components} matches no catalog row ({gap!r} from {idx})")
+            raise ArithmeticError(f"closed-form solution {tuple(point)} matches no catalog row ({gap!r} from {idx})")
         if idx in by_index:
             raise ArithmeticError(f"catalog row {idx} matched by two sign patterns")
-        by_index[idx] = SolutionRecord(*SOLUTION_CATALOG[idx - 1], index=idx, sign_pattern=rec.sign_pattern)
+        by_index[idx] = SolutionRecord(*SOLUTION_CATALOG[idx - 1], index=idx, sign_pattern=pattern)
     if sorted(by_index) != list(range(1, 33)):
         raise ArithmeticError("sign patterns do not cover the catalog bijectively")
     return [by_index[i] for i in range(1, 33)]

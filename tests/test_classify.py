@@ -7,11 +7,13 @@ import pytest
 
 from isowrist.classify import (
     _LABELS,
+    _signatures,
     ANTIPODAL_SUBSETS,
     CLASS_PATTERNS,
     REFLECTION_SEEDS,
     REFLECTIONS,
     SolutionMap,
+    CanonicalSignature,
     ClassMember,
     WristClass,
     antipodal_map_table,
@@ -23,7 +25,7 @@ from isowrist.classify import (
     symmetry_images,
 )
 from isowrist.kinematics import (
-    DHChain, _forward_chain, dh_from_axes, isotropy_report_stack, jacobian_from_axes_stack,
+    DHChain, _forward_chain, dh_from_axes, dh_from_axes_stack, isotropy_report_stack, jacobian_from_axes_stack,
 )
 from isowrist.solver import (
     RESIDUAL_TOL, TRIVIAL_SET_INDEX, _axes_of, catalog_distances, catalog_rows, enumerate_solutions,
@@ -207,6 +209,72 @@ class TestDistinctWrists:
         assert class_e.couplings == ((-1, -1), (1, 1))
 
 
+#: The values a signature cosine snaps to, in the order the reference tries them.
+REFERENCE_SNAPS = (0.0, 1.0 / 3.0, -1.0 / 3.0, 0.5, -0.5, 1.0, -1.0)
+
+
+def per_value_snap(v):
+    for cand in REFERENCE_SNAPS:
+        if abs(v - cand) <= 1e-9:
+            return cand
+    return round(v, 9)
+
+
+def per_chain_signature(twists, t2, t3):
+    """The signature of one chain, one math.cos and one snap per angle: the reference for the stacked pass."""
+    return CanonicalSignature(
+        tuple(per_value_snap(math.cos(a)) for a in twists),
+        (per_value_snap(math.cos(t2)), per_value_snap(math.cos(t3))),
+        int(np.sign(t2) * np.sign(t3)),
+    )
+
+
+def random_chains(rng, count):
+    """Twists (count, 3) and interior joints (count, 2) whose cosines crowd every snap value.
+
+    A third of the angles are uniform; a third have a cosine within 2e-9 of a
+    snap value, on both sides of the 1e-9 snap radius; a third of the
+    interior joints are exactly 0, half of those -0.0.
+    """
+    angles = np.concatenate([rng.uniform(0.0, math.pi, (count, 3)), rng.uniform(-math.pi, math.pi, (count, 2))], 1)
+    targets = np.clip(rng.choice(REFERENCE_SNAPS, angles.shape) + rng.uniform(-2e-9, 2e-9, angles.shape), -1.0, 1.0)
+    near = np.arccos(targets)
+    near[:, 3:] *= rng.choice((-1.0, 1.0), (count, 2))
+    angles = np.where(rng.random(angles.shape) < 1.0 / 3.0, near, angles)
+    zero = rng.random((count, 2)) < 1.0 / 3.0
+    angles[:, 3:][zero] = rng.choice((0.0, -0.0), int(zero.sum()))
+    return angles[:, :3], angles[:, 3:]
+
+
+class TestStackedSignatures:
+    def test_catalog_chains_equal_the_per_chain_reference(self, solutions):
+        axes = _axes_of([r.components for r in solutions])[:, chain_orderings()].reshape(-1, 4, 3)
+        twists, joints = dh_from_axes_stack(axes)
+        stacked = _signatures(twists, joints[:, 1:3])
+        reference = [per_chain_signature(a, t2, t3) for a, (t2, t3) in zip(twists.tolist(), joints[:, 1:3].tolist())]
+        assert len(stacked) == 192
+        assert stacked == reference
+        assert repr(stacked) == repr(reference)
+
+    def test_random_chains_equal_the_per_chain_reference(self):
+        twists, interior = random_chains(np.random.default_rng(2024), 2000)
+        cosines = np.cos(np.concatenate([twists, interior], axis=1))[..., None]
+        gaps = np.abs(cosines - np.array(REFERENCE_SNAPS))
+        for k in range(len(REFERENCE_SNAPS)):  # every snap value is hit from within, and missed from just outside
+            assert np.any(gaps[..., k] <= 1e-9) and np.any((gaps[..., k] > 1e-9) & (gaps[..., k] < 2e-9))
+        assert np.any(interior == 0.0) and np.any(np.signbit(interior) & (interior == 0.0))
+        stacked = _signatures(twists, interior)
+        reference = [per_chain_signature(a, t2, t3) for a, (t2, t3) in zip(twists.tolist(), interior.tolist())]
+        assert stacked == reference
+        assert repr(stacked) == repr(reference)
+
+    def test_canonical_signature_is_the_one_row_stack(self):
+        twists, interior = random_chains(np.random.default_rng(7), 50)
+        for a, (t2, t3) in zip(twists.tolist(), interior.tolist()):
+            if min(a) > 1e-6 and max(a) < math.pi - 1e-6:  # DHChain refuses (anti)parallel consecutive axes
+                assert canonical_signature(DHChain(a, (0.3, t2, t3, -0.2))) == per_chain_signature(a, t2, t3)
+
+
 def per_chain_distinct_wrists(solutions):
     """distinct_wrists built one Python chain at a time: the reference for the stacked pass."""
     groups = {}
@@ -218,7 +286,7 @@ def per_chain_distinct_wrists(solutions):
                 tuple(i + 1 for i in ordering),
                 (int(np.sign(dh.joints[1])), int(np.sign(dh.joints[2]))),
             )
-            groups.setdefault(canonical_signature(dh), []).append((member, dh))
+            groups.setdefault(per_chain_signature(dh.twists, dh.joints[1], dh.joints[2]), []).append((member, dh))
     classes = []
     for sig, items in groups.items():
         items.sort(key=lambda md: (md[0].solution_index, md[0].ordering))
@@ -360,6 +428,23 @@ class TestStackedSymmetryImages:
         seeds = [r for r in solutions if r.index in REFLECTION_SEEDS]
         assert antipodal_map_table(seeds) == per_image_antipodal_map_table(solutions)
         assert reflection_map_table(seeds[::-1]) == per_image_reflection_map_table(solutions)
+
+    @pytest.mark.parametrize(("dropped", "antipodal_missing", "reflection_missing"), [
+        (range(1, 33), 18, 18),  # no records at all
+        ((18,), 18, 18),
+        ((10,), None, 10),  # a reflection seed, which the antipodal table does not read
+    ])
+    def test_missing_record_names_its_catalog_index(self, solutions, dropped, antipodal_missing, reflection_missing):
+        kept = [r for r in solutions if r.index not in dropped]
+        for table, reference, missing in [
+            (antipodal_map_table, per_image_antipodal_map_table, antipodal_missing),
+            (reflection_map_table, per_image_reflection_map_table, reflection_missing),
+        ]:
+            if missing is None:
+                assert table(kept) == reference(solutions)
+            else:
+                with pytest.raises(ArithmeticError, match=f"^no solution record for catalog index {missing}$"):
+                    table(kept)
 
     def test_unmatched_image_raises_with_its_axes(self, solutions):
         stack = np.sign([r.components for r in solutions[:3]])

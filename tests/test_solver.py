@@ -36,6 +36,7 @@ from isowrist.solver import (
     residuals,
     sign_patterns,
     solve_closed_form,
+    solve_closed_form_stack,
 )
 from isowrist.documents import solution_document
 from isowrist.spheregeom import TETRAHEDRON
@@ -104,6 +105,80 @@ class TestClosedForm:
                 assert min(abs(abs(value) - m) for m in magnitudes) < 1e-15
 
 
+def scalar_cascade(pattern):
+    """The elimination cascade one Python float at a time: the reference for the stacked pass."""
+    s_u, s_z, s_v, s_s, s_w = pattern
+    u = s_u * (1.0 / 3.0)
+    z = s_z * math.sqrt(6.0) * u
+    v = s_v * math.sqrt(2.0) * u
+    s = s_s * (2.0 * math.sqrt(2.0) / 3.0)
+    w = s_w * (1.0 / 3.0) * math.sqrt(6.0 * (2.0 - 9.0 * u * u))
+    x = -w * u / z
+    y = -v * w / z
+    c = u * (w * y - v * z) / (s * z)
+    return np.array([c, s, x, y, z, u, v, w])
+
+
+class TestStackedCascade:
+    def test_rows_are_bit_equal_to_the_scalar_cascade(self):
+        patterns = sign_patterns()
+        stack = solve_closed_form_stack(patterns)
+        assert stack.shape == (32, 8)
+        for pattern, row in zip(patterns, stack):
+            reference = scalar_cascade(pattern).tobytes()
+            assert row.tobytes() == reference
+            assert np.array(solve_closed_form(pattern).components).tobytes() == reference
+
+    def test_rows_do_not_depend_on_their_neighbours(self):
+        patterns = np.array(sign_patterns())
+        stack = solve_closed_form_stack(patterns)
+        order = np.random.default_rng(3).permutation(32)
+        assert solve_closed_form_stack(patterns[order]).tobytes() == stack[order].tobytes()
+        assert solve_closed_form_stack(patterns[:0]).shape == (0, 8)
+
+    def test_single_record_keeps_its_pattern_as_ints(self):
+        rec = solve_closed_form(np.array([1.0, -1.0, 1.0, -1.0, 1.0]))
+        assert rec.sign_pattern == (1, -1, 1, -1, 1)
+        assert all(type(b) is int for b in rec.sign_pattern)
+        assert rec.index is None
+
+    @pytest.mark.parametrize("pattern", [(1, 1, 1, 1), (1, 1, 1, 1, 1, 1), ((1, 1, 1, 1, 1),)])
+    def test_rejects_a_pattern_without_five_entries(self, pattern):
+        with pytest.raises(ValueError, match=r"sign patterns of 5 entries \(s_u, s_z, s_v, s_s, s_w\)"):
+            solve_closed_form(pattern)
+
+    @pytest.mark.parametrize("patterns", [np.ones(5), np.ones((3, 4)), np.ones((2, 5, 1))])
+    def test_stack_rejects_a_shape_other_than_m_by_5(self, patterns):
+        with pytest.raises(ValueError, match="got shape"):
+            solve_closed_form_stack(patterns)
+
+    @pytest.mark.parametrize("entry", [0, 0.5, 1.5, -2, float("nan")])
+    def test_rejects_an_entry_other_than_plus_or_minus_one(self, entry):
+        pattern = (1, -1, entry, 1, -1)
+        with pytest.raises(ValueError, match=r"entries must be \+-1"):
+            solve_closed_form(pattern)
+        with pytest.raises(ValueError, match=r"entries must be \+-1, got \[1.*, -1.*, "):
+            solve_closed_form_stack([(1, 1, 1, 1, 1), pattern])
+
+    def test_residual_gate_covers_every_row(self, monkeypatch):
+        exact = solver.residuals
+
+        def row_21_off(points):
+            # row 21 alone misses every equation by 2e-12, beyond RESIDUAL_TOL
+            r = exact(points)
+            r[20] += 2e-12
+            return r
+
+        monkeypatch.setattr(solver, "residuals", row_21_off)
+        with pytest.raises(ArithmeticError, match="violates the system: residual"):
+            solve_closed_form_stack(sign_patterns())
+
+    def test_vanishing_divisor_raises(self, monkeypatch):
+        monkeypatch.setattr(solver, "math", type("NoRoots", (), {"sqrt": staticmethod(lambda value: 0.0)}))
+        with pytest.raises(ArithmeticError, match="vanishing divisor in back-substitution: z=0.0"):
+            solve_closed_form_stack(sign_patterns())
+
+
 class TestEnumerate:
     def test_thirty_two_records_in_catalog_order(self):
         recs = enumerate_solutions()
@@ -142,13 +217,14 @@ class TestEnumerate:
     @pytest.mark.parametrize(("offset", "matches"), [(1e-13, True), (1e-11, False)])
     def test_branch_must_lie_within_tolerance_of_its_row(self, monkeypatch, offset, matches):
         # row 1's branch keeps its signs but moves off its row: 1e-11 is beyond RESIDUAL_TOL, so no match
-        cascade = solver.solve_closed_form
+        cascade = solver.solve_closed_form_stack
 
-        def shifted(pattern):
-            rec = cascade(pattern)
-            return dataclasses.replace(rec, c=rec.c + offset) if pattern == (1, 1, 1, -1, 1) else rec
+        def shifted(patterns):
+            points = cascade(patterns)
+            points[[tuple(p) == (1, 1, 1, -1, 1) for p in patterns], 0] += offset
+            return points
 
-        monkeypatch.setattr(solver, "solve_closed_form", shifted)
+        monkeypatch.setattr(solver, "solve_closed_form_stack", shifted)
         if matches:
             assert solver.enumerate_solutions()[0].components == SOLUTION_CATALOG[0]
         else:
