@@ -221,21 +221,27 @@ def check_wrist_classes(wrists) -> CheckResult:
 
 def _by_size(items, size=len):
     """Group items by size(item): yields (n, [items of size n]) in ascending n, input order kept."""
-    for n in sorted({size(item) for item in items}):
-        yield n, [item for item in items if size(item) == n]
+    groups = {}
+    for item in items:
+        groups.setdefault(size(item), []).append(item)
+    yield from sorted(groups.items())
 
 
 def check_posture_isotropy(wrists) -> CheckResult:
-    worst = 0.0
+    detail = f"condition number and sigma over a {POSTURE_GRID}x{POSTURE_GRID} free-angle grid"
+    if not wrists:
+        # no posture checked is no evidence: an infinite worst, never a perfect 0
+        return _result("posture-isotropy", math.inf, 1e-9, detail=detail)
     angles = np.linspace(0.0, 2.0 * math.pi, POSTURE_GRID, endpoint=False)
     t1, t4 = (g.ravel() for g in np.meshgrid(angles, angles, indexing="ij"))
-    for w in wrists:
-        dh = w.representative_dh
-        theta = np.column_stack([t1, np.full(t1.size, dh.joints[1]), np.full(t1.size, dh.joints[2]), t4])
-        axes, _ = _forward_chain(np.tile(dh.twists, (t1.size, 1)), theta)
-        _, sigma, cond, _ = isotropy_report_stack(jacobian_from_axes_stack(axes))
-        worst = max(worst, float(np.max(np.abs(cond - 1.0))), float(np.max(np.abs(sigma - SIGMA_FOUR_AXES))))
-    detail = f"condition number and sigma over a {POSTURE_GRID}x{POSTURE_GRID} free-angle grid"
+    # one row per (wrist, grid posture): the wrist's own twists and interior joints, the grid's free joints
+    chains = [w.representative_dh for w in wrists]
+    twists = np.repeat([dh.twists for dh in chains], t1.size, axis=0)
+    theta = np.repeat([dh.joints for dh in chains], t1.size, axis=0)
+    theta[:, 0], theta[:, -1] = np.tile(t1, len(chains)), np.tile(t4, len(chains))
+    axes, _ = _forward_chain(twists, theta)
+    _, sigma, cond, _ = isotropy_report_stack(jacobian_from_axes_stack(axes))
+    worst = max(float(np.max(np.abs(cond - 1.0))), float(np.max(np.abs(sigma - SIGMA_FOUR_AXES))))
     return _result("posture-isotropy", worst, 1e-9, detail=detail)
 
 
@@ -263,23 +269,24 @@ def check_dh_round_trip(wrists, seed) -> CheckResult:
 
 
 def _random_unit_sets(rng, count):
-    """count random unit-vector sets of 1..8 points each, drawn size first, then points."""
-    sets = []
-    for _ in range(count):
-        n = int(rng.integers(1, 9))
-        pts = rng.normal(size=(n, 3))
-        sets.append(pts / np.linalg.norm(pts, axis=1, keepdims=True))
-    return sets
+    """count random unit-vector sets of 1..8 points each, drawn size first, then points.
+
+    Returns [(n, stack (k, n, 3))] in ascending n, draw order kept in each stack;
+    one norm per stack divides every row exactly as a per-set norm would.
+    """
+    drawn = [rng.normal(size=(int(rng.integers(1, 9)), 3)) for _ in range(count)]
+    stacks = [(n, np.array(group)) for n, group in _by_size(drawn)]
+    return [(n, stack / np.linalg.norm(stack, axis=-1, keepdims=True)) for n, stack in stacks]
 
 
 def check_jacobian_moment_agreement(solutions, seed) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     agree = True
-    sets = list(_axis_stack(solutions)) + [platonic_vertices(k).array for k in PlatonicSolid]
-    sets += _random_unit_sets(rng, MOMENT_AGREEMENT_COUNT)
-    for _, group in _by_size(sets):
-        stack = np.array(group)
+    stacks = [_axis_stack(solutions)] + [platonic_vertices(k).array[None] for k in PlatonicSolid]
+    stacks += [stack for _, stack in _random_unit_sets(rng, MOMENT_AGREEMENT_COUNT)]
+    for _, group in _by_size(stacks, lambda stack: stack.shape[1]):
+        stack = np.concatenate(group)
         j = jacobian_from_axes_stack(stack)
         h = second_moment_stack(stack)
         worst = max(worst, float(np.max(np.abs(j @ j.swapaxes(1, 2) - h))))
@@ -292,8 +299,8 @@ def check_jacobian_moment_agreement(solutions, seed) -> CheckResult:
 def check_trace_identity(seed) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for n, group in _by_size(_random_unit_sets(rng, TRACE_IDENTITY_COUNT)):
-        sv = np.linalg.svd(jacobian_from_axes_stack(np.array(group)), compute_uv=False)
+    for n, stack in _random_unit_sets(rng, TRACE_IDENTITY_COUNT):
+        sv = np.linalg.svd(jacobian_from_axes_stack(stack), compute_uv=False)
         worst = max(worst, float(np.max(np.abs(np.sum(sv**2, axis=-1) - n))))
     return _result("singular-value-trace", worst, 1e-12, detail="squared singular values sum to n")
 

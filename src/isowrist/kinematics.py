@@ -47,6 +47,9 @@ class DHChain:
         for a in twists:
             if not TWIST_TOL < a < math.pi - TWIST_TOL:
                 raise ValueError(f"twist {a!r} outside (0, pi): consecutive axes parallel or antiparallel")
+        for k, t in enumerate(joints, start=1):
+            if not math.isfinite(t):
+                raise ValueError(f"joint angle theta_{k} = {t!r} is not finite")
         object.__setattr__(self, "twists", twists)
         object.__setattr__(self, "joints", joints)
 

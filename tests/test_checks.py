@@ -1,4 +1,4 @@
-"""The stacked symmetry, residual, dot-product and bijection checks against per-image loop references."""
+"""The stacked checks against the per-image, per-wrist and per-set loop references they replaced."""
 
 import dataclasses
 import itertools
@@ -7,19 +7,47 @@ import math
 import numpy as np
 import pytest
 
+from isowrist import checks
 from isowrist.checks import (
+    DH_ROUND_TRIP_COUNT,
     LINE_REFLECTION_COUNT,
+    MOMENT_AGREEMENT_COUNT,
+    POSTURE_GRID,
+    SIGMA_FOUR_AXES,
+    TRACE_IDENTITY_COUNT,
+    _random_unit_sets,
     _result,
     check_antipodal_closure,
     check_axis_dot_products,
     check_catalog_bijection,
+    check_dh_round_trip,
+    check_jacobian_moment_agreement,
     check_line_reflection,
+    check_posture_isotropy,
     check_reflection_closure,
     check_solution_residuals,
+    check_trace_identity,
 )
-from isowrist.classify import ANTIPODAL_SUBSETS, REFLECTIONS
+from isowrist.classify import ANTIPODAL_SUBSETS, REFLECTIONS, distinct_wrists
+from isowrist.kinematics import (
+    DHChain,
+    _forward_chain,
+    dh_from_axes_stack,
+    isotropy_report_stack,
+    jacobian_from_axes_stack,
+)
 from isowrist.solver import catalog_distances, enumerate_solutions, residuals, solve_closed_form
-from isowrist.spheregeom import _norms, antipodal_exchange, reflect_about_line, reflect_about_plane, rotation_about_axis
+from isowrist.spheregeom import (
+    PlatonicSolid,
+    _norms,
+    antipodal_exchange,
+    isotropy_of_stack,
+    platonic_vertices,
+    reflect_about_line,
+    reflect_about_plane,
+    rotation_about_axis,
+    second_moment_stack,
+)
 
 T = 1.0 / 3.0
 
@@ -27,6 +55,11 @@ T = 1.0 / 3.0
 @pytest.fixture(scope="module")
 def solutions():
     return enumerate_solutions()
+
+
+@pytest.fixture(scope="module")
+def wrists(solutions):
+    return distinct_wrists(solutions)
 
 
 # The checks as they were written before stacking, one record, pair or image at a time.
@@ -162,3 +195,140 @@ class TestStackedInputsAreBitEqual:
             per_axis.append(e / np.linalg.norm(e))
         stacked = np.random.default_rng(seed).normal(size=(LINE_REFLECTION_COUNT, 3))
         assert np.array_equal(stacked / _norms(stacked), np.array(per_axis))
+
+
+# The seeded sample checks as they were written before stacking: one wrist grid, one set, one scan per size.
+
+
+def quadratic_by_size(items, size=len):
+    for n in sorted({size(item) for item in items}):
+        yield n, [item for item in items if size(item) == n]
+
+
+def per_set_random_unit_sets(rng, count):
+    sets = []
+    for _ in range(count):
+        n = int(rng.integers(1, 9))
+        pts = rng.normal(size=(n, 3))
+        sets.append(pts / np.linalg.norm(pts, axis=1, keepdims=True))
+    return sets
+
+
+def per_wrist_posture_isotropy(wrists):
+    worst = 0.0
+    angles = np.linspace(0.0, 2.0 * math.pi, POSTURE_GRID, endpoint=False)
+    t1, t4 = (g.ravel() for g in np.meshgrid(angles, angles, indexing="ij"))
+    for w in wrists:
+        dh = w.representative_dh
+        theta = np.column_stack([t1, np.full(t1.size, dh.joints[1]), np.full(t1.size, dh.joints[2]), t4])
+        axes, _ = _forward_chain(np.tile(dh.twists, (t1.size, 1)), theta)
+        _, sigma, cond, _ = isotropy_report_stack(jacobian_from_axes_stack(axes))
+        worst = max(worst, float(np.max(np.abs(cond - 1.0))), float(np.max(np.abs(sigma - SIGMA_FOUR_AXES))))
+    detail = f"condition number and sigma over a {POSTURE_GRID}x{POSTURE_GRID} free-angle grid"
+    return _result("posture-isotropy", worst, 1e-9, detail=detail)
+
+
+def per_size_scan_dh_round_trip(wrists, seed):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    chains = [w.representative_dh for w in wrists]
+    for _ in range(DH_ROUND_TRIP_COUNT):
+        n = int(rng.integers(3, 7))
+        twists = rng.uniform(0.2, math.pi - 0.2, size=n - 1)
+        joints = np.concatenate([[0.0], rng.uniform(-3.0, 3.0, size=n - 2), [0.0]])
+        chains.append(DHChain(twists, joints))
+    for _, group in quadratic_by_size(chains, lambda dh: dh.n):
+        theta = [(0.4,) + dh.joints[1:-1] + (1.1,) for dh in group]
+        twists = np.array([dh.twists for dh in group])
+        axes, _ = _forward_chain(twists, theta)
+        back_twists, back_joints = dh_from_axes_stack(axes)
+        interior = np.array([dh.joints[1:-1] for dh in group])
+        worst = max(
+            worst,
+            float(np.max(np.abs(twists - back_twists))),
+            float(np.max(np.abs(interior - back_joints[:, 1:-1]))),
+        )
+    return _result("dh-round-trip", worst, 1e-9, detail="forward kinematics then parameter recovery")
+
+
+def per_set_jacobian_moment_agreement(solutions, seed):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    agree = True
+    sets = [r.axes.array for r in solutions] + [platonic_vertices(k).array for k in PlatonicSolid]
+    sets += per_set_random_unit_sets(rng, MOMENT_AGREEMENT_COUNT)
+    for _, group in quadratic_by_size(sets):
+        stack = np.array(group)
+        j = jacobian_from_axes_stack(stack)
+        h = second_moment_stack(stack)
+        worst = max(worst, float(np.max(np.abs(j @ j.swapaxes(1, 2) - h))))
+        *_, iso_j = isotropy_report_stack(j)
+        iso_h, _ = isotropy_of_stack(h)
+        agree = agree and bool(np.array_equal(iso_j, iso_h))
+    return _result("jacobian-moment-agreement", worst, 1e-12, agree, "J J^T = H and matching isotropy verdicts")
+
+
+def per_set_trace_identity(seed):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for n, group in quadratic_by_size(per_set_random_unit_sets(rng, TRACE_IDENTITY_COUNT)):
+        sv = np.linalg.svd(jacobian_from_axes_stack(np.array(group)), compute_uv=False)
+        worst = max(worst, float(np.max(np.abs(np.sum(sv**2, axis=-1) - n))))
+    return _result("singular-value-trace", worst, 1e-12, detail="squared singular values sum to n")
+
+
+class TestStackedSampleChecksEqualLoops:
+    @pytest.mark.parametrize("seed", range(100))
+    def test_seeded_checks(self, solutions, wrists, seed):
+        assert check_jacobian_moment_agreement(solutions, seed=seed) == per_set_jacobian_moment_agreement(
+            solutions, seed
+        )
+        assert check_trace_identity(seed=seed) == per_set_trace_identity(seed)
+        assert check_dh_round_trip(wrists, seed=seed) == per_size_scan_dh_round_trip(wrists, seed)
+
+    @pytest.mark.parametrize("pick", ["all", "reversed", "one"])
+    def test_posture_isotropy(self, wrists, pick):
+        subset = {"all": wrists, "reversed": wrists[::-1], "one": wrists[3:4]}[pick]
+        result = check_posture_isotropy(subset)
+        assert result == per_wrist_posture_isotropy(subset)
+        assert result.status == "PASS"
+
+    def test_changed_twist_fails_alike(self, wrists):
+        broken = list(wrists)
+        w = broken[5]
+        broken[5] = dataclasses.replace(w, twists=(w.twists[0] + 1e-3,) + w.twists[1:])
+        result = check_posture_isotropy(broken)
+        assert result == per_wrist_posture_isotropy(broken)
+        assert result.status == "FAIL"
+
+    def test_no_wrist_is_no_pass(self):
+        # the loop reference reports a perfect 0 here: with nothing checked, the check must fail
+        result = check_posture_isotropy([])
+        assert result.worst == math.inf
+        assert result.status == "FAIL"
+
+    def test_one_forward_chain_for_every_grid(self, wrists, monkeypatch):
+        calls = []
+
+        def counted(twists, theta):
+            calls.append(np.shape(theta))
+            return _forward_chain(twists, theta)
+
+        monkeypatch.setattr(checks, "_forward_chain", counted)
+        check_posture_isotropy(wrists)
+        assert calls == [(len(wrists) * POSTURE_GRID**2, 4)]
+
+    @pytest.mark.parametrize("seed", range(100))
+    def test_per_size_normalisation_is_per_set_division(self, seed):
+        stacks = _random_unit_sets(np.random.default_rng(seed), MOMENT_AGREEMENT_COUNT)
+        per_set = per_set_random_unit_sets(np.random.default_rng(seed), MOMENT_AGREEMENT_COUNT)
+        reference = dict(quadratic_by_size(per_set))
+        assert [n for n, _ in stacks] == sorted(reference)
+        for n, stack in stacks:
+            assert np.array_equal(stack, np.array(reference[n]))
+
+    def test_by_size_groups_in_ascending_size_and_input_order(self):
+        rng = np.random.default_rng(7)
+        items = [tuple(range(int(k))) + (i,) for i, k in enumerate(rng.integers(0, 9, size=300))]
+        assert list(checks._by_size(items)) == list(quadratic_by_size(items))
+        assert list(checks._by_size([])) == []

@@ -329,6 +329,14 @@ class TestDHChainValidation:
         with pytest.raises(ValueError, match="twist"):
             DHChain((math.pi,), (0.0, 0.0))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_joint_is_named(self, value):
+        # before this was checked, canonical_signature failed later with a message naming no joint
+        with pytest.raises(ValueError, match=rf"theta_2 = {value!r} is not finite"):
+            DHChain((1.2, 1.2, 1.2), (0.0, value, 1.0, 0.0))
+        with pytest.raises(ValueError, match=rf"theta_4 = {value!r} is not finite"):
+            DHChain((1.2, 1.2, 1.2), (0.0, 0.5, 1.0, value))
+
     def test_n_counts_joints(self):
         dh = DHChain((1.0, 1.0, 1.0), (0.0, 1.0, 2.0, 0.0))
         assert dh.n == 4
