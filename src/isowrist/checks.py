@@ -18,7 +18,7 @@ from .classify import (
 )
 from .kinematics import DHChain, _forward_chain, dh_from_axes_stack, isotropy_report_stack, jacobian_from_axes_stack
 from .solver import (
-    NONVANISHING_FLOOR, SOLUTION_CATALOG, _axes_of, _row_gaps, catalog_distances, enumerate_solutions,
+    NONVANISHING_FLOOR, RESIDUAL_TOL, SOLUTION_CATALOG, _axes_of, _row_gaps, catalog_distances, enumerate_solutions,
     oracle_root_hunt, residuals, solve_closed_form_stack,
 )
 from .spheregeom import ONE_THIRD as _T, SQRT2_THIRD as _R2, SQRT6_THIRD as _R6, TWO_SQRT2_THIRD as _S2
@@ -104,18 +104,18 @@ def _closure_gap(images) -> float:
     return float(np.max(np.min(catalog_distances(_axes_of(images)), axis=-1)))
 
 
-def check_solution_residuals(solutions, tolerance) -> CheckResult:
+def check_solution_residuals(solutions) -> CheckResult:
     worst = float(np.max(np.abs(residuals([r.components for r in solutions]))))
-    return _result("solution-residuals", worst, tolerance, detail="max |residual| over 32 solutions")
+    return _result("solution-residuals", worst, RESIDUAL_TOL, detail="max |residual| over 32 solutions")
 
 
-def check_catalog_bijection(solutions, tolerance) -> CheckResult:
+def check_catalog_bijection(solutions) -> CheckResult:
     indices = sorted(r.index for r in solutions)
     # records carry the catalog's own doubles, so re-run the cascade from each record's sign pattern
     cascade = solve_closed_form_stack([r.sign_pattern for r in solutions])
     worst = float(np.max(_row_gaps(cascade, [r.index for r in solutions])))
     ok = indices == list(range(1, 33)) and len({r.sign_pattern for r in solutions}) == 32
-    return _result("catalog-bijection", worst, tolerance, ok, "closed forms match catalog rows 1..32")
+    return _result("catalog-bijection", worst, RESIDUAL_TOL, ok, "closed forms match catalog rows 1..32")
 
 
 def check_nonvanishing(solutions) -> CheckResult:
@@ -132,25 +132,25 @@ def check_distinctness(solutions) -> CheckResult:
     )
 
 
-def check_axis_dot_products(solutions, tolerance) -> CheckResult:
+def check_axis_dot_products(solutions) -> CheckResult:
     a = _axis_stack(solutions)
     # each Gram entry is bit-equal to the 1-D dot a[k, i] @ a[k, j] of the same two axes
     gram = a @ a.swapaxes(1, 2)
     i, j = np.triu_indices(4, k=1)
     worst = float(np.max(np.abs(np.abs(gram[:, i, j]) - _T)))
-    return _result("axis-dot-products", worst, tolerance, detail="all pairwise axis angles are arccos(+-1/3)")
+    return _result("axis-dot-products", worst, RESIDUAL_TOL, detail="all pairwise axis angles are arccos(+-1/3)")
 
 
-def check_antipodal_closure(solutions, tolerance) -> CheckResult:
+def check_antipodal_closure(solutions) -> CheckResult:
     images = symmetry_images([r.components for r in solutions])[: len(ANTIPODAL_SUBSETS)]
     worst = max(_closure_gap(image) for image in images)
-    return _result("antipodal-closure", worst, tolerance, detail="32 solutions closed under antipodal exchanges")
+    return _result("antipodal-closure", worst, RESIDUAL_TOL, detail="32 solutions closed under antipodal exchanges")
 
 
-def check_reflection_closure(solutions, tolerance) -> CheckResult:
+def check_reflection_closure(solutions) -> CheckResult:
     images = symmetry_images([r.components for r in solutions])[len(ANTIPODAL_SUBSETS) :]
     worst = max(_closure_gap(image) for image in images)
-    return _result("reflection-closure", worst, tolerance, detail="32 solutions closed under coordinate reflections")
+    return _result("reflection-closure", worst, RESIDUAL_TOL, detail="32 solutions closed under coordinate reflections")
 
 
 def check_antipodal_map_targets(solutions) -> CheckResult:
@@ -169,17 +169,17 @@ def check_reflection_map_targets(solutions) -> CheckResult:
     return CheckResult("reflection-map-targets", ok, 0.0 if ok else 1.0, 0.5, "all 24 reflection images verified")
 
 
-def check_platonic_moments(tolerance) -> CheckResult:
+def check_platonic_moments() -> CheckResult:
     worst = 0.0
     ok = True
     for kind in PlatonicSolid:
         iso = isotropy_of(second_moment(platonic_vertices(kind)))
         ok = ok and iso.isotropic
         worst = max(worst, abs(iso.sigma_sq - kind.n / 3.0))
-    return _result("platonic-moments", worst, tolerance, ok, "five vertex sets isotropic with sigma^2 = n/3")
+    return _result("platonic-moments", worst, RESIDUAL_TOL, ok, "five vertex sets isotropic with sigma^2 = n/3")
 
 
-def check_reflected_tetrahedra(tolerance) -> CheckResult:
+def check_reflected_tetrahedra() -> CheckResult:
     tetra = PointSet(TETRAHEDRON)
     normals = {"yz": (1.0, 0.0, 0.0), "xz": (0.0, 1.0, 0.0), "xy": (0.0, 0.0, 1.0)}
     worst = 0.0
@@ -188,10 +188,10 @@ def check_reflected_tetrahedra(tolerance) -> CheckResult:
         img = reflect_about_plane(tetra, normal)
         worst = max(worst, float(np.max(np.abs(img.array - EXPECTED_REFLECTED_TETRAHEDRA[plane]))))
         ok = ok and isotropy_of(second_moment(img)).isotropic
-    return _result("reflected-tetrahedra", worst, tolerance, ok, "coordinate-plane reflections of the trivial set")
+    return _result("reflected-tetrahedra", worst, RESIDUAL_TOL, ok, "coordinate-plane reflections of the trivial set")
 
 
-def check_line_reflection(tolerance, seed) -> CheckResult:
+def check_line_reflection(seed) -> CheckResult:
     rng = np.random.default_rng(seed)
     # one (count, 3) draw is the same stream as count draws of size 3; _norms matches each 1-D norm bit for bit
     axes = rng.normal(size=(LINE_REFLECTION_COUNT, 3))
@@ -204,7 +204,7 @@ def check_line_reflection(tolerance, seed) -> CheckResult:
         float(np.max(np.abs(ell - rotation_about_axis(axes, math.pi)))),
     )
     detail = f"2ee^T - I proper orthogonal over {LINE_REFLECTION_COUNT} random axes"
-    return _result("line-reflection", worst, tolerance, detail=detail)
+    return _result("line-reflection", worst, RESIDUAL_TOL, detail=detail)
 
 
 def check_wrist_classes(wrists) -> CheckResult:
@@ -321,23 +321,23 @@ def check_oracle(oracle_starts, seed) -> CheckResult:
     return _result("oracle-root-hunt", worst, 1e-8, ok, detail)
 
 
-def run_checks(tolerance: float, oracle_starts: int, seed: int) -> list:
+def run_checks(oracle_starts: int, seed: int) -> list:
     """Run every invariant check; oracle_starts=0 skips only the root hunt."""
     solutions = enumerate_solutions()
     wrists = distinct_wrists(solutions)
     return [
-        check_solution_residuals(solutions, tolerance),
-        check_catalog_bijection(solutions, tolerance),
+        check_solution_residuals(solutions),
+        check_catalog_bijection(solutions),
         check_nonvanishing(solutions),
         check_distinctness(solutions),
-        check_axis_dot_products(solutions, tolerance),
-        check_antipodal_closure(solutions, tolerance),
-        check_reflection_closure(solutions, tolerance),
+        check_axis_dot_products(solutions),
+        check_antipodal_closure(solutions),
+        check_reflection_closure(solutions),
         check_antipodal_map_targets(solutions),
         check_reflection_map_targets(solutions),
-        check_platonic_moments(tolerance),
-        check_reflected_tetrahedra(tolerance),
-        check_line_reflection(tolerance, seed=seed),
+        check_platonic_moments(),
+        check_reflected_tetrahedra(),
+        check_line_reflection(seed=seed),
         check_wrist_classes(wrists),
         check_posture_isotropy(wrists),
         check_dh_round_trip(wrists, seed=seed),

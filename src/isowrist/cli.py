@@ -64,12 +64,6 @@ def _finite(ctx, param, value: float) -> float:
     return value
 
 
-def _positive_finite(ctx, param, value: float) -> float:
-    if not (math.isfinite(value) and value > 0):
-        raise click.BadParameter(f"{value!r} is not a positive finite number")
-    return value
-
-
 class _Group(click.Group):
     def invoke(self, ctx):
         """Report an internal ArithmeticError of any subcommand as exit 1, without a traceback."""
@@ -116,10 +110,6 @@ def cmd_classify(fmt: str, output: str | None):
 
 @cli.command("verify")
 @click.option(
-    "--tolerance", type=float, default=1e-12, show_default=True, callback=_positive_finite,
-    help="Residual and matching tolerance.",
-)
-@click.option(
     "--oracle-starts", type=click.IntRange(min=0), default=20000, show_default=True,
     help="Newton starts; 0 skips the hunt.",
 )
@@ -127,10 +117,10 @@ def cmd_classify(fmt: str, output: str | None):
     "--seed", type=click.IntRange(min=0), default=0, show_default=True, help="Seed for all randomized checks."
 )
 @_output_option("Also write the report to a file.")
-def cmd_verify(tolerance: float, oracle_starts: int, seed: int, output: str | None):
+def cmd_verify(oracle_starts: int, seed: int, output: str | None):
     """Run every invariant check and report worst-case margins."""
     try:
-        results = run_checks(tolerance=tolerance, oracle_starts=oracle_starts, seed=seed)
+        results = run_checks(oracle_starts=oracle_starts, seed=seed)
     except MemoryError as exc:  # only the oracle's arrays grow with a flag
         message = f"{oracle_starts} starts need more memory than is available"
         raise click.BadParameter(message, param_hint="'--oracle-starts'") from exc

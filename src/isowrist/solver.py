@@ -179,15 +179,13 @@ def residuals(points) -> np.ndarray:
     )
 
 
-def _jacobian_batch(pts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Analytic Jacobian of the residual map, stacked (m, 8, 8).
+def _jacobian_batch(pts: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Analytic Jacobian of the residual map, stacked (m, 8, 8), written into out.
 
-    With out, an (m, 8, 8) buffer whose structural zeros are already
-    zero, only the nonzero entries are written, so slices of one zeroed
-    buffer serve batches of every size.
+    out is an (m, 8, 8) buffer whose structural zeros are already zero;
+    only the nonzero entries are written, so slices of one zeroed buffer
+    serve batches of every size.
     """
-    if out is None:
-        out = np.zeros((pts.shape[0], 8, 8))
     c, s, x, y, z, u, v, w = (pts[:, i] for i in range(8))
     out[:, 0, 0] = out[:, 6, 0] = 2 * c
     out[:, 0, 2] = 2 * x

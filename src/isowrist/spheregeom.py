@@ -231,16 +231,8 @@ def reflect_about_plane(s: PointSet, unit_normal) -> PointSet:
     Each point maps as p -> (I - 2 n n^T) p.  Reflections are isometries,
     so isotropy of the second moment is preserved.
     """
-    return PointSet(_plane_reflection(s.array, _as_unit(unit_normal).reshape(3)))
-
-
-def _plane_reflection(points: np.ndarray, unit_normal: np.ndarray) -> np.ndarray:
-    """Points (..., 3) reflected through the plane with unit normal (3,): p -> (I - 2 n n^T) p.
-
-    Each point set of a stack comes out equal to reflect_about_plane of
-    that set alone.  The normal is not validated; pass a unit vector.
-    """
-    return points @ (np.eye(3) - 2.0 * np.outer(unit_normal, unit_normal)).T
+    n = _as_unit(unit_normal).reshape(3)
+    return PointSet(s.array @ (np.eye(3) - 2.0 * np.outer(n, n)).T)
 
 
 def reflect_about_line(axis) -> np.ndarray:

@@ -36,7 +36,7 @@ from isowrist.kinematics import (
     isotropy_report_stack,
     jacobian_from_axes_stack,
 )
-from isowrist.solver import catalog_distances, enumerate_solutions, residuals, solve_closed_form
+from isowrist.solver import RESIDUAL_TOL, catalog_distances, enumerate_solutions, residuals, solve_closed_form
 from isowrist.spheregeom import (
     PlatonicSolid,
     _norms,
@@ -141,12 +141,12 @@ SOLUTION_CHECKS = [
 class TestStackedChecksEqualLoops:
     @pytest.mark.parametrize("check, reference", SOLUTION_CHECKS, ids=lambda f: f.__name__)
     def test_catalog(self, solutions, check, reference):
-        assert check(solutions, 1e-12) == reference(solutions, 1e-12)
+        assert check(solutions) == reference(solutions, RESIDUAL_TOL)
 
     @pytest.mark.parametrize("check, reference", SOLUTION_CHECKS, ids=lambda f: f.__name__)
     def test_subsets_and_orders(self, solutions, check, reference):
         for subset in (solutions[::-1], solutions[5:20], solutions[:1]):
-            assert check(subset, 1e-12) == reference(subset, 1e-12)
+            assert check(subset) == reference(subset, RESIDUAL_TOL)
 
     @pytest.mark.parametrize("check, reference", SOLUTION_CHECKS, ids=lambda f: f.__name__)
     def test_rotated_axis_fails_alike(self, solutions, check, reference):
@@ -155,19 +155,19 @@ class TestStackedChecksEqualLoops:
         r = broken[7]
         c, s = math.cos(1e-6), math.sin(1e-6)
         broken[7] = dataclasses.replace(r, x=c * r.x - s * r.y, y=s * r.x + c * r.y)
-        result = check(broken, 1e-12)
-        assert result == reference(broken, 1e-12)
+        result = check(broken)
+        assert result == reference(broken, RESIDUAL_TOL)
         if check is not check_catalog_bijection:  # the bijection re-runs the cascade from the sign pattern
             assert result.status == "FAIL"
 
     def test_golden_margins(self, solutions):
-        assert check_solution_residuals(solutions, 1e-12).worst == 2.0**-51  # 4.441e-16
-        assert check_axis_dot_products(solutions, 1e-12).worst == 2.0**-52  # 2.220e-16
-        assert check_catalog_bijection(solutions, 1e-12).worst == 2.0**-54  # 5.551e-17
+        assert check_solution_residuals(solutions).worst == 2.0**-51  # 4.441e-16
+        assert check_axis_dot_products(solutions).worst == 2.0**-52  # 2.220e-16
+        assert check_catalog_bijection(solutions).worst == 2.0**-54  # 5.551e-17
 
     @pytest.mark.parametrize("seed", range(100))
     def test_line_reflection(self, seed):
-        assert check_line_reflection(1e-12, seed=seed) == per_axis_line_reflection(1e-12, seed)
+        assert check_line_reflection(seed=seed) == per_axis_line_reflection(RESIDUAL_TOL, seed)
 
 
 class TestStackedInputsAreBitEqual:

@@ -10,6 +10,7 @@ import click
 import pytest
 from click.testing import CliRunner
 
+from isowrist import checks
 from isowrist.cli import cli
 from isowrist.solver import SOLUTION_CATALOG
 
@@ -17,6 +18,13 @@ from isowrist.solver import SOLUTION_CATALOG
 @pytest.fixture()
 def runner():
     return CliRunner()
+
+
+@pytest.fixture()
+def off_by_1e9(monkeypatch):
+    """Every residual that verify measures moved 1e-9 off zero, so solution-residuals alone fails."""
+    exact = checks.residuals
+    monkeypatch.setattr("isowrist.checks.residuals", lambda pts: exact(pts) + 1e-9)
 
 
 class TestEnumerate:
@@ -129,8 +137,8 @@ class TestVerify:
         assert "[FAIL]" not in result.output
         assert "18/18 checks passed" in result.output
 
-    def test_sub_machine_precision_tolerance_fails(self, runner):
-        result = runner.invoke(cli, ["verify", "--tolerance", "1e-16", "--oracle-starts", "0"])
+    def test_failed_check_exits_1(self, runner, off_by_1e9):
+        result = runner.invoke(cli, ["verify", "--oracle-starts", "0"])
         assert result.exit_code == 1
         assert "solution-residuals" in result.output
         assert "[FAIL]" in result.output
@@ -140,17 +148,13 @@ class TestVerify:
         assert result.exit_code == 0
         assert "[SKIP] oracle-root-hunt" in result.output
 
-    def test_non_positive_tolerance_is_usage_error(self, runner):
-        result = runner.invoke(cli, ["verify", "--tolerance", "-1"])
-        assert result.exit_code == 2
-
     def test_skipped_check_is_not_counted_as_passed(self, runner):
         result = runner.invoke(cli, ["verify", "--oracle-starts", "0"])
         assert result.output.splitlines()[-1] == "17/17 checks passed, 1 skipped"
         assert "failed:" not in result.output
 
-    def test_failures_are_listed(self, runner):
-        result = runner.invoke(cli, ["verify", "--tolerance", "1e-16", "--oracle-starts", "0"])
+    def test_failures_are_listed(self, runner, off_by_1e9):
+        result = runner.invoke(cli, ["verify", "--oracle-starts", "0"])
         summary, failed = result.output.splitlines()[-2:]
         assert re.fullmatch(r"\d+/17 checks passed, 1 skipped", summary)
         assert failed.startswith("failed: ") and "solution-residuals" in failed
@@ -159,9 +163,6 @@ class TestVerify:
 @pytest.mark.parametrize(
     "args",
     [
-        ["verify", "--tolerance", "nan"],
-        ["verify", "--tolerance", "0"],
-        ["verify", "--tolerance", "-1e-12"],
         ["verify", "--oracle-starts", "-5"],
         ["verify", "--seed", "-1"],
         ["enumerate", "--format", "xml"],
@@ -258,10 +259,10 @@ def test_failed_output_write_is_usage_error(runner, monkeypatch, tmp_path, args,
 
 
 @pytest.mark.parametrize("failing", ["write", "close"])
-def test_failed_check_outranks_failed_output_write(runner, monkeypatch, tmp_path, failing):
+def test_failed_check_outranks_failed_output_write(runner, monkeypatch, tmp_path, off_by_1e9, failing):
     monkeypatch.setattr("isowrist.cli.open", lambda path, *a, **k: _FullDiskFile(failing), raising=False)
     target = str(tmp_path / "out.txt")
-    args = ["verify", "--oracle-starts", "0", "--tolerance", "1e-20", "--output", target]
+    args = ["verify", "--oracle-starts", "0", "--output", target]
     result = runner.invoke(cli, args, catch_exceptions=False)
     assert result.exit_code == 1
     assert "[FAIL]" in result.stdout
@@ -299,9 +300,10 @@ def test_internal_failure_exits_1_without_traceback(runner, monkeypatch, args, t
     assert "Traceback" not in result.output
 
 
-def test_enumerate_has_no_tolerance_option(runner):
-    # catalog matching runs at the fixed solver.RESIDUAL_TOL
-    result = runner.invoke(cli, ["enumerate", "--tolerance", "1e-12"])
+@pytest.mark.parametrize("command", ["enumerate", "verify"])
+def test_command_has_no_tolerance_option(runner, command):
+    # catalog matching and every verify check run at fixed bounds (1e-12 is solver.RESIDUAL_TOL)
+    result = runner.invoke(cli, [command, "--tolerance", "1e-12"])
     assert result.exit_code == 2
     assert "Traceback" not in result.output
     assert "No such option" in result.output

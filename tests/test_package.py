@@ -19,7 +19,6 @@ PARAMETERS_WITH_DEFAULTS = {
     ("isowrist.checks._result", "detail"),
     ("isowrist.checks._by_size", "size"),
     ("isowrist.cli._output_option", "help_text"),
-    ("isowrist.solver._jacobian_batch", "out"),
     ("isowrist.solver.oracle_root_hunt", "n_starts"),
     ("isowrist.solver.oracle_root_hunt", "seed"),
     ("isowrist.solver.oracle_root_hunt", "starts"),

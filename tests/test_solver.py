@@ -374,14 +374,14 @@ class TestNonvanishing:
 class TestCatalogChecks:
     def test_bijection_worst_is_cascade_rounding(self):
         # the cascade lands one unit in the last place of 1/3 from its own catalog row
-        result = check_catalog_bijection(enumerate_solutions(), 1e-12)
+        result = check_catalog_bijection(enumerate_solutions())
         assert result.passed
         assert result.worst == 2.0**-54
 
     def test_bijection_fails_on_a_repeated_sign_pattern(self):
         solutions = enumerate_solutions()
         solutions[0] = dataclasses.replace(solutions[0], sign_pattern=solutions[1].sign_pattern)
-        result = check_catalog_bijection(solutions, 1e-12)
+        result = check_catalog_bijection(solutions)
         assert result.status == "FAIL"
         assert result.worst == pytest.approx(2.0 * math.sqrt(6.0) / 3.0, rel=1e-12)
 
@@ -741,7 +741,7 @@ class TestCluster:
 class TestJacobianBatch:
     def test_matches_central_differences(self):
         pts = np.random.default_rng(3).uniform(-1.5, 1.5, size=(20, 8))
-        jac = _jacobian_batch(pts)
+        jac = _jacobian_batch(pts, np.zeros((20, 8, 8)))
         h = 1e-6
         for k in range(8):
             dp = np.zeros(8)
@@ -751,14 +751,14 @@ class TestJacobianBatch:
 
     def test_catalog_determinant_is_256_sqrt2_over_81(self):
         # every root is simple, so the oracle's polish solves regular systems
-        det = np.abs(np.linalg.det(_jacobian_batch(np.array(SOLUTION_CATALOG))))
+        det = np.abs(np.linalg.det(_jacobian_batch(np.array(SOLUTION_CATALOG), np.zeros((32, 8, 8)))))
         assert det == pytest.approx(np.full(32, 256 * math.sqrt(2) / 81), rel=1e-12, abs=0.0)
 
     def test_newton_steps_match_one_whole_batch_solve(self):
         # three slices, the last one partial; LAPACK solves each matrix alone
         pts = np.random.default_rng(5).uniform(-1.5, 1.5, size=(2 * _SOLVE_CHUNK + 7, 8))
         r = residuals(pts)
-        whole = np.linalg.solve(_jacobian_batch(pts), -r[..., None])[..., 0]
+        whole = np.linalg.solve(_jacobian_batch(pts, np.zeros((len(pts), 8, 8))), -r[..., None])[..., 0]
         assert np.array_equal(_newton_steps(pts, r, np.zeros((_SOLVE_CHUNK, 8, 8))), whole)
 
     def test_refused_newton_step_is_zero(self):
@@ -775,4 +775,4 @@ class TestJacobianBatch:
         buf = np.zeros((30, 8, 8))
         for m in (30, 17, 30):
             pts = rng.uniform(-1.5, 1.5, size=(m, 8))
-            assert np.array_equal(_jacobian_batch(pts, buf[:m]), _jacobian_batch(pts))
+            assert np.array_equal(_jacobian_batch(pts, buf[:m]), _jacobian_batch(pts, np.zeros((m, 8, 8))))

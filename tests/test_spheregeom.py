@@ -9,7 +9,6 @@ from isowrist.spheregeom import (
     PointSet,
     TETRAHEDRON,
     _line_reflection,
-    _plane_reflection,
     antipodal_exchange,
     isotropy_of,
     isotropy_of_stack,
@@ -315,15 +314,6 @@ class TestStackedForms:
         for e, ell in zip(axes, stacked):
             assert np.array_equal(ell, reflect_about_line(e))
         assert np.array_equal(_line_reflection(axes.reshape(3, 100, 3))[2, 5], stacked[205])
-
-    def test_plane_reflection_of_a_stack_equals_single_reflections(self):
-        rng = np.random.default_rng(18)
-        sets = np.array([random_unit_rows(rng, 5) for _ in range(40)])
-        for normal in list(random_unit_rows(rng, 5)) + [np.eye(3)[k] for k in range(3)]:
-            stacked = _plane_reflection(sets, normal)
-            assert stacked.shape == sets.shape
-            for pts, img in zip(sets, stacked):
-                assert np.array_equal(img, reflect_about_plane(PointSet(pts), normal).array)
 
     def test_single_vector_callers_reject_stacks_of_axes(self):
         axes = random_unit_rows(np.random.default_rng(16), 2)
