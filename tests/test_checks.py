@@ -27,6 +27,7 @@ from isowrist.checks import (
     check_reflection_closure,
     check_solution_residuals,
     check_trace_identity,
+    run_checks,
 )
 from isowrist.classify import ANTIPODAL_SUBSETS, REFLECTIONS, distinct_wrists
 from isowrist.kinematics import (
@@ -332,3 +333,29 @@ class TestStackedSampleChecksEqualLoops:
         items = [tuple(range(int(k))) + (i,) for i, k in enumerate(rng.integers(0, 9, size=300))]
         assert list(checks._by_size(items)) == list(quadratic_by_size(items))
         assert list(checks._by_size([])) == []
+
+
+RESIDUAL_BOUND_CHECKS = [
+    "solution-residuals",
+    "catalog-bijection",
+    "axis-dot-products",
+    "antipodal-closure",
+    "reflection-closure",
+    "platonic-moments",
+    "reflected-tetrahedra",
+    "line-reflection",
+]
+
+
+class TestFixedBounds:
+    @pytest.fixture(scope="class")
+    def report(self):
+        return {r.name: r for r in run_checks(0, 0)}
+
+    @pytest.mark.parametrize("name", RESIDUAL_BOUND_CHECKS)
+    def test_check_passes_at_residual_tol(self, report, name):
+        # no caller can move these bounds: each one is the catalog's 1e-12
+        result = report[name]
+        assert result.tolerance == RESIDUAL_TOL == 1e-12
+        assert result.status == "PASS"
+        assert result.worst <= result.tolerance

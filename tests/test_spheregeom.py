@@ -188,6 +188,22 @@ class TestReflectAboutPlane:
             out = reflect_about_plane(platonic_vertices(kind), normal)
             assert isotropy_of(second_moment(out)).isotropic
 
+    def test_each_point_maps_to_p_minus_twice_its_normal_component(self):
+        rng = np.random.default_rng(18)
+        pts = random_unit_rows(rng, 40)
+        for normal in list(random_unit_rows(rng, 5)) + [np.eye(3)[k] for k in range(3)]:
+            out = reflect_about_plane(PointSet(pts), normal)
+            for p, img in zip(pts, out.array):
+                assert np.max(np.abs(img - (p - 2.0 * np.dot(normal, p) * normal))) < 1e-15
+            assert np.max(np.abs(reflect_about_plane(out, normal).array - pts)) < 1e-15
+
+    @pytest.mark.parametrize("k", range(3))
+    def test_coordinate_plane_negates_one_coordinate_exactly(self, k):
+        pts = random_unit_rows(np.random.default_rng(19), 40)
+        expected = pts.copy()
+        expected[:, k] = -expected[:, k]
+        assert np.array_equal(reflect_about_plane(PointSet(pts), np.eye(3)[k]).array, expected)
+
 
 class TestReflectAboutLine:
     def test_x_axis(self):
