@@ -24,10 +24,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .kinematics import (
-    DHChain, _forward_chain, dh_from_axes_stack, isotropy_report, isotropy_report_stack, jacobian_from_axes,
-    jacobian_from_axes_stack,
-)
+from .kinematics import DHChain, _forward_chain, dh_from_axes_stack, isotropy_report, jacobian_from_axes
 from .solver import SolutionRecord, TRIVIAL_SET_INDEX, _AXIS_SLOTS, _axes_of, catalog_rows
 from .spheregeom import ONE_THIRD, PointSet, _antipodal_signs
 
@@ -90,20 +87,21 @@ class ClassMember:
 class WristClass:
     """One of the eight distinct isotropic wrist architectures.
 
-    twists and interior_joints are the representative DH parameters in
-    radians (interior joints with the first one positive); the mirrored
-    branch, with both interior joint signs flipped, is the same wrist.
-    There is no twist alpha_4: it is undefined for a four-revolute wrist.
+    Holds only what the catalog determines: the class's signature is
+    CLASS_PATTERNS[label], and its isotropy is a verification result
+    that lives in checks, not here.  twists and interior_joints are the
+    representative DH parameters in radians (interior joints with the
+    first one positive); the mirrored branch, with both interior joint
+    signs flipped, is the same wrist.  There is no twist alpha_4: it is
+    undefined for a four-revolute wrist.
     """
 
     label: str
-    signature: CanonicalSignature
     twists: tuple
     interior_joints: tuple
     representative: ClassMember
     members: tuple
     couplings: tuple  # interior joint sign pairs realized by members
-    isotropic_couplings: tuple  # sign pairs whose forward chain is isotropic
 
     @property
     def representative_dh(self) -> DHChain:
@@ -248,27 +246,6 @@ CLASS_PATTERNS = {
 _LABELS = {pat: label for label, pat in CLASS_PATTERNS.items()}
 
 
-#: The four interior-joint sign pairs a class's couplings are drawn from.
-_SIGN_PAIRS = tuple(itertools.product((1, -1), repeat=2))
-
-
-def _isotropic_couplings(chains) -> list:
-    """Per 4-axis DHChain: the interior-joint sign pairs that keep it isotropic.
-
-    Each chain's interior joint magnitudes are kept and their signs set
-    to every pair in turn; one stacked forward chain and SVD serve all
-    chains and pairs.
-    """
-    twists = [dh.twists for dh in chains for _ in _SIGN_PAIRS]
-    theta = [(0.0, s2 * abs(dh.joints[1]), s3 * abs(dh.joints[2]), 0.0) for dh in chains for s2, s3 in _SIGN_PAIRS]
-    axes, _ = _forward_chain(twists, theta)
-    *_, iso = isotropy_report_stack(jacobian_from_axes_stack(axes))
-    return [
-        tuple(sorted(pair for pair, ok in zip(_SIGN_PAIRS, row) if ok))
-        for row in iso.reshape(len(chains), len(_SIGN_PAIRS))
-    ]
-
-
 def distinct_wrists(solutions: Sequence[SolutionRecord]) -> list:
     """Group all (solution, ordering) chains into the distinct wrist classes.
 
@@ -293,28 +270,23 @@ def distinct_wrists(solutions: Sequence[SolutionRecord]) -> list:
     if len(groups) != 8:
         dump = "\n".join(str(sig) for sig in sorted(groups))
         raise ArithmeticError(f"expected 8 signature classes, got {len(groups)}:\n{dump}")
-    found = []
+    classes = []
     for sig, items in groups.items():
         label = _LABELS.get(sig)
         if label is None:
             raise ArithmeticError(f"signature {sig} matches no known wrist class")
         items.sort(key=lambda mk: (mk[0].solution_index, mk[0].ordering))
         rep_member, rep = next((m, k) for m, k in items if interior[k][0] > 0.0)
-        found.append((label, sig, items, rep_member, DHChain(twists[rep], joints[rep])))
-    couplings = _isotropic_couplings([dh for *_, dh in found])
-    classes = [
-        WristClass(
-            label=label,
-            signature=sig,
-            twists=dh.twists,
-            interior_joints=(dh.joints[1], dh.joints[2]),
-            representative=rep_member,
-            members=tuple(m for m, _ in items),
-            couplings=tuple(sorted({m.joint_signs for m, _ in items})),
-            isotropic_couplings=iso,
+        classes.append(
+            WristClass(
+                label=label,
+                twists=tuple(twists[rep]),
+                interior_joints=tuple(interior[rep]),
+                representative=rep_member,
+                members=tuple(m for m, _ in items),
+                couplings=tuple(sorted({m.joint_signs for m, _ in items})),
+            )
         )
-        for (label, sig, items, rep_member, dh), iso in zip(found, couplings)
-    ]
     classes.sort(key=lambda w: w.label)
     return classes
 
@@ -326,13 +298,9 @@ def isotropic_posture_geometry(w: WristClass, theta_1: float, theta_4: float) ->
     them rotates the geometry about the first axis and the task frame
     about the last axis, so isotropy is independent of both.
     """
-    dh = w.representative_dh
     theta = (theta_1,) + w.interior_joints + (theta_4,)
-    axes_arr, normals = _forward_chain([dh.twists], [theta])
-    frames = np.empty((dh.n, 3, 3))
-    for k in range(dh.n):
-        z = axes_arr[0, k]
-        x = normals[0, k]
-        frames[k] = np.column_stack([x, np.cross(z, x), z])
-    axes = PointSet(axes_arr[0])
+    axes_arr, normals = _forward_chain([w.twists], [theta])
+    z, x = axes_arr[0], normals[0]
+    frames = np.stack([x, np.cross(z, x), z], axis=-1)
+    axes = PointSet(z)
     return PostureGeometry(axes, frames, isotropy_report(jacobian_from_axes(axes)))

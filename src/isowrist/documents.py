@@ -79,7 +79,7 @@ def _class_entry(w: WristClass) -> dict:
         "twists_display": [f"{d:.1f}" for d in twists_deg],
         "joints": joints,
         "alpha_4": "undefined",
-        "mirror_couplings": [list(p) for p in w.isotropic_couplings],
+        "mirror_couplings": [list(p) for p in w.couplings],
         "member_count": len(w.members),
         "members": [
             {"solution": m.solution_index, "ordering": list(m.ordering), "joint_signs": list(m.joint_signs)}

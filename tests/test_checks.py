@@ -27,6 +27,7 @@ from isowrist.checks import (
     check_reflection_closure,
     check_solution_residuals,
     check_trace_identity,
+    check_wrist_classes,
     run_checks,
 )
 from isowrist.classify import ANTIPODAL_SUBSETS, REFLECTIONS, distinct_wrists
@@ -333,6 +334,40 @@ class TestStackedSampleChecksEqualLoops:
         items = [tuple(range(int(k))) + (i,) for i, k in enumerate(rng.integers(0, 9, size=300))]
         assert list(checks._by_size(items)) == list(quadratic_by_size(items))
         assert list(checks._by_size([])) == []
+
+
+class TestWristClassesCheck:
+    def test_real_classes_pass(self, wrists):
+        result = check_wrist_classes(wrists)
+        assert result.status == "PASS"
+        assert result.worst == 1.4210854715202004e-14  # the golden 1.421e-14
+
+    def test_unrealised_coupling_fails(self, wrists):
+        # class a is isotropic with signs ((-1, 1), (1, -1)); claiming the other mirror pair must fail
+        assert wrists[0].label == "a"
+        broken = [dataclasses.replace(wrists[0], couplings=((-1, -1), (1, 1)))] + wrists[1:]
+        result = check_wrist_classes(broken)
+        assert result.status == "FAIL"
+        assert result.worst == check_wrist_classes(wrists).worst
+
+    def test_seven_classes_fail(self, wrists):
+        assert check_wrist_classes(wrists[:7]).status == "FAIL"
+
+    def test_no_class_is_no_pass(self):
+        result = check_wrist_classes([])
+        assert result.worst == math.inf
+        assert result.status == "FAIL"
+
+    def test_one_forward_chain_for_every_sign_pair(self, wrists, monkeypatch):
+        calls = []
+
+        def counted(twists, theta):
+            calls.append(np.shape(theta))
+            return _forward_chain(twists, theta)
+
+        monkeypatch.setattr(checks, "_forward_chain", counted)
+        check_wrist_classes(wrists)
+        assert calls == [(len(wrists) * 4, 4)]
 
 
 RESIDUAL_BOUND_CHECKS = [

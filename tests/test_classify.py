@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from isowrist import classify
+from isowrist.checks import _isotropic_couplings
 from isowrist.classify import (
     _LABELS,
     _signatures,
@@ -24,9 +26,7 @@ from isowrist.classify import (
     reflection_map_table,
     symmetry_images,
 )
-from isowrist.kinematics import (
-    DHChain, _forward_chain, dh_from_axes, dh_from_axes_stack, isotropy_report_stack, jacobian_from_axes_stack,
-)
+from isowrist.kinematics import DHChain, dh_from_axes, dh_from_axes_stack
 from isowrist.solver import (
     RESIDUAL_TOL, TRIVIAL_SET_INDEX, _axes_of, catalog_distances, catalog_rows, enumerate_solutions,
 )
@@ -158,7 +158,7 @@ class TestCanonicalSignature:
         for w in wrists:
             dh = w.representative_dh
             mirror = DHChain(dh.twists, (0.0, -dh.joints[1], -dh.joints[2], 0.0))
-            assert canonical_signature(mirror) == w.signature
+            assert canonical_signature(mirror) == CLASS_PATTERNS[w.label]
 
     def test_rejects_wrong_size(self):
         with pytest.raises(ValueError, match="4-axis"):
@@ -183,8 +183,8 @@ class TestDistinctWrists:
             assert len(w.members) == 24
 
     def test_couplings_match_isotropy_verified_ones(self, wrists):
-        for w in wrists:
-            assert w.couplings == w.isotropic_couplings
+        for w, isotropic in zip(wrists, _isotropic_couplings(wrists)):
+            assert w.couplings == isotropic
             assert len(w.couplings) == 2
             # the two realized branches are mirror images of each other
             (a2, a3), (b2, b3) = w.couplings
@@ -291,20 +291,14 @@ def per_chain_distinct_wrists(solutions):
     for sig, items in groups.items():
         items.sort(key=lambda md: (md[0].solution_index, md[0].ordering))
         rep_member, rep_dh = next((m, d) for m, d in items if d.joints[1] > 0.0)
-        pairs = list(itertools.product((1, -1), repeat=2))
-        theta = [(0.0, s2 * abs(rep_dh.joints[1]), s3 * abs(rep_dh.joints[2]), 0.0) for s2, s3 in pairs]
-        axes, _ = _forward_chain([rep_dh.twists] * len(pairs), theta)
-        *_, iso = isotropy_report_stack(jacobian_from_axes_stack(axes))
         classes.append(
             WristClass(
                 label=_LABELS[sig],
-                signature=sig,
                 twists=rep_dh.twists,
                 interior_joints=(rep_dh.joints[1], rep_dh.joints[2]),
                 representative=rep_member,
                 members=tuple(m for m, _ in items),
                 couplings=tuple(sorted({m.joint_signs for m, _ in items})),
-                isotropic_couplings=tuple(sorted(pair for pair, ok in zip(pairs, iso) if ok)),
             )
         )
     return sorted(classes, key=lambda w: w.label)
@@ -317,6 +311,15 @@ class TestStackedDistinctWrists:
 
     def test_subset_equals_the_per_chain_reference(self, solutions):
         assert distinct_wrists(solutions[1:]) == per_chain_distinct_wrists(solutions[1:])
+
+    def test_built_from_the_catalog_alone(self, wrists, monkeypatch):
+        # classes hold catalog facts only: proving the couplings isotropic is the wrist-classes check's work
+        def refuse(twists, theta):
+            raise AssertionError("distinct_wrists ran a forward chain")
+
+        monkeypatch.setattr(classify, "_forward_chain", refuse)
+        assert distinct_wrists(enumerate_solutions()) == wrists
+        assert [w.label for w in wrists] == list("abcdefgh")
 
     @pytest.mark.parametrize("count", [0, 5])
     def test_too_few_solutions_keep_the_class_count_error(self, solutions, count):
