@@ -319,7 +319,6 @@ class TestStackedDistinctWrists:
 
         monkeypatch.setattr(classify, "_forward_chain", refuse)
         assert distinct_wrists(enumerate_solutions()) == wrists
-        assert [w.label for w in wrists] == list("abcdefgh")
 
     @pytest.mark.parametrize("count", [0, 5])
     def test_too_few_solutions_keep_the_class_count_error(self, solutions, count):
