@@ -15,12 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import (
-    ANTIPODAL_SUBSETS, CLASS_PATTERNS, antipodal_map_table, distinct_wrists, reflection_map_table, symmetry_images,
+    ANTIPODAL_SUBSETS, CLASS_PATTERNS, _signatures, antipodal_map_table, chain_orderings, distinct_wrists,
+    reflection_map_table, symmetry_images,
 )
 from .kinematics import DHChain, _forward_chain, dh_from_axes_stack, isotropy_report_stack, jacobian_from_axes_stack
 from .solver import (
-    NONVANISHING_FLOOR, RESIDUAL_TOL, SOLUTION_CATALOG, _axes_of, _row_gaps, catalog_distances, enumerate_solutions,
-    oracle_root_hunt, residuals, solve_closed_form_stack,
+    NONVANISHING_FLOOR, RESIDUAL_TOL, SOLUTION_CATALOG, _CATALOG_AXES, _axes_of, _row_gaps, catalog_distances,
+    enumerate_solutions, oracle_root_hunt, residuals, solve_closed_form_stack,
 )
 from .spheregeom import ONE_THIRD as _T, SQRT2_THIRD as _R2, SQRT6_THIRD as _R6, TWO_SQRT2_THIRD as _S2
 from .spheregeom import (
@@ -230,6 +231,24 @@ def _isotropic_couplings(wrists) -> list:
     ]
 
 
+def _float_member_classes(wrists, chains) -> bool:
+    """Whether every member, rebuilt in floats, has its class's signature and its own joint signs.
+
+    chains lists every (solution_index, ordering) chain in catalog order,
+    and the members must be exactly these.  One dh_from_axes_stack call
+    recovers them all from the catalog axes; the classes come from an
+    exact integer pass, so this is its independent float cross-check.
+    """
+    twists, joints = dh_from_axes_stack(_CATALOG_AXES[:, chain_orderings()].reshape(-1, 4, 3))
+    signs = map(tuple, np.sign(joints[:, 1:3]).astype(int).tolist())
+    found = dict(zip(chains, zip(_signatures(twists, joints[:, 1:3]), signs)))
+    return all(
+        found[m.solution_index, m.ordering] == (CLASS_PATTERNS[w.label], m.joint_signs)
+        for w in wrists
+        for m in w.members
+    )
+
+
 def check_wrist_classes(wrists) -> CheckResult:
     tol_deg = 0.05
     detail = "8 classes, twist triples in degrees, couplings verified"
@@ -238,7 +257,11 @@ def check_wrist_classes(wrists) -> CheckResult:
         return _result("wrist-classes", math.inf, tol_deg, detail=detail)
     expected = {label: pat.cos_twists for label, pat in CLASS_PATTERNS.items()}
     worst = 0.0
-    ok = len(wrists) == 8 and sum(len(w.members) for w in wrists) == 192
+    positions = [tuple(k + 1 for k in ordering) for ordering in chain_orderings()]
+    chains = [(index, position) for index in range(1, 33) for position in positions]
+    # every catalog chain is a member exactly once, so the float pass can look each member up
+    members = sorted((m.solution_index, m.ordering) for w in wrists for m in w.members)
+    ok = len(wrists) == 8 and members == chains and _float_member_classes(wrists, chains)
     for w, isotropic in zip(wrists, _isotropic_couplings(wrists)):
         ok = ok and w.couplings == isotropic
         for a, c in zip(w.twists, expected[w.label]):

@@ -6,7 +6,10 @@ points, and reflections about the x-y and x-z coordinate planes (their
 composition is a half-turn about the x axis).  This module computes
 those index maps, and groups all (solution, chain ordering) pairs by a
 canonical signature of their Denavit-Hartenberg parameters, yielding
-exactly eight distinct isotropic wrist architectures.
+exactly eight distinct isotropic wrist architectures.  The isotropy
+condition puts every pair of axes at e_i . e_j = +-1/3, so the
+signatures follow exactly from the catalog's integer sign table; only
+the eight class representatives get float DH parameters.
 
 Two chains are considered the same wrist when they differ only by the
 free end joints or by a global mirror, which flips the signs of both
@@ -25,7 +28,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .kinematics import DHChain, _forward_chain, dh_from_axes_stack, isotropy_report, jacobian_from_axes
-from .solver import SolutionRecord, TRIVIAL_SET_INDEX, _AXIS_SLOTS, _axes_of, catalog_rows
+from .solver import (
+    CATALOG_MAGNITUDES, CATALOG_SIGNS, SolutionRecord, TRIVIAL_SET_INDEX, _AXIS_SLOTS, _CATALOG_AXES, catalog_rows,
+)
 from .spheregeom import ONE_THIRD, PointSet, _antipodal_signs
 
 SIGNATURE_TOL = 1e-9
@@ -246,47 +251,121 @@ CLASS_PATTERNS = {
 _LABELS = {pat: label for label, pat in CLASS_PATTERNS.items()}
 
 
+#: 3 e_k = (a, b sqrt(2), c sqrt(6)) with integers (a, b, c) at every catalog solution, so that
+#: 9 e_i . e_j = a a' + 2 b b' + 6 c c': the weights of the three coordinates.
+_GRAM_WEIGHTS = np.array((1, 2, 6))
+
+#: The integer coefficient of each unknown (c, s, x, y, z, u, v, w) in its coordinate,
+#: 3 |unknown| / sqrt(weight) = (1, 2, 1, 1, 1, 1, 1, 1).
+_INTEGER_MAGNITUDES = np.rint(
+    3.0 * np.array(CATALOG_MAGNITUDES) / np.sqrt(_GRAM_WEIGHTS[np.array(_AXIS_SLOTS) % 3])
+).astype(int)
+
+
+def _catalog_indices(solutions: Sequence[SolutionRecord]) -> list:
+    """The catalog indices of the records, sorted, each record checked to be the catalog row its index names.
+
+    Raises ArithmeticError naming the first record whose signs are not
+    those of the row its index names, or whose index repeats; signs that
+    match no catalog row at all raise catalog_rows's ArithmeticError.
+    """
+    signs = np.sign(np.reshape([rec.components for rec in solutions], (-1, 8)))
+    seen = set()
+    for k, (rec, row) in enumerate(zip(solutions, catalog_rows(signs))):
+        if row != rec.index:
+            raise ArithmeticError(f"record {k} (index {rec.index!r}) carries the signs of catalog row {row}")
+        if row in seen:
+            raise ArithmeticError(f"record {k} repeats catalog index {row}")
+        seen.add(row)
+    return sorted(seen)
+
+
+def _integer_axes(signs: np.ndarray) -> np.ndarray:
+    """The axes 3 e_1..3 e_4 of catalog sign rows (m, 8) as integers (a, b, c): shape (m, 4, 3)."""
+    axes = np.zeros((len(signs), 12), dtype=int)
+    axes[:, 0] = 3
+    axes[:, _AXIS_SLOTS] = signs * _INTEGER_MAGNITUDES
+    return axes.reshape(-1, 4, 3)
+
+
+def _exact_chain_invariants(a: np.ndarray):
+    """Integer invariants of m chains of integer axes a (m, 4, 3), as _integer_axes gives them.
+
+    Returns (gram (m, 5), interior (m, 2), dets (m, 2)):
+    - gram holds d = 9 e_i . e_j for (i, j) = (1, 2), (2, 3), (3, 4),
+      (1, 3), (2, 4); the twist cosines are gram[:, :3] / 9;
+    - interior holds d_12 d_23 - 9 d_13 and d_23 d_34 - 9 d_24, that is
+      81 (e_1 x e_2) . (e_2 x e_3) and its successor by Binet-Cauchy;
+      with |e_i x e_j|^2 = 8/9 the interior-joint cosines are interior / 72;
+    - dets holds det(e_1, e_2, e_3) and det(e_2, e_3, e_4) over their
+      positive factor sqrt(12) / 27: the signs of theta_2 and theta_3.
+    """
+    gram = (a[:, [0, 1, 2, 0, 1]] * a[:, [1, 2, 3, 2, 3]]) @ _GRAM_WEIGHTS
+    interior = gram[:, :2] * gram[:, 1:3] - 9 * gram[:, 3:]
+    dets = np.sum(np.cross(a[:, :2], a[:, 1:3]) * a[:, 2:], axis=-1)
+    return gram, interior, dets
+
+
 def distinct_wrists(solutions: Sequence[SolutionRecord]) -> list:
     """Group all (solution, ordering) chains into the distinct wrist classes.
 
-    Builds DH parameters for all 32 x 6 chains in one stacked pass, groups
-    them by canonical signature and labels the classes a..h.  Raises with
-    a diagnostic dump if the grouping does not produce exactly eight
-    classes.
+    Every record must be a catalog row (_catalog_indices).  The isotropy
+    condition puts every pair of axes at e_i . e_j = +-1/3, so each
+    chain's canonical signature follows exactly from the catalog signs
+    in one integer pass (_exact_chain_invariants): twist cosines +-1/3,
+    interior-joint cosines +-1/2, interior-joint signs those of two
+    determinants.  The classes are labeled a..h by CLASS_PATTERNS;
+    members keep (solution_index, ordering) order, and the representative
+    is the first member whose theta_2 is positive.  Only the
+    representatives get float DH parameters, from the catalog axes in
+    one dh_from_axes_stack call; checks.check_wrist_classes recovers
+    every chain in floats.
+    Raises with a diagnostic dump if the grouping does not produce
+    exactly eight classes.
     """
+    indices = _catalog_indices(solutions)
     orderings = chain_orderings()
     positions = [tuple(i + 1 for i in ordering) for ordering in orderings]
-    chains = [(rec.index, position) for rec in solutions for position in positions]
-    axes = _axes_of([rec.components for rec in solutions])
-    twists, joints = dh_from_axes_stack(axes[:, orderings].reshape(-1, 4, 3))
-    signatures = _signatures(twists, joints[:, 1:3])
-    interior = joints[:, 1:3].tolist()
-    signs = np.sign(joints[:, 1:3]).astype(int).tolist()
-    twists = twists.tolist()
-    groups: dict[CanonicalSignature, list] = {}
-    for k, (index, position) in enumerate(chains):
-        member = ClassMember(index, position, tuple(signs[k]))
-        groups.setdefault(signatures[k], []).append((member, k))
-    if len(groups) != 8:
-        dump = "\n".join(str(sig) for sig in sorted(groups))
-        raise ArithmeticError(f"expected 8 signature classes, got {len(groups)}:\n{dump}")
-    classes = []
-    for sig, items in groups.items():
-        label = _LABELS.get(sig)
-        if label is None:
-            raise ArithmeticError(f"signature {sig} matches no known wrist class")
-        items.sort(key=lambda mk: (mk[0].solution_index, mk[0].ordering))
-        rep_member, rep = next((m, k) for m, k in items if interior[k][0] > 0.0)
-        classes.append(
-            WristClass(
-                label=label,
-                twists=tuple(twists[rep]),
-                interior_joints=tuple(interior[rep]),
-                representative=rep_member,
-                members=tuple(m for m, _ in items),
-                couplings=tuple(sorted({m.joint_signs for m, _ in items})),
-            )
+    rows = [index - 1 for index in indices]
+    gram, interior, dets = _exact_chain_invariants(_integer_axes(CATALOG_SIGNS[rows])[:, orderings].reshape(-1, 4, 3))
+    theta_signs = np.sign(dets)
+    products = theta_signs[:, 0] * theta_signs[:, 1]
+    # chains group by the six signs of their signature: three twist cosines, two joint cosines, the joint product
+    bits = np.concatenate([gram[:, :3], interior, products[:, None]], axis=-1) > 0
+    groups: dict[int, list] = {}
+    for k, code in enumerate((bits @ (1, 2, 4, 8, 16, 32)).tolist()):
+        groups.setdefault(code, []).append(k)
+    firsts = [items[0] for items in groups.values()]
+    signatures = [
+        CanonicalSignature(tuple(cos_twists), tuple(cos_joints), product)
+        for cos_twists, cos_joints, product in zip(
+            (gram[firsts, :3] / 9).tolist(), (interior[firsts] / 72).tolist(), products[firsts].tolist()
         )
+    ]
+    if len(groups) != 8:
+        dump = "\n".join(str(sig) for sig in sorted(signatures))
+        raise ArithmeticError(f"expected 8 signature classes, got {len(groups)}:\n{dump}")
+    joint_signs = list(map(tuple, theta_signs.tolist()))
+    chain_indices = [index for index in indices for _ in positions]
+    members = list(map(ClassMember, chain_indices, positions * len(indices), joint_signs))
+    # every chain of a catalog row has a class pattern's signature, and a subset of the rows that leaves a class
+    # no member with a positive theta_2 leaves fewer than eight classes, so both lookups always succeed here
+    labels = [_LABELS[sig] for sig in signatures]
+    reps = [next(k for k in items if joint_signs[k][0] > 0) for items in groups.values()]
+    twists, joints = dh_from_axes_stack(_CATALOG_AXES[rows][:, orderings].reshape(-1, 4, 3)[reps])
+    classes = [
+        WristClass(
+            label=label,
+            twists=tuple(rep_twists),
+            interior_joints=tuple(rep_joints),
+            representative=members[rep],
+            members=tuple(map(members.__getitem__, items)),
+            couplings=tuple(sorted({joint_signs[k] for k in items})),
+        )
+        for label, rep, items, rep_twists, rep_joints in zip(
+            labels, reps, groups.values(), twists.tolist(), joints[:, 1:3].tolist()
+        )
+    ]
     classes.sort(key=lambda w: w.label)
     return classes
 

@@ -353,6 +353,44 @@ class TestWristClassesCheck:
     def test_seven_classes_fail(self, wrists):
         assert check_wrist_classes(wrists[:7]).status == "FAIL"
 
+    def test_member_moved_to_another_class_fails(self, wrists):
+        # the float pass gives the moved chain its own signature, not the pattern of its new class
+        moved = wrists[0].members[0]
+        broken = [
+            dataclasses.replace(wrists[0], members=wrists[0].members[1:]),
+            dataclasses.replace(wrists[1], members=wrists[1].members + (moved,)),
+        ] + wrists[2:]
+        result = check_wrist_classes(broken)
+        assert result.status == "FAIL"
+        assert result.worst == check_wrist_classes(wrists).worst
+
+    def test_flipped_member_joint_signs_fail(self, wrists):
+        w = wrists[2]
+        flipped = dataclasses.replace(w.members[5], joint_signs=tuple(-s for s in w.members[5].joint_signs))
+        broken = wrists[:2] + [dataclasses.replace(w, members=w.members[:5] + (flipped,) + w.members[6:])] + wrists[3:]
+        result = check_wrist_classes(broken)
+        assert result.status == "FAIL"
+        assert result.worst == check_wrist_classes(wrists).worst
+
+    @pytest.mark.parametrize("index", [1, 0, 33])
+    def test_member_of_no_catalog_chain_fails(self, wrists, index):
+        # 192 members, but one chain twice and another never, or a chain of no catalog row
+        w = wrists[0]
+        stray = dataclasses.replace(w.members[0], solution_index=index)
+        broken = [dataclasses.replace(w, members=w.members[:-1] + (stray,))] + wrists[1:]
+        assert check_wrist_classes(broken).status == "FAIL"
+
+    def test_one_float_pass_over_every_member(self, wrists, monkeypatch):
+        calls = []
+
+        def counted(a):
+            calls.append(np.shape(a))
+            return dh_from_axes_stack(a)
+
+        monkeypatch.setattr(checks, "dh_from_axes_stack", counted)
+        assert check_wrist_classes(wrists).status == "PASS"
+        assert calls == [(192, 4, 3)]
+
     def test_no_class_is_no_pass(self):
         result = check_wrist_classes([])
         assert result.worst == math.inf

@@ -9,6 +9,8 @@ from isowrist import classify
 from isowrist.checks import _isotropic_couplings
 from isowrist.classify import (
     _LABELS,
+    _exact_chain_invariants,
+    _integer_axes,
     _signatures,
     ANTIPODAL_SUBSETS,
     CLASS_PATTERNS,
@@ -28,7 +30,8 @@ from isowrist.classify import (
 )
 from isowrist.kinematics import DHChain, dh_from_axes, dh_from_axes_stack
 from isowrist.solver import (
-    RESIDUAL_TOL, TRIVIAL_SET_INDEX, _axes_of, catalog_distances, catalog_rows, enumerate_solutions,
+    CATALOG_SIGNS, RESIDUAL_TOL, SOLUTION_CATALOG, TRIVIAL_SET_INDEX, _axes_of, catalog_distances, catalog_rows,
+    enumerate_solutions, sign_patterns, solve_closed_form,
 )
 from isowrist.spheregeom import (
     PointSet, antipodal_exchange, reflect_about_line, reflect_about_plane, rotation_about_axis,
@@ -317,13 +320,108 @@ class TestStackedDistinctWrists:
         def refuse(twists, theta):
             raise AssertionError("distinct_wrists ran a forward chain")
 
+        calls = []
+
+        def counted(a):
+            calls.append(np.shape(a))
+            return dh_from_axes_stack(a)
+
         monkeypatch.setattr(classify, "_forward_chain", refuse)
+        monkeypatch.setattr(classify, "dh_from_axes_stack", counted)
         assert distinct_wrists(enumerate_solutions()) == wrists
+        # the signatures are exact; float DH parameters are recovered for the 8 representatives only
+        assert calls == [(8, 4, 3)]
+
+    def test_records_in_any_order_give_the_same_classes(self, solutions, wrists):
+        assert distinct_wrists(solutions[::-1]) == wrists
+
+    def test_closed_form_records_without_an_index_are_refused(self):
+        records = [solve_closed_form(p) for p in sign_patterns()]
+        row = catalog_rows(np.sign(records[0].components))[0]
+        with pytest.raises(ArithmeticError, match=rf"^record 0 \(index None\) carries the signs of catalog row {row}$"):
+            distinct_wrists(records)
+
+    def test_relabelled_record_is_refused(self, solutions):
+        records = list(solutions)
+        records[7] = dataclasses.replace(records[7], index=40)
+        with pytest.raises(ArithmeticError, match=r"^record 7 \(index 40\) carries the signs of catalog row 8$"):
+            distinct_wrists(records)
+
+    def test_repeated_index_is_refused(self, solutions):
+        with pytest.raises(ArithmeticError, match="^record 32 repeats catalog index 5$"):
+            distinct_wrists(solutions + [solutions[4]])
+
+    def test_signs_of_no_catalog_row_are_refused(self, solutions):
+        trivial = solutions[TRIVIAL_SET_INDEX - 1]
+        with pytest.raises(ArithmeticError, match="match no catalog row"):
+            distinct_wrists(solutions[:17] + [dataclasses.replace(trivial, c=-trivial.c)] + solutions[18:])
+
+    @pytest.mark.parametrize("label", list("abcdefgh"))
+    def test_a_subset_without_a_positive_representative_has_fewer_classes(self, solutions, wrists, label):
+        # why a representative always exists: dropping every record that gives this class a positive theta_2
+        # also drops some other class entirely
+        (w,) = [w for w in wrists if w.label == label]
+        positive = {m.solution_index for m in w.members if m.joint_signs[0] > 0}
+        with pytest.raises(ArithmeticError, match="expected 8 signature classes"):
+            distinct_wrists([r for r in solutions if r.index not in positive])
 
     @pytest.mark.parametrize("count", [0, 5])
     def test_too_few_solutions_keep_the_class_count_error(self, solutions, count):
         with pytest.raises(ArithmeticError, match="expected 8 signature classes"):
             distinct_wrists(solutions[:count])
+
+
+def catalog_chains(axes):
+    """The 192 chains of axis sets (32, 4, 3), (solution, ordering) order: shape (192, 4, 3)."""
+    return np.asarray(axes)[:, chain_orderings()].reshape(-1, 4, 3)
+
+
+class TestExactInvariants:
+    @pytest.fixture(scope="class")
+    def exact(self):
+        return _exact_chain_invariants(catalog_chains(_integer_axes(CATALOG_SIGNS)))
+
+    @pytest.fixture(scope="class")
+    def floats(self):
+        return dh_from_axes_stack(catalog_chains(_axes_of(SOLUTION_CATALOG)))
+
+    def test_integer_axes_are_three_times_the_catalog_axes(self):
+        scaled = _integer_axes(CATALOG_SIGNS) * np.sqrt([1.0, 2.0, 6.0]) / 3.0
+        assert np.max(np.abs(scaled - _axes_of(SOLUTION_CATALOG))) <= 1e-15
+
+    def test_gram_entries_are_nine_times_the_float_dots(self, exact):
+        gram, _, _ = exact
+        a = catalog_chains(_axes_of(SOLUTION_CATALOG))
+        dots = np.sum(a[:, [0, 1, 2, 0, 1]] * a[:, [1, 2, 3, 2, 3]], axis=-1)
+        assert gram.dtype.kind == "i"
+        assert np.max(np.abs(gram - 9.0 * dots)) <= 1e-14
+
+    def test_every_axis_pair_meets_at_a_third(self, exact):
+        gram, _, _ = exact
+        assert gram.shape == (192, 5)
+        assert np.all(np.abs(gram) == 3)
+
+    def test_interior_numerators_are_thirty_six(self, exact):
+        _, interior, _ = exact
+        assert interior.shape == (192, 2)
+        assert np.all(np.abs(interior) == 36)
+
+    def test_determinant_signs_are_the_interior_joint_signs(self, exact, floats):
+        _, _, dets = exact
+        _, joints = floats
+        assert np.all(dets != 0)
+        assert np.array_equal(np.sign(dets), np.sign(joints[:, 1:3]))
+
+    def test_exact_signatures_equal_the_float_ones(self, exact, floats):
+        gram, interior, dets = exact
+        twists, joints = floats
+        products = (np.sign(dets[:, 0]) * np.sign(dets[:, 1])).tolist()
+        exact_signatures = [
+            CanonicalSignature(tuple(t), tuple(j), p)
+            for t, j, p in zip((gram[:, :3] / 9).tolist(), (interior / 72).tolist(), products)
+        ]
+        assert exact_signatures == _signatures(twists, joints[:, 1:3])
+        assert repr(exact_signatures) == repr(_signatures(twists, joints[:, 1:3]))
 
 
 class TestPostureGeometry:

@@ -93,3 +93,24 @@ def test_cli_import_pulls_in_no_process_pool():
     )
     done = subprocess.run([sys.executable, "-c", code, src], env=env, capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"
+
+
+def test_artifact_commands_import_neither_numpy_random_nor_numpy_ma():
+    # numpy imports these lazily, at 10 ms or more each; a fresh interpreter per command would pay it every time
+    src = str(Path(isowrist.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import contextlib, io, sys, isowrist.cli\n"
+        "assert isowrist.cli.__file__.startswith(sys.argv[1]), isowrist.cli.__file__\n"
+        "for args in (['enumerate'], ['classify'], ['posture', 'c'], ['platonic', 'cube']):\n"
+        "    sys.argv = ['isowrist'] + args\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "        try:\n"
+        "            isowrist.cli.main()\n"
+        "        except SystemExit as stop:\n"
+        "            assert stop.code in (None, 0), (args, stop.code)\n"
+        "    assert out.getvalue(), args\n"
+        "print(sorted(m for m in ('numpy.random', 'numpy.ma') if m in sys.modules))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code, src], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
