@@ -20,7 +20,7 @@ from .classify import (
 )
 from .kinematics import DHChain, _forward_chain, dh_from_axes_stack, isotropy_report_stack, jacobian_from_axes_stack
 from .solver import (
-    NONVANISHING_FLOOR, RESIDUAL_TOL, SOLUTION_CATALOG, _CATALOG_AXES, _axes_of, _row_gaps, catalog_distances,
+    NONVANISHING_FLOOR, RESIDUAL_TOL, SOLUTION_CATALOG, _CATALOG, _CATALOG_AXES, _axes_of, catalog_distances,
     enumerate_solutions, oracle_root_hunt, residuals, solve_closed_form_stack,
 )
 from .spheregeom import ONE_THIRD as _T, SQRT2_THIRD as _R2, SQRT6_THIRD as _R6, TWO_SQRT2_THIRD as _S2
@@ -112,11 +112,13 @@ def check_solution_residuals(solutions) -> CheckResult:
 
 
 def check_catalog_bijection(solutions) -> CheckResult:
-    indices = sorted(r.index for r in solutions)
-    # records carry the catalog's own doubles, so re-run the cascade from each record's sign pattern
-    cascade = solve_closed_form_stack([r.sign_pattern for r in solutions])
-    worst = float(np.max(_row_gaps(cascade, [r.index for r in solutions])))
-    ok = indices == list(range(1, 33)) and len({r.sign_pattern for r in solutions}) == 32
+    # enumerate_solutions reads the catalog, so this is where the cascade runs: from each record's sign
+    # pattern it must land within the bound of the row the record names, rows 1..32 once each
+    indices = [r.index for r in solutions]
+    patterns = [r.sign_pattern for r in solutions]
+    cascade = solve_closed_form_stack(patterns)
+    worst = float(np.max(np.abs(cascade - _CATALOG[np.asarray(indices) - 1])))
+    ok = sorted(indices) == list(range(1, 33)) and len(set(patterns)) == 32
     return _result("catalog-bijection", worst, RESIDUAL_TOL, ok, "closed forms match catalog rows 1..32")
 
 

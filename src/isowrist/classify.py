@@ -61,8 +61,7 @@ _SYMMETRY_SIGNS = np.array(
 _SYMMETRY_SIGNS.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class SolutionMap:
+class SolutionMap(NamedTuple):
     """One symmetry map between catalog solutions: source -> target."""
 
     source_index: int
@@ -79,8 +78,7 @@ class CanonicalSignature(NamedTuple):
     joint_sign_product: int
 
 
-@dataclass(frozen=True)
-class ClassMember:
+class ClassMember(NamedTuple):
     """Provenance of one chain inside a wrist class."""
 
     solution_index: int

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .spheregeom import ISO_TOL, PointSet, _norms, rotation_about_axis
+from .spheregeom import ISO_TOL, PointSet, _norms, _rotation
 
 TWIST_TOL = 1e-9
 
@@ -126,8 +126,12 @@ def _unit(v: np.ndarray) -> np.ndarray:
 
 
 def _turn(axis: np.ndarray, angle: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row i of v (m, 3) turned by angle[i] about axis[i], then renormalised."""
-    return _unit((rotation_about_axis(axis, angle) @ v[:, :, None])[:, :, 0])
+    """Row i of v (m, 3) turned by angle[i] about the unit axis[i], then renormalised.
+
+    The axes are not validated: _forward_chain passes e_1 = [1, 0, 0] or
+    a vector that _turn has just renormalised.
+    """
+    return _unit((_rotation(axis, angle) @ v[:, :, None])[:, :, 0])
 
 
 def _forward_chain(twists, theta):

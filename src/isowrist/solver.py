@@ -20,7 +20,11 @@ and the remaining three follow by back-substitution,
 The 2^5 = 32 sign patterns give the 32 solutions.  The cascade runs as
 one array pass over a stack of sign patterns, with the same operations in
 the same order for every row, so a row does not depend on the others and
-one pattern gives the same bits alone or in the stack.  Each unknown k of
+one pattern gives the same bits alone or in the stack.  The artifact
+commands do not run it: enumerate_solutions reads the 32 rows of
+SOLUTION_CATALOG, and verify's catalog-bijection check re-runs the
+cascade from every row's sign pattern and proves each branch within
+RESIDUAL_TOL (1e-12) of its row.  Each unknown k of
 (c, s, x, y, z, u, v, w) is +-sqrt(m_k)/3 at every solution, with
 m = (1, 8, 1, 2, 6, 1, 2, 6).  At these magnitudes the diagonal equations
 and the unit norms hold for any signs s_k (times 9 they read 12 = 12 and
@@ -53,7 +57,7 @@ import pickle
 import sys
 import threading
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -99,13 +103,20 @@ TRIVIAL_SET_INDEX = 18
 _ROW_OF_SIGNS = {tuple(row): k for k, row in enumerate(CATALOG_SIGNS.tolist(), start=1)}
 
 
-@dataclass(frozen=True)
-class SolutionRecord:
+def _sign(t) -> int:
+    """-1, 0 or 1 as the number t is negative, zero or positive (0 for NaN)."""
+    return 1 if t > 0 else -1 if t < 0 else 0
+
+
+class SolutionRecord(NamedTuple):
     """One root (c, s, x, y, z, u, v, w) of the isotropy system.
 
-    index is the 1-based row in SOLUTION_CATALOG once matched;
-    sign_pattern records the five square-root branch choices
-    (s_u, s_z, s_v, s_s, s_w) that produced the record, when known.
+    index is the 1-based row in SOLUTION_CATALOG that enumerate_solutions
+    read the record from; None for a record of solve_closed_form.
+    sign_pattern is read off the signs of the components: the five
+    square-root branch choices (s_u, s_z, s_v, s_s, s_w) whose cascade
+    gives a point with these signs.  A zero or NaN component gives a 0
+    entry, which the cascade refuses.
     """
 
     c: float
@@ -117,11 +128,16 @@ class SolutionRecord:
     v: float
     w: float
     index: int | None = None
-    sign_pattern: tuple | None = None
 
     @property
     def components(self) -> tuple:
         return (self.c, self.s, self.x, self.y, self.z, self.u, self.v, self.w)
+
+    @property
+    def sign_pattern(self) -> tuple:
+        # z = s_z sqrt(6) u and v = s_v sqrt(2) u carry the sign of u; s and w carry their own
+        s_u = _sign(self.u)
+        return (s_u, _sign(self.z) * s_u, _sign(self.v) * s_u, _sign(self.s), _sign(self.w))
 
     @property
     def axes(self) -> PointSet:
@@ -245,8 +261,7 @@ def solve_closed_form_stack(patterns) -> np.ndarray:
 def solve_closed_form(pattern: Sequence[int]) -> SolutionRecord:
     """The elimination cascade for one sign pattern (s_u, s_z, s_v, s_s, s_w): solve_closed_form_stack with m = 1."""
     signs = np.asarray(pattern)[None]
-    point = solve_closed_form_stack(signs)[0]
-    return SolutionRecord(*point.tolist(), sign_pattern=tuple(int(b) for b in signs[0]))
+    return SolutionRecord(*solve_closed_form_stack(signs)[0].tolist())
 
 
 def catalog_distances(axes) -> np.ndarray:
@@ -271,34 +286,16 @@ def catalog_rows(signs) -> list:
     return rows
 
 
-def _row_gaps(points, rows) -> np.ndarray:
-    """Max-norm distances from unknowns (m, 8) to their 1-based catalog rows, shape (m,), as in catalog_distances."""
-    return np.max(np.abs(np.asarray(points, dtype=float) - _CATALOG[np.asarray(rows) - 1]), axis=-1)
-
-
 def enumerate_solutions() -> list:
-    """All 32 solutions, matched bijectively to the catalog and sorted.
+    """All 32 solutions in catalog order, read from SOLUTION_CATALOG.
 
-    Each branch is matched to the catalog row of its signs and must lie
-    within RESIDUAL_TOL of that row in max-norm.  Raises if a branch has
-    no such row or if the branch-to-row assignment is not a bijection.
-    The returned records carry the catalog's exact-radical doubles; the
-    floating-point output of the cascade only serves to establish the
-    match.
+    Record k carries row k's exact-radical doubles and index k, so its
+    sign_pattern is read off row k of CATALOG_SIGNS.  Nothing is solved
+    here: verify's catalog-bijection check re-runs the elimination cascade
+    from the 32 sign patterns and proves each branch within RESIDUAL_TOL
+    (1e-12) of its row.  The records are built afresh on every call.
     """
-    patterns = sign_patterns()
-    points = solve_closed_form_stack(patterns)
-    rows = catalog_rows(np.sign(points))
-    by_index: dict[int, SolutionRecord] = {}
-    for pattern, point, idx, gap in zip(patterns, points.tolist(), rows, _row_gaps(points, rows).tolist()):
-        if not gap <= RESIDUAL_TOL:
-            raise ArithmeticError(f"closed-form solution {tuple(point)} matches no catalog row ({gap!r} from {idx})")
-        if idx in by_index:
-            raise ArithmeticError(f"catalog row {idx} matched by two sign patterns")
-        by_index[idx] = SolutionRecord(*SOLUTION_CATALOG[idx - 1], index=idx, sign_pattern=pattern)
-    if sorted(by_index) != list(range(1, 33)):
-        raise ArithmeticError("sign patterns do not cover the catalog bijectively")
-    return [by_index[i] for i in range(1, 33)]
+    return [SolutionRecord(*row, index) for index, row in enumerate(SOLUTION_CATALOG, start=1)]
 
 
 @dataclass(frozen=True, eq=False)

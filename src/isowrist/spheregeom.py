@@ -261,7 +261,11 @@ def rotation_about_axis(axis, angle) -> np.ndarray:
     array (...); the two broadcast and the result has shape (..., 3, 3).
     Every axis must have unit norm within UNIT_TOL.
     """
-    e = _as_unit(axis)
+    return _rotation(_as_unit(axis), angle)
+
+
+def _rotation(e: np.ndarray, angle) -> np.ndarray:
+    """rotation_about_axis of float unit axes e (..., 3), which are not validated; pass unit vectors."""
     angle = np.asarray(angle, dtype=float)
     # k and the sines are built on their own shapes; the sum broadcasts them
     x, y, z = e[..., 0], e[..., 1], e[..., 2]

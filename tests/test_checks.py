@@ -156,7 +156,7 @@ class TestStackedChecksEqualLoops:
         broken = list(solutions)
         r = broken[7]
         c, s = math.cos(1e-6), math.sin(1e-6)
-        broken[7] = dataclasses.replace(r, x=c * r.x - s * r.y, y=s * r.x + c * r.y)
+        broken[7] = r._replace(x=c * r.x - s * r.y, y=s * r.x + c * r.y)
         result = check(broken)
         assert result == reference(broken, RESIDUAL_TOL)
         if check is not check_catalog_bijection:  # the bijection re-runs the cascade from the sign pattern
@@ -366,7 +366,7 @@ class TestWristClassesCheck:
 
     def test_flipped_member_joint_signs_fail(self, wrists):
         w = wrists[2]
-        flipped = dataclasses.replace(w.members[5], joint_signs=tuple(-s for s in w.members[5].joint_signs))
+        flipped = w.members[5]._replace(joint_signs=tuple(-s for s in w.members[5].joint_signs))
         broken = wrists[:2] + [dataclasses.replace(w, members=w.members[:5] + (flipped,) + w.members[6:])] + wrists[3:]
         result = check_wrist_classes(broken)
         assert result.status == "FAIL"
@@ -376,7 +376,7 @@ class TestWristClassesCheck:
     def test_member_of_no_catalog_chain_fails(self, wrists, index):
         # 192 members, but one chain twice and another never, or a chain of no catalog row
         w = wrists[0]
-        stray = dataclasses.replace(w.members[0], solution_index=index)
+        stray = w.members[0]._replace(solution_index=index)
         broken = [dataclasses.replace(w, members=w.members[:-1] + (stray,))] + wrists[1:]
         assert check_wrist_classes(broken).status == "FAIL"
 

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 
@@ -343,7 +342,7 @@ class TestStackedDistinctWrists:
 
     def test_relabelled_record_is_refused(self, solutions):
         records = list(solutions)
-        records[7] = dataclasses.replace(records[7], index=40)
+        records[7] = records[7]._replace(index=40)
         with pytest.raises(ArithmeticError, match=r"^record 7 \(index 40\) carries the signs of catalog row 8$"):
             distinct_wrists(records)
 
@@ -354,7 +353,7 @@ class TestStackedDistinctWrists:
     def test_signs_of_no_catalog_row_are_refused(self, solutions):
         trivial = solutions[TRIVIAL_SET_INDEX - 1]
         with pytest.raises(ArithmeticError, match="match no catalog row"):
-            distinct_wrists(solutions[:17] + [dataclasses.replace(trivial, c=-trivial.c)] + solutions[18:])
+            distinct_wrists(solutions[:17] + [trivial._replace(c=-trivial.c)] + solutions[18:])
 
     @pytest.mark.parametrize("label", list("abcdefgh"))
     def test_a_subset_without_a_positive_representative_has_fewer_classes(self, solutions, wrists, label):
@@ -554,6 +553,6 @@ class TestStackedSymmetryImages:
         assert str(stack[1].tolist()) in str(info.value)
         assert catalog_rows(stack[::2]) == [1, 3]
         trivial = solutions[TRIVIAL_SET_INDEX - 1]
-        broken = [dataclasses.replace(trivial, c=-trivial.c)]
+        broken = [trivial._replace(c=-trivial.c)]
         with pytest.raises(ArithmeticError, match="match no catalog row"):
             antipodal_map_table(broken)

@@ -10,7 +10,7 @@ import click
 import pytest
 from click.testing import CliRunner
 
-from isowrist import checks
+from isowrist import checks, classify, solver
 from isowrist.cli import cli
 from isowrist.solver import SOLUTION_CATALOG
 
@@ -440,3 +440,30 @@ def test_unallocatable_oracle_starts_is_usage_error(runner):
     assert "Traceback" not in result.output
     message = "Error: Invalid value for '--oracle-starts': 100000000000000 starts need more memory than is available"
     assert [line for line in result.stderr.splitlines() if line.startswith("Error")] == [message]
+
+
+class _AttributesOnly:
+    """A value record seen through its attributes alone: it cannot be unpacked, iterated, indexed or sized."""
+
+    __slots__ = ("_record",)
+
+    def __init__(self, record):
+        self._record = record
+
+    def __getattr__(self, name):
+        return getattr(self._record, name)
+
+
+#: The golden commands that build value records; verify-seed0.txt adds only the oracle, which builds none.
+RECORD_COMMANDS = [name for name in sorted(GOLDEN_COMMANDS) if not name.startswith(("platonic", "verify-seed"))]
+
+
+@pytest.mark.parametrize("name", RECORD_COMMANDS)
+def test_commands_read_value_records_by_attribute_only(runner, monkeypatch, name):
+    # a NamedTuple record also works as a plain tuple; every library caller must read it by field name
+    for module, record in ((solver, "SolutionRecord"), (classify, "ClassMember"), (classify, "SolutionMap")):
+        record_type = getattr(module, record)
+        monkeypatch.setattr(module, record, lambda *args, _type=record_type: _AttributesOnly(_type(*args)))
+    result = runner.invoke(cli, GOLDEN_COMMANDS[name])
+    assert result.exit_code == 0
+    assert result.stdout_bytes == (GOLDEN / name).read_bytes()

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from isowrist import kinematics, spheregeom
 from isowrist.checks import check_dh_round_trip
 from isowrist.classify import chain_orderings, distinct_wrists
 from isowrist.kinematics import (
@@ -150,6 +151,26 @@ class TestStackedForwardChain:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="do not fit"):
             _forward_chain(np.ones((3, 2)), np.zeros((3, 4)))
+
+    @pytest.mark.parametrize("n", [2, 4, 7])
+    def test_unvalidated_turns_equal_the_validated_rotation(self, monkeypatch, n):
+        rng = np.random.default_rng(200 + n)
+        twists = rng.uniform(0.2, math.pi - 0.2, size=(50, n - 1))
+        theta = rng.uniform(-7.0, 7.0, size=(50, n))
+        fast = _forward_chain(twists, theta)
+        # the old path: every turn through the public rotation, which validates its axes
+        monkeypatch.setattr(kinematics, "_rotation", spheregeom.rotation_about_axis)
+        for got, old in zip(fast, _forward_chain(twists, theta)):
+            assert np.array_equal(got, old)
+
+    def test_turns_do_not_revalidate_their_axes(self, monkeypatch):
+        def refuse(v):
+            raise AssertionError("axes validated")
+
+        monkeypatch.setattr(spheregeom, "_as_unit", refuse)
+        _forward_chain(np.full((3, 3), 1.2), np.zeros((3, 4)))
+        with pytest.raises(AssertionError, match="axes validated"):
+            spheregeom.rotation_about_axis([1.0, 0.0, 0.0], 1.0)
 
     def test_isotropy_stack_rows_equal_single_reports(self):
         rng = np.random.default_rng(8)

@@ -7,7 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import isowrist
+from isowrist.classify import ClassMember, SolutionMap
+from isowrist.solver import SOLUTION_CATALOG, SolutionRecord
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SOURCES = Path(isowrist.__file__).resolve().parent
@@ -114,3 +118,20 @@ def test_artifact_commands_import_neither_numpy_random_nor_numpy_ma():
     )
     done = subprocess.run([sys.executable, "-c", code, src], env=env, capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"
+
+
+#: The value records built in bulk on every artifact command, an example of each, and its field names.
+RECORDS = [
+    (SolutionRecord(*SOLUTION_CATALOG[17], 18), ("c", "s", "x", "y", "z", "u", "v", "w", "index")),
+    (ClassMember(18, (1, 3, 2, 4), (1, -1)), ("solution_index", "ordering", "joint_signs")),
+    (SolutionMap(18, "antipodal", 10, (2,)), ("source_index", "operation", "target_index", "subset")),
+]
+
+
+@pytest.mark.parametrize("record, fields", RECORDS, ids=[type(record).__name__ for record, _ in RECORDS])
+def test_value_records_are_immutable_named_tuples(record, fields):
+    assert type(record)._fields == fields
+    for name in fields + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+    assert record == type(record)(*(getattr(record, name) for name in fields))

@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import itertools
 import math
@@ -12,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from isowrist import solver
+from isowrist import checks, solver
 from isowrist.classify import _SYMMETRY_SIGNS, ANTIPODAL_SUBSETS, REFLECTIONS
 from isowrist.checks import check_catalog_bijection, check_distinctness, check_nonvanishing, check_oracle
 from isowrist.solver import (
@@ -214,22 +213,39 @@ class TestEnumerate:
             for i, j in itertools.combinations(range(4), 2):
                 assert abs(abs(float(a[i] @ a[j])) - 1.0 / 3.0) < 1e-12
 
+    def test_records_read_the_catalog_table(self):
+        # TestExactSigns.test_sign_pattern_is_read_off_the_row checks each record's sign_pattern
+        recs = enumerate_solutions()
+        assert [r.index for r in recs] == list(range(1, 33))
+        assert np.array([r.components for r in recs]).tobytes() == np.array(SOLUTION_CATALOG).tobytes()
+
+    def test_no_cascade_and_fresh_records_on_every_call(self, monkeypatch):
+        def refuse(patterns):
+            raise AssertionError("enumerate_solutions ran the cascade")
+
+        monkeypatch.setattr(solver, "solve_closed_form_stack", refuse)
+        first = enumerate_solutions()
+        first[0] = None
+        second = enumerate_solutions()
+        assert second[0].index == 1 and second is not first
+
     @pytest.mark.parametrize(("offset", "matches"), [(1e-13, True), (1e-11, False)])
     def test_branch_must_lie_within_tolerance_of_its_row(self, monkeypatch, offset, matches):
-        # row 1's branch keeps its signs but moves off its row: 1e-11 is beyond RESIDUAL_TOL, so no match
-        cascade = solver.solve_closed_form_stack
+        # the cascade runs in verify's bijection check: row 1's branch keeps its signs but moves off its row,
+        # and 1e-11 is beyond RESIDUAL_TOL
+        cascade = checks.solve_closed_form_stack
 
         def shifted(patterns):
             points = cascade(patterns)
             points[[tuple(p) == (1, 1, 1, -1, 1) for p in patterns], 0] += offset
             return points
 
-        monkeypatch.setattr(solver, "solve_closed_form_stack", shifted)
+        monkeypatch.setattr(checks, "solve_closed_form_stack", shifted)
+        result = check_catalog_bijection(enumerate_solutions())
         if matches:
-            assert solver.enumerate_solutions()[0].components == SOLUTION_CATALOG[0]
+            assert result.status == "PASS" and 0.0 < result.worst <= 1e-12
         else:
-            with pytest.raises(ArithmeticError, match="matches no catalog row"):
-                solver.enumerate_solutions()
+            assert result.status == "FAIL" and result.worst > 1e-12
 
     def test_xy_reflection_maps_18_to_19(self):
         recs = enumerate_solutions()
@@ -380,7 +396,7 @@ class TestCatalogChecks:
 
     def test_bijection_fails_on_a_repeated_sign_pattern(self):
         solutions = enumerate_solutions()
-        solutions[0] = dataclasses.replace(solutions[0], sign_pattern=solutions[1].sign_pattern)
+        solutions[0] = solutions[1]._replace(index=solutions[0].index)  # row 2's signs under index 1
         result = check_catalog_bijection(solutions)
         assert result.status == "FAIL"
         assert result.worst == pytest.approx(2.0 * math.sqrt(6.0) / 3.0, rel=1e-12)

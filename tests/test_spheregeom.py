@@ -294,6 +294,11 @@ class TestStackedForms:
         assert np.array_equal(stacked[3, 1, 2], rotation_about_axis(axes[1, 2], angles[3, 0, 0]))
         assert np.array_equal(rotation_about_axis(axes[0, 0], angles[:, 0, 0])[2], stacked[2, 0, 0])
 
+    @pytest.mark.parametrize("scale", [1.0 + 1e-9, 1.0 - 1e-9, 2.0])
+    def test_rotation_rejects_a_non_unit_axis(self, scale):
+        with pytest.raises(ValueError, match="norm"):
+            rotation_about_axis(np.array([0.6, 0.0, 0.8]) * scale, 0.3)
+
     def test_one_non_unit_axis_in_a_stack_is_rejected(self):
         axes = random_unit_rows(np.random.default_rng(14), 10)
         axes[7] *= 1.0 + 1e-9
