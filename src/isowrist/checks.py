@@ -285,13 +285,17 @@ def check_posture_isotropy(wrists) -> CheckResult:
         # no posture checked is no evidence: an infinite worst, never a perfect 0
         return _result("posture-isotropy", math.inf, 1e-9, detail=detail)
     angles = np.linspace(0.0, 2.0 * math.pi, POSTURE_GRID, endpoint=False)
-    t1, t4 = (g.ravel() for g in np.meshgrid(angles, angles, indexing="ij"))
-    # one row per (wrist, grid posture): the wrist's own twists and interior joints, the grid's free joints
+    # one row per (wrist, theta_1 grid value): the wrist's own twists and interior joints, theta_4 = nan.
+    # theta_4 turns only the end-effector normal; an axis that read it would come out nan, so finite axes
+    # are the ones every theta_4 of the grid (and every theta_4 at all) gives, bit for bit
     chains = [w.representative_dh for w in wrists]
-    twists = np.repeat([dh.twists for dh in chains], t1.size, axis=0)
-    theta = np.repeat([dh.joints for dh in chains], t1.size, axis=0)
-    theta[:, 0], theta[:, -1] = np.tile(t1, len(chains)), np.tile(t4, len(chains))
+    twists = np.repeat([dh.twists for dh in chains], POSTURE_GRID, axis=0)
+    theta = np.repeat([dh.joints for dh in chains], POSTURE_GRID, axis=0)
+    theta[:, 0], theta[:, -1] = np.tile(angles, len(chains)), math.nan
     axes, _ = _forward_chain(twists, theta)
+    if not np.isfinite(axes).all():
+        # the SVD would raise on nan: axes that read theta_4 fail with an infinite worst instead
+        return _result("posture-isotropy", math.inf, 1e-9, detail=detail)
     _, sigma, cond, _ = isotropy_report_stack(jacobian_from_axes_stack(axes))
     worst = max(float(np.max(np.abs(cond - 1.0))), float(np.max(np.abs(sigma - SIGMA_FOUR_AXES))))
     return _result("posture-isotropy", worst, 1e-9, detail=detail)

@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .kinematics import DHChain, _forward_chain, dh_from_axes_stack, isotropy_report, jacobian_from_axes
+from .kinematics import DHChain, _cross, _forward_chain, dh_from_axes_stack, isotropy_report, jacobian_from_axes
 from .solver import (
     CATALOG_MAGNITUDES, CATALOG_SIGNS, SolutionRecord, TRIVIAL_SET_INDEX, _AXIS_SLOTS, _CATALOG_AXES, catalog_rows,
 )
@@ -300,7 +300,7 @@ def _exact_chain_invariants(a: np.ndarray):
     """
     gram = (a[:, [0, 1, 2, 0, 1]] * a[:, [1, 2, 3, 2, 3]]) @ _GRAM_WEIGHTS
     interior = gram[:, :2] * gram[:, 1:3] - 9 * gram[:, 3:]
-    dets = np.sum(np.cross(a[:, :2], a[:, 1:3]) * a[:, 2:], axis=-1)
+    dets = np.sum(_cross(a[:, :2], a[:, 1:3]) * a[:, 2:], axis=-1)
     return gram, interior, dets
 
 
@@ -378,6 +378,6 @@ def isotropic_posture_geometry(w: WristClass, theta_1: float, theta_4: float) ->
     theta = (theta_1,) + w.interior_joints + (theta_4,)
     axes_arr, normals = _forward_chain([w.twists], [theta])
     z, x = axes_arr[0], normals[0]
-    frames = np.stack([x, np.cross(z, x), z], axis=-1)
+    frames = np.stack([x, _cross(z, x), z], axis=-1)
     axes = PointSet(z)
     return PostureGeometry(axes, frames, isotropy_report(jacobian_from_axes(axes)))

@@ -125,6 +125,17 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / _norms(v)
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross products of a (..., 3) and b (..., 3) over the last axis, equal to np.cross bit for bit.
+
+    The same three products and differences as np.cross, without its axis
+    handling; integer stacks stay integer.
+    """
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
 def _turn(axis: np.ndarray, angle: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Row i of v (m, 3) turned by angle[i] about the unit axis[i], then renormalised.
 
@@ -142,6 +153,8 @@ def _forward_chain(twists, theta):
     normals[i, k] is the unit common normal between axes k+1 and k+2 (the
     x-axis of link frame k+1), with normals[i, n-1] the end-effector
     x-axis turned by theta_n.  Each row equals the chain computed alone.
+    theta_n turns only normals[:, n-1]: no axis reads it, so a nan there
+    leaves the axes finite and bit-identical to any other value.
     """
     twists = np.asarray(twists, dtype=float)
     theta = np.asarray(theta, dtype=float)
@@ -204,10 +217,10 @@ def dh_from_axes_stack(a: np.ndarray):
         raise ValueError("degenerate twist: consecutive axes parallel or antiparallel")
     twists = np.array([math.acos(d) for d in dots.ravel().tolist()]).reshape(m, n - 1)
     # unit common normals x_i between axes i and i+1
-    crosses = np.cross(a[:, :-1], a[:, 1:])
+    crosses = _cross(a[:, :-1], a[:, 1:])
     normals = crosses / np.linalg.norm(crosses, axis=-1, keepdims=True)
     x_prev, x_next = normals[:, :-1], normals[:, 1:]
-    turns = np.cross(x_prev, x_next)
+    turns = _cross(x_prev, x_next)
     # the batched matmul takes each dot product exactly as np.dot of two 3-vectors does
     sin_part = (turns[..., None, :] @ a[:, 1:-1, :, None]).ravel().tolist()
     cos_part = (x_prev[..., None, :] @ x_next[..., :, None]).ravel().tolist()

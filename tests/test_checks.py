@@ -310,15 +310,34 @@ class TestStackedSampleChecksEqualLoops:
         assert result.status == "FAIL"
 
     def test_one_forward_chain_for_every_grid(self, wrists, monkeypatch):
-        calls = []
+        calls, svds = [], []
 
         def counted(twists, theta):
-            calls.append(np.shape(theta))
+            calls.append(np.array(theta))
             return _forward_chain(twists, theta)
 
+        def counted_svd(j):
+            svds.append(np.shape(j))
+            return isotropy_report_stack(j)
+
         monkeypatch.setattr(checks, "_forward_chain", counted)
+        monkeypatch.setattr(checks, "isotropy_report_stack", counted_svd)
         check_posture_isotropy(wrists)
-        assert calls == [(len(wrists) * POSTURE_GRID**2, 4)]
+        # one theta_1 sweep per wrist: a nan theta_4 stands for every theta_4 of the grid
+        assert [theta.shape for theta in calls] == [(len(wrists) * POSTURE_GRID, 4)]
+        assert np.isnan(calls[0][:, -1]).all() and np.isfinite(calls[0][:, :-1]).all()
+        assert svds == [(len(wrists) * POSTURE_GRID, 3, 4)]
+
+    def test_axes_that_read_theta_4_fail_without_raising(self, wrists, monkeypatch):
+        def reads_theta_4(twists, theta):
+            axes, normals = _forward_chain(twists, theta)
+            return axes + 0.0 * np.asarray(theta)[:, -1:, None], normals
+
+        monkeypatch.setattr(checks, "_forward_chain", reads_theta_4)
+        result = check_posture_isotropy(wrists)
+        assert result.worst == math.inf
+        assert result.status == "FAIL"
+        assert result.detail == per_wrist_posture_isotropy(wrists).detail
 
     @pytest.mark.parametrize("seed", range(100))
     def test_per_size_normalisation_is_per_set_division(self, seed):

@@ -9,6 +9,7 @@ from isowrist.checks import check_dh_round_trip
 from isowrist.classify import chain_orderings, distinct_wrists
 from isowrist.kinematics import (
     DHChain,
+    _cross,
     _forward_chain,
     dh_from_axes,
     dh_from_axes_stack,
@@ -172,6 +173,25 @@ class TestStackedForwardChain:
         with pytest.raises(AssertionError, match="axes validated"):
             spheregeom.rotation_about_axis([1.0, 0.0, 0.0], 1.0)
 
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_last_joint_turns_no_axis(self, n):
+        # check_posture_isotropy sweeps theta_1 alone and probes theta_n with nan: this is the fact it relies on
+        rng = np.random.default_rng(300 + n)
+        twists = rng.uniform(0.2, math.pi - 0.2, size=(40, n - 1))
+        theta = rng.uniform(-7.0, 7.0, size=(40, n))
+        runs = []
+        for last in (0.0, rng.uniform(-7.0, 7.0, size=40), math.nan):
+            theta[:, -1] = last
+            with np.errstate(all="raise"), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                runs.append(_forward_chain(twists, theta))
+        (axes, normals), *others = runs
+        for other_axes, other_normals in others:
+            assert np.array_equal(axes, other_axes)
+            assert np.array_equal(normals[:, :-1], other_normals[:, :-1])
+        nan_normals = runs[-1][1]
+        assert np.isfinite(nan_normals[:, :-1]).all() and np.isnan(nan_normals[:, -1]).all()
+
     def test_isotropy_stack_rows_equal_single_reports(self):
         rng = np.random.default_rng(8)
         for n in range(1, 9):
@@ -314,6 +334,19 @@ class TestStackedDH:
     def test_too_few_axes(self):
         with pytest.raises(ValueError, match="two axes"):
             dh_from_axes_stack(np.ones((3, 1, 3)))
+
+
+class TestCross:
+    @pytest.mark.parametrize("shape", [(3,), (4, 3), (192, 2, 3), (8, 3, 3)])
+    def test_equals_np_cross(self, shape):
+        rng = np.random.default_rng(len(shape) * 10 + shape[0])
+        # the float stack holds exact zeros of both signs
+        floats = rng.normal(size=(2,) + shape) * rng.integers(0, 2, size=(2,) + shape)
+        for a, b in [floats, rng.integers(-3, 4, size=(2,) + shape)]:
+            got, expected = _cross(a, b), np.cross(a, b)
+            assert got.dtype == expected.dtype
+            # signbit tells -0.0 from 0.0, which array_equal does not
+            assert np.array_equal(got, expected) and np.array_equal(np.signbit(got), np.signbit(expected))
 
 
 class TestRoundTrip:
