@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,6 @@ from .spheregeom import (
     PointSet,
     TETRAHEDRON,
     _line_reflection,
-    _norms,
     isotropy_of,
     isotropy_of_stack,
     platonic_vertices,
@@ -195,11 +195,39 @@ def check_reflected_tetrahedra() -> CheckResult:
     return _result("reflected-tetrahedra", worst, RESIDUAL_TOL, ok, "coordinate-plane reflections of the trivial set")
 
 
+def _uniform(gen, count, low, high):
+    """count uniforms on [low, high) from one randbytes call: the top 53 bits of each little-endian 64-bit word."""
+    words = np.frombuffer(gen.randbytes(8 * count), dtype="<u8")
+    return low + (high - low) * ((words >> np.uint64(11)) * 2.0**-53)
+
+
+def _sizes(gen, count, low, high):
+    """count integers on low..high-1 from one randbytes call; high - low divides 256, so byte % k is exactly uniform."""
+    k = high - low
+    if 256 % k:
+        raise ValueError(f"byte % {k} is not uniform: {k} does not divide 256")
+    return (np.frombuffer(gen.randbytes(count), dtype=np.uint8) % k).astype(np.intp) + low
+
+
+def _normals(gen, count):
+    """count standard normals by Box-Muller, each consecutive pair from one pair (u, v) of a single uniform draw.
+
+    r = sqrt(-2 log1p(-u)) is finite because u < 1; the pair is (r cos 2 pi v, r sin 2 pi v).
+    """
+    u, v = _uniform(gen, 2 * ((count + 1) // 2), 0.0, 1.0).reshape(-1, 2).T
+    r = np.sqrt(-2.0 * np.log1p(-u))
+    turn = 2.0 * math.pi * v
+    return np.column_stack([r * np.cos(turn), r * np.sin(turn)]).ravel()[:count]
+
+
+def _unit_vectors(gen, count):
+    """count random unit vectors (count, 3): normals from one draw, each row divided by its own norm."""
+    points = _normals(gen, 3 * count).reshape(count, 3)
+    return points / np.linalg.norm(points, axis=-1, keepdims=True)
+
+
 def check_line_reflection(seed) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    # one (count, 3) draw is the same stream as count draws of size 3; _norms matches each 1-D norm bit for bit
-    axes = rng.normal(size=(LINE_REFLECTION_COUNT, 3))
-    axes /= _norms(axes)
+    axes = _unit_vectors(random.Random(seed), LINE_REFLECTION_COUNT)
     ell = _line_reflection(axes)
     worst = max(
         float(np.max(np.abs(ell @ ell.swapaxes(1, 2) - np.eye(3)))),
@@ -301,15 +329,20 @@ def check_posture_isotropy(wrists) -> CheckResult:
     return _result("posture-isotropy", worst, 1e-9, detail=detail)
 
 
+def _random_chains(gen, count):
+    """count random DH chains of 3..6 joints: all sizes in one draw, then every twist in one and every joint in another.
+
+    Twists are uniform on [0.2, pi - 0.2) and interior joints on [-3, 3); the free end joints are 0.
+    """
+    sizes = _sizes(gen, count, 3, 7)
+    twists = np.split(_uniform(gen, int(np.sum(sizes - 1)), 0.2, math.pi - 0.2), np.cumsum(sizes - 1)[:-1])
+    joints = np.split(_uniform(gen, int(np.sum(sizes - 2)), -3.0, 3.0), np.cumsum(sizes - 2)[:-1])
+    return [DHChain(t, [0.0, *j, 0.0]) for t, j in zip(twists, joints)]
+
+
 def check_dh_round_trip(wrists, seed) -> CheckResult:
-    rng = np.random.default_rng(seed)
     worst = 0.0
-    chains = [w.representative_dh for w in wrists]
-    for _ in range(DH_ROUND_TRIP_COUNT):
-        n = int(rng.integers(3, 7))
-        twists = rng.uniform(0.2, math.pi - 0.2, size=n - 1)
-        joints = np.concatenate([[0.0], rng.uniform(-3.0, 3.0, size=n - 2), [0.0]])
-        chains.append(DHChain(twists, joints))
+    chains = [w.representative_dh for w in wrists] + _random_chains(random.Random(seed), DH_ROUND_TRIP_COUNT)
     for _, group in _by_size(chains, lambda dh: dh.n):
         theta = [(0.4,) + dh.joints[1:-1] + (1.1,) for dh in group]
         twists = np.array([dh.twists for dh in group])
@@ -324,23 +357,22 @@ def check_dh_round_trip(wrists, seed) -> CheckResult:
     return _result("dh-round-trip", worst, 1e-9, detail="forward kinematics then parameter recovery")
 
 
-def _random_unit_sets(rng, count):
-    """count random unit-vector sets of 1..8 points each, drawn size first, then points.
+def _random_unit_sets(gen, count):
+    """count random unit-vector sets of 1..8 points each: all sizes in one draw, then all points in one.
 
-    Returns [(n, stack (k, n, 3))] in ascending n, draw order kept in each stack;
-    one norm per stack divides every row exactly as a per-set norm would.
+    Returns [(n, stack (k, n, 3))] in ascending n, draw order kept in each stack.
     """
-    drawn = [rng.normal(size=(int(rng.integers(1, 9)), 3)) for _ in range(count)]
-    stacks = [(n, np.array(group)) for n, group in _by_size(drawn)]
-    return [(n, stack / np.linalg.norm(stack, axis=-1, keepdims=True)) for n, stack in stacks]
+    sizes = _sizes(gen, count, 1, 9)
+    points = _unit_vectors(gen, int(np.sum(sizes)))
+    starts = np.cumsum(sizes) - sizes
+    return [(n, points[starts[sizes == n, None] + np.arange(n)]) for n in sorted(set(sizes.tolist()))]
 
 
 def check_jacobian_moment_agreement(solutions, seed) -> CheckResult:
-    rng = np.random.default_rng(seed)
     worst = 0.0
     agree = True
     stacks = [_axis_stack(solutions)] + [platonic_vertices(k).array[None] for k in PlatonicSolid]
-    stacks += [stack for _, stack in _random_unit_sets(rng, MOMENT_AGREEMENT_COUNT)]
+    stacks += [stack for _, stack in _random_unit_sets(random.Random(seed), MOMENT_AGREEMENT_COUNT)]
     for _, group in _by_size(stacks, lambda stack: stack.shape[1]):
         stack = np.concatenate(group)
         j = jacobian_from_axes_stack(stack)
@@ -353,9 +385,8 @@ def check_jacobian_moment_agreement(solutions, seed) -> CheckResult:
 
 
 def check_trace_identity(seed) -> CheckResult:
-    rng = np.random.default_rng(seed)
     worst = 0.0
-    for n, stack in _random_unit_sets(rng, TRACE_IDENTITY_COUNT):
+    for n, stack in _random_unit_sets(random.Random(seed), TRACE_IDENTITY_COUNT):
         sv = np.linalg.svd(jacobian_from_axes_stack(stack), compute_uv=False)
         worst = max(worst, float(np.max(np.abs(np.sum(sv**2, axis=-1) - n))))
     return _result("singular-value-trace", worst, 1e-12, detail="squared singular values sum to n")

@@ -1,8 +1,10 @@
 """The stacked checks against the per-image, per-wrist and per-set loop references they replaced."""
 
 import dataclasses
+import hashlib
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -15,8 +17,13 @@ from isowrist.checks import (
     POSTURE_GRID,
     SIGMA_FOUR_AXES,
     TRACE_IDENTITY_COUNT,
+    _normals,
+    _random_chains,
     _random_unit_sets,
     _result,
+    _sizes,
+    _uniform,
+    _unit_vectors,
     check_antipodal_closure,
     check_axis_dot_products,
     check_catalog_bijection,
@@ -41,7 +48,6 @@ from isowrist.kinematics import (
 from isowrist.solver import RESIDUAL_TOL, catalog_distances, enumerate_solutions, residuals, solve_closed_form
 from isowrist.spheregeom import (
     PlatonicSolid,
-    _norms,
     antipodal_exchange,
     isotropy_of_stack,
     platonic_vertices,
@@ -109,15 +115,17 @@ def per_image_reflection_closure(solutions, tolerance):
     return _result("reflection-closure", worst, tolerance, detail="32 solutions closed under coordinate reflections")
 
 
+def per_axis_normals(gen, count):
+    """count normals as 3-vectors, one axis at a time out of one stream of normals."""
+    normals = _normals(gen, 3 * count)
+    return [normals[3 * k : 3 * k + 3] for k in range(count)]
+
+
 def per_axis_line_reflection(tolerance, seed):
-    rng = np.random.default_rng(seed)
     worst = 0.0
     eye = np.eye(3)
-    axes = []
-    for _ in range(LINE_REFLECTION_COUNT):
-        e = rng.normal(size=3)
-        e /= np.linalg.norm(e)
-        axes.append(e)
+    normals = per_axis_normals(random.Random(seed), LINE_REFLECTION_COUNT)
+    axes = [e / np.linalg.norm(e, axis=-1, keepdims=True) for e in normals]
     for e, half_turn in zip(axes, rotation_about_axis(np.array(axes), math.pi)):
         ell = reflect_about_line(e)
         worst = max(
@@ -190,16 +198,17 @@ class TestStackedInputsAreBitEqual:
 
     @pytest.mark.parametrize("seed", range(100))
     def test_one_stacked_draw_is_the_per_axis_stream(self, seed):
-        rng = np.random.default_rng(seed)
-        per_axis = []
-        for _ in range(LINE_REFLECTION_COUNT):
-            e = rng.normal(size=3)
-            per_axis.append(e / np.linalg.norm(e))
-        stacked = np.random.default_rng(seed).normal(size=(LINE_REFLECTION_COUNT, 3))
-        assert np.array_equal(stacked / _norms(stacked), np.array(per_axis))
+        normals = per_axis_normals(random.Random(seed), LINE_REFLECTION_COUNT)
+        per_axis = [e / np.linalg.norm(e, axis=-1, keepdims=True) for e in normals]
+        assert np.array_equal(_unit_vectors(random.Random(seed), LINE_REFLECTION_COUNT), np.array(per_axis))
+        # one bulk draw of normals is the stream that pair-by-pair draws of the same generator give
+        gen = random.Random(seed)
+        per_pair = [_normals(gen, 2) for _ in range(3 * LINE_REFLECTION_COUNT // 2)]
+        assert np.array_equal(_normals(random.Random(seed), 3 * LINE_REFLECTION_COUNT), np.concatenate(per_pair))
 
 
-# The seeded sample checks as they were written before stacking: one wrist grid, one set, one scan per size.
+# The seeded sample checks as they were written before stacking: one wrist grid, one set, one scan per size,
+# each reading the same bulk samples from the generator as the check.
 
 
 def quadratic_by_size(items, size=len):
@@ -207,12 +216,15 @@ def quadratic_by_size(items, size=len):
         yield n, [item for item in items if size(item) == n]
 
 
-def per_set_random_unit_sets(rng, count):
+def per_set_random_unit_sets(gen, count):
+    sizes = [byte % 8 + 1 for byte in gen.randbytes(count)]
+    normals = _normals(gen, 3 * sum(sizes))
     sets = []
-    for _ in range(count):
-        n = int(rng.integers(1, 9))
-        pts = rng.normal(size=(n, 3))
+    start = 0
+    for n in sizes:
+        pts = normals[start : start + 3 * n].reshape(n, 3)
         sets.append(pts / np.linalg.norm(pts, axis=1, keepdims=True))
+        start += 3 * n
     return sets
 
 
@@ -230,15 +242,19 @@ def per_wrist_posture_isotropy(wrists):
     return _result("posture-isotropy", worst, 1e-9, detail=detail)
 
 
+def per_chain_random_chains(gen, count):
+    sizes = [byte % 4 + 3 for byte in gen.randbytes(count)]
+    twists = iter(_uniform(gen, sum(n - 1 for n in sizes), 0.2, math.pi - 0.2).tolist())
+    joints = iter(_uniform(gen, sum(n - 2 for n in sizes), -3.0, 3.0).tolist())
+    return [
+        DHChain([next(twists) for _ in range(n - 1)], [0.0] + [next(joints) for _ in range(n - 2)] + [0.0])
+        for n in sizes
+    ]
+
+
 def per_size_scan_dh_round_trip(wrists, seed):
-    rng = np.random.default_rng(seed)
     worst = 0.0
-    chains = [w.representative_dh for w in wrists]
-    for _ in range(DH_ROUND_TRIP_COUNT):
-        n = int(rng.integers(3, 7))
-        twists = rng.uniform(0.2, math.pi - 0.2, size=n - 1)
-        joints = np.concatenate([[0.0], rng.uniform(-3.0, 3.0, size=n - 2), [0.0]])
-        chains.append(DHChain(twists, joints))
+    chains = [w.representative_dh for w in wrists] + per_chain_random_chains(random.Random(seed), DH_ROUND_TRIP_COUNT)
     for _, group in quadratic_by_size(chains, lambda dh: dh.n):
         theta = [(0.4,) + dh.joints[1:-1] + (1.1,) for dh in group]
         twists = np.array([dh.twists for dh in group])
@@ -254,11 +270,10 @@ def per_size_scan_dh_round_trip(wrists, seed):
 
 
 def per_set_jacobian_moment_agreement(solutions, seed):
-    rng = np.random.default_rng(seed)
     worst = 0.0
     agree = True
     sets = [r.axes.array for r in solutions] + [platonic_vertices(k).array for k in PlatonicSolid]
-    sets += per_set_random_unit_sets(rng, MOMENT_AGREEMENT_COUNT)
+    sets += per_set_random_unit_sets(random.Random(seed), MOMENT_AGREEMENT_COUNT)
     for _, group in quadratic_by_size(sets):
         stack = np.array(group)
         j = jacobian_from_axes_stack(stack)
@@ -271,9 +286,8 @@ def per_set_jacobian_moment_agreement(solutions, seed):
 
 
 def per_set_trace_identity(seed):
-    rng = np.random.default_rng(seed)
     worst = 0.0
-    for n, group in quadratic_by_size(per_set_random_unit_sets(rng, TRACE_IDENTITY_COUNT)):
+    for n, group in quadratic_by_size(per_set_random_unit_sets(random.Random(seed), TRACE_IDENTITY_COUNT)):
         sv = np.linalg.svd(jacobian_from_axes_stack(np.array(group)), compute_uv=False)
         worst = max(worst, float(np.max(np.abs(np.sum(sv**2, axis=-1) - n))))
     return _result("singular-value-trace", worst, 1e-12, detail="squared singular values sum to n")
@@ -341,8 +355,8 @@ class TestStackedSampleChecksEqualLoops:
 
     @pytest.mark.parametrize("seed", range(100))
     def test_per_size_normalisation_is_per_set_division(self, seed):
-        stacks = _random_unit_sets(np.random.default_rng(seed), MOMENT_AGREEMENT_COUNT)
-        per_set = per_set_random_unit_sets(np.random.default_rng(seed), MOMENT_AGREEMENT_COUNT)
+        stacks = _random_unit_sets(random.Random(seed), MOMENT_AGREEMENT_COUNT)
+        per_set = per_set_random_unit_sets(random.Random(seed), MOMENT_AGREEMENT_COUNT)
         reference = dict(quadratic_by_size(per_set))
         assert [n for n, _ in stacks] == sorted(reference)
         for n, stack in stacks:
@@ -353,6 +367,92 @@ class TestStackedSampleChecksEqualLoops:
         items = [tuple(range(int(k))) + (i,) for i, k in enumerate(rng.integers(0, 9, size=300))]
         assert list(checks._by_size(items)) == list(quadratic_by_size(items))
         assert list(checks._by_size([])) == []
+
+
+def sha256_of(arrays):
+    """SHA-256 over each array's shape and its little-endian 8-byte values, in order."""
+    digest = hashlib.sha256()
+    for a in map(np.asarray, arrays):
+        digest.update(repr(a.shape).encode())
+        digest.update(a.astype("<f8" if a.dtype.kind == "f" else "<i8").tobytes())
+    return digest.hexdigest()
+
+
+class EveryByte:
+    """A generator stand-in whose randbytes yields every byte value in turn."""
+
+    def randbytes(self, count):
+        return bytes(k % 256 for k in range(count))
+
+
+#: Each sampler's seed-0 output, drawn as verify's checks draw it; a change to verify's samples shows here.
+SEED_0_SAMPLES = {
+    "uniform": (
+        lambda gen: [_uniform(gen, 1000, 0.0, 1.0)],
+        "cec13a08ccf1f2d479ec0389a4c43d446a9d86a333808db8b21460abcc7633c7",
+    ),
+    "sizes": (lambda gen: [_sizes(gen, 1000, 1, 9)], "225bf1776e8ddb61e0618cbb0bc53aaaec4d1dbde0e0375ccb2bea5b8eb52667"),
+    "normals": (lambda gen: [_normals(gen, 1001)], "d2ab094a30cc2e4d5bfe4a47226cf254b389f70bb76db51be4cb5f24dea35615"),
+    "unit-vectors": (
+        lambda gen: [_unit_vectors(gen, LINE_REFLECTION_COUNT)],
+        "f98aef9fd40d7f180c90ecad932aa7c07b61c5973c5f68334a182de00861f767",
+    ),
+    "unit-sets": (
+        lambda gen: [stack for _, stack in _random_unit_sets(gen, MOMENT_AGREEMENT_COUNT)],
+        "e50ea22e522fd8c42b91789e0d37a94fef2aa1c3b08712259e81f7ddbe0cd6ec",
+    ),
+    "chains": (
+        lambda gen: [dh.twists + dh.joints for dh in _random_chains(gen, DH_ROUND_TRIP_COUNT)],
+        "827f11913ab64f45c9d468e848d2c25b6ff30333727ee92bd4c9efeb7cf27ca7",
+    ),
+}
+
+
+class TestSampler:
+    @pytest.mark.parametrize("name", sorted(SEED_0_SAMPLES))
+    def test_seed_0_stream_is_pinned(self, name):
+        draw, digest = SEED_0_SAMPLES[name]
+        assert sha256_of(draw(random.Random(0))) == digest
+
+    def test_uniforms_are_the_top_53_bits_of_each_little_endian_word(self):
+        raw = random.Random(3).randbytes(8 * 500)
+        words = (int.from_bytes(raw[k : k + 8], "little") for k in range(0, len(raw), 8))
+        assert _uniform(random.Random(3), 500, 0.0, 1.0).tolist() == [(w >> 11) / 2**53 for w in words]
+
+    def test_normals_are_box_muller_pairs(self):
+        u = _uniform(random.Random(4), 1000, 0.0, 1.0).tolist()
+        expected = []
+        for a, b in zip(u[::2], u[1::2]):
+            r = math.sqrt(-2.0 * math.log1p(-a))
+            expected += [r * math.cos(2.0 * math.pi * b), r * math.sin(2.0 * math.pi * b)]
+        np.testing.assert_allclose(_normals(random.Random(4), 999), expected[:999], rtol=1e-13, atol=1e-15)
+
+    @pytest.mark.parametrize("low, high", [(1, 9), (3, 7)])
+    def test_byte_sizes_are_exactly_flat(self, low, high):
+        sizes = _sizes(EveryByte(), 256, low, high)
+        assert np.array_equal(np.bincount(sizes - low), np.full(high - low, 256 // (high - low)))
+
+    def test_byte_sizes_refuse_a_modulus_that_does_not_divide_256(self):
+        with pytest.raises(ValueError, match="3 does not divide 256"):
+            _sizes(random.Random(0), 10, 1, 4)
+
+    def test_samples_at_a_fixed_seed_keep_their_ranges(self):
+        sets = _random_unit_sets(random.Random(11), MOMENT_AGREEMENT_COUNT)
+        assert [n for n, _ in sets] == list(range(1, 9))
+        assert sum(len(stack) for _, stack in sets) == MOMENT_AGREEMENT_COUNT
+        for _, stack in sets:
+            np.testing.assert_allclose(np.linalg.norm(stack, axis=-1), 1.0, rtol=0, atol=1e-15)
+        chains = _random_chains(random.Random(11), DH_ROUND_TRIP_COUNT)
+        assert sorted({dh.n for dh in chains}) == [3, 4, 5, 6]
+        assert all(0.2 <= a < math.pi - 0.2 for dh in chains for a in dh.twists)
+        assert all(-3.0 <= t < 3.0 for dh in chains for t in dh.joints[1:-1])
+        assert all(dh.joints[0] == dh.joints[-1] == 0.0 for dh in chains)
+
+    def test_normals_at_a_fixed_seed_have_unit_moments(self):
+        z = _normals(random.Random(11), 100_000)
+        assert np.isfinite(z).all()
+        assert abs(float(np.mean(z))) < 0.05
+        assert abs(float(np.var(z)) - 1.0) < 0.05
 
 
 class TestWristClassesCheck:

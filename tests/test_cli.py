@@ -343,6 +343,14 @@ def test_json_artifacts_are_byte_identical_across_runs(runner, command):
     assert first.stdout_bytes == second.stdout_bytes
 
 
+def test_verify_is_byte_identical_for_a_seed_past_64_bits(runner):
+    args = ["verify", "--oracle-starts", "0", "--seed", str(2**70)]
+    first = runner.invoke(cli, args)
+    second = runner.invoke(cli, args)
+    assert first.exit_code == second.exit_code == 0
+    assert first.stdout_bytes == second.stdout_bytes
+
+
 GOLDEN = Path(__file__).parent / "golden"
 POSTURE_C = ["posture", "c", "--theta1", "33", "--theta4", "-12"]
 GOLDEN_COMMANDS = {

@@ -86,27 +86,14 @@ def test_readme_python_example_runs():
     assert doctest.DocTestRunner().run(test) == doctest.TestResults(failed=0, attempted=4)
 
 
-def test_cli_import_pulls_in_no_process_pool():
-    # the oracle's workers use os.fork and pickle alone, so start-up imports neither pool module
-    src = str(Path(isowrist.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = (
-        "import sys, isowrist.cli; "
-        "assert isowrist.cli.__file__.startswith(sys.argv[1]), isowrist.cli.__file__; "
-        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
-    )
-    done = subprocess.run([sys.executable, "-c", code, src], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout == "[]\n"
-
-
-def test_artifact_commands_import_neither_numpy_random_nor_numpy_ma():
-    # numpy imports these lazily, at 10 ms or more each; a fresh interpreter per command would pay it every time
+def _loaded_after(commands, modules):
+    """The modules, of those named, that a fresh interpreter holds after import isowrist.cli and each command."""
     src = str(Path(isowrist.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = (
         "import contextlib, io, sys, isowrist.cli\n"
         "assert isowrist.cli.__file__.startswith(sys.argv[1]), isowrist.cli.__file__\n"
-        "for args in (['enumerate'], ['classify'], ['posture', 'c'], ['platonic', 'cube']):\n"
+        f"for args in {commands!r}:\n"
         "    sys.argv = ['isowrist'] + args\n"
         "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
         "        try:\n"
@@ -114,10 +101,29 @@ def test_artifact_commands_import_neither_numpy_random_nor_numpy_ma():
         "        except SystemExit as stop:\n"
         "            assert stop.code in (None, 0), (args, stop.code)\n"
         "    assert out.getvalue(), args\n"
-        "print(sorted(m for m in ('numpy.random', 'numpy.ma') if m in sys.modules))\n"
+        f"print(sorted(m for m in {modules!r} if m in sys.modules))\n"
     )
     done = subprocess.run([sys.executable, "-c", code, src], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout == "[]\n"
+    return done.stdout
+
+
+def test_cli_import_pulls_in_no_process_pool():
+    # the oracle's workers use os.fork and pickle alone, so start-up imports neither pool module
+    assert _loaded_after([], ("multiprocessing", "concurrent.futures")) == "[]\n"
+
+
+def test_artifact_commands_import_neither_numpy_random_nor_numpy_ma():
+    # numpy imports these lazily, at 10 ms or more each; a fresh interpreter per command would pay it every time
+    commands = [["enumerate"], ["classify"], ["posture", "c"], ["platonic", "cube"]]
+    assert _loaded_after(commands, ("numpy.random", "numpy.ma")) == "[]\n"
+
+
+def test_only_the_oracle_imports_numpy_random():
+    # the sample checks draw from the stdlib generator; numpy.random also loads secrets, hashlib and OpenSSL
+    modules = ("hashlib", "numpy.ma", "numpy.random", "secrets")
+    assert _loaded_after([["verify", "--oracle-starts", "0"]], modules) == "[]\n"
+    # 500 starts find all 32 roots at seed 0, so this verify passes too; the oracle keeps numpy's stream
+    assert "'numpy.random'" in _loaded_after([["verify", "--oracle-starts", "500"]], modules)
 
 
 #: The value records built in bulk on every artifact command, an example of each, and its field names.
