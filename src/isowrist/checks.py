@@ -16,12 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import (
-    ANTIPODAL_SUBSETS, CLASS_PATTERNS, _signatures, antipodal_map_table, chain_orderings, distinct_wrists,
-    reflection_map_table, symmetry_images,
+    ANTIPODAL_SUBSETS, CLASS_PATTERNS, _catalog_chain_axes, _catalog_chains, _signatures, antipodal_map_table,
+    distinct_wrists, reflection_map_table, symmetry_images,
 )
 from .kinematics import DHChain, _forward_chain, dh_from_axes_stack, isotropy_report_stack, jacobian_from_axes_stack
 from .solver import (
-    NONVANISHING_FLOOR, RESIDUAL_TOL, SOLUTION_CATALOG, _CATALOG, _CATALOG_AXES, _axes_of, catalog_distances,
+    NONVANISHING_FLOOR, RESIDUAL_TOL, SOLUTION_CATALOG, _CATALOG, _axes_of, catalog_distances,
     enumerate_solutions, oracle_root_hunt, residuals, solve_closed_form_stack,
 )
 from .spheregeom import ONE_THIRD as _T, SQRT2_THIRD as _R2, SQRT6_THIRD as _R6, TWO_SQRT2_THIRD as _S2
@@ -157,15 +157,15 @@ def check_reflection_closure(solutions) -> CheckResult:
     return _result("reflection-closure", worst, RESIDUAL_TOL, detail="32 solutions closed under coordinate reflections")
 
 
-def check_antipodal_map_targets(solutions) -> CheckResult:
-    maps = {m.subset: m.target_index for m in antipodal_map_table(solutions)}
+def check_antipodal_map_targets() -> CheckResult:
+    maps = {m.subset: m.target_index for m in antipodal_map_table()}
     ok = maps == EXPECTED_ANTIPODAL_TARGETS
     detail = ", ".join(f"{set(s) or '{}'}->{t}" for s, t in sorted(maps.items(), key=lambda kv: (len(kv[0]), kv[0])))
     return CheckResult("antipodal-map-targets", ok, 0.0 if ok else 1.0, 0.5, detail)
 
 
-def check_reflection_map_targets(solutions) -> CheckResult:
-    maps = reflection_map_table(solutions)
+def check_reflection_map_targets() -> CheckResult:
+    maps = reflection_map_table()
     computed = {
         op: tuple(m.target_index for m in maps if m.operation == op) for op in EXPECTED_REFLECTION_TARGETS
     }
@@ -264,12 +264,12 @@ def _isotropic_couplings(wrists) -> list:
 def _float_member_classes(wrists, chains) -> bool:
     """Whether every member, rebuilt in floats, has its class's signature and its own joint signs.
 
-    chains lists every (solution_index, ordering) chain in catalog order,
-    and the members must be exactly these.  One dh_from_axes_stack call
-    recovers them all from the catalog axes; the classes come from an
-    exact integer pass, so this is its independent float cross-check.
+    chains are the _catalog_chains, and the members must be exactly
+    these.  One dh_from_axes_stack call recovers them all from the
+    catalog axes; the classes come from an exact integer pass, so this
+    is its independent float cross-check.
     """
-    twists, joints = dh_from_axes_stack(_CATALOG_AXES[:, chain_orderings()].reshape(-1, 4, 3))
+    twists, joints = dh_from_axes_stack(_catalog_chain_axes())
     signs = map(tuple, np.sign(joints[:, 1:3]).astype(int).tolist())
     found = dict(zip(chains, zip(_signatures(twists, joints[:, 1:3]), signs)))
     return all(
@@ -287,8 +287,7 @@ def check_wrist_classes(wrists) -> CheckResult:
         return _result("wrist-classes", math.inf, tol_deg, detail=detail)
     expected = {label: pat.cos_twists for label, pat in CLASS_PATTERNS.items()}
     worst = 0.0
-    positions = [tuple(k + 1 for k in ordering) for ordering in chain_orderings()]
-    chains = [(index, position) for index in range(1, 33) for position in positions]
+    chains = _catalog_chains()
     # every catalog chain is a member exactly once, so the float pass can look each member up
     members = sorted((m.solution_index, m.ordering) for w in wrists for m in w.members)
     ok = len(wrists) == 8 and members == chains and _float_member_classes(wrists, chains)
@@ -299,7 +298,7 @@ def check_wrist_classes(wrists) -> CheckResult:
     return _result("wrist-classes", worst, tol_deg, ok, detail)
 
 
-def _by_size(items, size=len):
+def _by_size(items, size):
     """Group items by size(item): yields (n, [items of size n]) in ascending n, input order kept."""
     groups = {}
     for item in items:
@@ -411,7 +410,7 @@ def check_oracle(oracle_starts, seed) -> CheckResult:
 def run_checks(oracle_starts: int, seed: int) -> list:
     """Run every invariant check; oracle_starts=0 skips only the root hunt."""
     solutions = enumerate_solutions()
-    wrists = distinct_wrists(solutions)
+    wrists = distinct_wrists()
     return [
         check_solution_residuals(solutions),
         check_catalog_bijection(solutions),
@@ -420,8 +419,8 @@ def run_checks(oracle_starts: int, seed: int) -> list:
         check_axis_dot_products(solutions),
         check_antipodal_closure(solutions),
         check_reflection_closure(solutions),
-        check_antipodal_map_targets(solutions),
-        check_reflection_map_targets(solutions),
+        check_antipodal_map_targets(),
+        check_reflection_map_targets(),
         check_platonic_moments(),
         check_reflected_tetrahedra(),
         check_line_reflection(seed=seed),

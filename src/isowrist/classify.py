@@ -23,14 +23,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .kinematics import DHChain, _cross, _forward_chain, dh_from_axes_stack, isotropy_report, jacobian_from_axes
-from .solver import (
-    CATALOG_MAGNITUDES, CATALOG_SIGNS, SolutionRecord, TRIVIAL_SET_INDEX, _AXIS_SLOTS, _CATALOG_AXES, catalog_rows,
-)
+from .solver import CATALOG_MAGNITUDES, CATALOG_SIGNS, TRIVIAL_SET_INDEX, _AXIS_SLOTS, _CATALOG_AXES, catalog_rows
 from .spheregeom import ONE_THIRD, PointSet, _antipodal_signs
 
 SIGNATURE_TOL = 1e-9
@@ -134,6 +132,17 @@ def chain_orderings() -> list:
     return [(0,) + p for p in itertools.permutations((1, 2, 3))]
 
 
+def _catalog_chains() -> list:
+    """The 192 catalog chains as (solution_index, 1-based ordering) pairs, in _catalog_chain_axes order."""
+    positions = [tuple(i + 1 for i in ordering) for ordering in chain_orderings()]
+    return [(index, position) for index in range(1, len(CATALOG_SIGNS) + 1) for position in positions]
+
+
+def _catalog_chain_axes() -> np.ndarray:
+    """The float axes of every catalog chain, solution-major in chain_orderings order: shape (192, 4, 3)."""
+    return _CATALOG_AXES[:, chain_orderings()].reshape(-1, 4, 3)
+
+
 def symmetry_images(points) -> np.ndarray:
     """Images of unknowns (m, 8) under every catalog symmetry: shape (11, m, 8).
 
@@ -145,42 +154,28 @@ def symmetry_images(points) -> np.ndarray:
     return _SYMMETRY_SIGNS[:, None] * np.asarray(points)
 
 
-def _components_of(solutions: Sequence[SolutionRecord], indices) -> list:
-    """Components of the records with these catalog indices, in order.
-
-    Raises ArithmeticError naming the first index that no record carries.
-    """
-    by_index = {r.index: r.components for r in solutions}
-    missing = [i for i in indices if i not in by_index]
-    if missing:
-        raise ArithmeticError(f"no solution record for catalog index {missing[0]}")
-    return [by_index[i] for i in indices]
-
-
-def antipodal_map_table(solutions: Sequence[SolutionRecord]) -> list:
+def antipodal_map_table() -> list:
     """Images of the trivial set under all antipodal exchanges of points 2..4.
 
-    Every image is itself a catalog solution, found exactly by its signs;
-    the empty subset maps the source to itself.
+    Every image of its catalog sign row is itself a catalog solution, found
+    exactly by its signs; the empty subset maps the source to itself.
     """
-    source = np.sign(_components_of(solutions, [TRIVIAL_SET_INDEX]))
-    targets = catalog_rows(symmetry_images(source)[: len(ANTIPODAL_SUBSETS)])
+    targets = catalog_rows(symmetry_images(CATALOG_SIGNS[[TRIVIAL_SET_INDEX - 1]])[: len(ANTIPODAL_SUBSETS)])
     return [
         SolutionMap(TRIVIAL_SET_INDEX, "antipodal", target, subset)
         for subset, target in zip(ANTIPODAL_SUBSETS, targets)
     ]
 
 
-def reflection_map_table(solutions: Sequence[SolutionRecord]) -> list:
+def reflection_map_table() -> list:
     """Images of the REFLECTION_SEEDS solutions under the REFLECTIONS.
 
     Covers reflection about the x-y plane, about the x-z plane, and both
     in sequence; the double reflection is a half-turn about the x axis
-    and therefore never produces a new wrist.  Images are found exactly
-    by their signs.
+    and therefore never produces a new wrist.  The seeds are their
+    catalog sign rows, and the images are found exactly by their signs.
     """
-    seeds = np.sign(_components_of(solutions, REFLECTION_SEEDS))
-    targets = catalog_rows(symmetry_images(seeds)[len(ANTIPODAL_SUBSETS) :])
+    targets = catalog_rows(symmetry_images(CATALOG_SIGNS[np.subtract(REFLECTION_SEEDS, 1)])[len(ANTIPODAL_SUBSETS) :])
     pairs = itertools.product(REFLECTIONS, REFLECTION_SEEDS)
     return [SolutionMap(seed, operation, target) for (operation, seed), target in zip(pairs, targets)]
 
@@ -260,24 +255,6 @@ _INTEGER_MAGNITUDES = np.rint(
 ).astype(int)
 
 
-def _catalog_indices(solutions: Sequence[SolutionRecord]) -> list:
-    """The catalog indices of the records, sorted, each record checked to be the catalog row its index names.
-
-    Raises ArithmeticError naming the first record whose signs are not
-    those of the row its index names, or whose index repeats; signs that
-    match no catalog row at all raise catalog_rows's ArithmeticError.
-    """
-    signs = np.sign(np.reshape([rec.components for rec in solutions], (-1, 8)))
-    seen = set()
-    for k, (rec, row) in enumerate(zip(solutions, catalog_rows(signs))):
-        if row != rec.index:
-            raise ArithmeticError(f"record {k} (index {rec.index!r}) carries the signs of catalog row {row}")
-        if row in seen:
-            raise ArithmeticError(f"record {k} repeats catalog index {row}")
-        seen.add(row)
-    return sorted(seen)
-
-
 def _integer_axes(signs: np.ndarray) -> np.ndarray:
     """The axes 3 e_1..3 e_4 of catalog sign rows (m, 8) as integers (a, b, c): shape (m, 4, 3)."""
     axes = np.zeros((len(signs), 12), dtype=int)
@@ -304,28 +281,23 @@ def _exact_chain_invariants(a: np.ndarray):
     return gram, interior, dets
 
 
-def distinct_wrists(solutions: Sequence[SolutionRecord]) -> list:
-    """Group all (solution, ordering) chains into the distinct wrist classes.
+def distinct_wrists() -> list:
+    """Group all 192 catalog chains (_catalog_chains) into the distinct wrist classes.
 
-    Every record must be a catalog row (_catalog_indices).  The isotropy
-    condition puts every pair of axes at e_i . e_j = +-1/3, so each
-    chain's canonical signature follows exactly from the catalog signs
-    in one integer pass (_exact_chain_invariants): twist cosines +-1/3,
-    interior-joint cosines +-1/2, interior-joint signs those of two
-    determinants.  The classes are labeled a..h by CLASS_PATTERNS;
-    members keep (solution_index, ordering) order, and the representative
-    is the first member whose theta_2 is positive.  Only the
-    representatives get float DH parameters, from the catalog axes in
-    one dh_from_axes_stack call; checks.check_wrist_classes recovers
-    every chain in floats.
+    The isotropy condition puts every pair of axes at e_i . e_j = +-1/3,
+    so each chain's canonical signature follows exactly from the
+    catalog's sign table in one integer pass (_exact_chain_invariants):
+    twist cosines +-1/3, interior-joint cosines +-1/2, interior-joint
+    signs those of two determinants.  The classes are labeled a..h by
+    CLASS_PATTERNS; members keep (solution_index, ordering) order, and
+    the representative is the first member whose theta_2 is positive.
+    Only the representatives get float DH parameters, from the catalog
+    axes in one dh_from_axes_stack call; checks.check_wrist_classes
+    recovers every chain in floats.
     Raises with a diagnostic dump if the grouping does not produce
     exactly eight classes.
     """
-    indices = _catalog_indices(solutions)
-    orderings = chain_orderings()
-    positions = [tuple(i + 1 for i in ordering) for ordering in orderings]
-    rows = [index - 1 for index in indices]
-    gram, interior, dets = _exact_chain_invariants(_integer_axes(CATALOG_SIGNS[rows])[:, orderings].reshape(-1, 4, 3))
+    gram, interior, dets = _exact_chain_invariants(_integer_axes(CATALOG_SIGNS)[:, chain_orderings()].reshape(-1, 4, 3))
     theta_signs = np.sign(dets)
     products = theta_signs[:, 0] * theta_signs[:, 1]
     # chains group by the six signs of their signature: three twist cosines, two joint cosines, the joint product
@@ -344,13 +316,11 @@ def distinct_wrists(solutions: Sequence[SolutionRecord]) -> list:
         dump = "\n".join(str(sig) for sig in sorted(signatures))
         raise ArithmeticError(f"expected 8 signature classes, got {len(groups)}:\n{dump}")
     joint_signs = list(map(tuple, theta_signs.tolist()))
-    chain_indices = [index for index in indices for _ in positions]
-    members = list(map(ClassMember, chain_indices, positions * len(indices), joint_signs))
-    # every chain of a catalog row has a class pattern's signature, and a subset of the rows that leaves a class
-    # no member with a positive theta_2 leaves fewer than eight classes, so both lookups always succeed here
+    members = [ClassMember(index, ordering, pair) for (index, ordering), pair in zip(_catalog_chains(), joint_signs)]
+    # every catalog chain has a class pattern's signature, and every class has a member with a positive theta_2
     labels = [_LABELS[sig] for sig in signatures]
     reps = [next(k for k in items if joint_signs[k][0] > 0) for items in groups.values()]
-    twists, joints = dh_from_axes_stack(_CATALOG_AXES[rows][:, orderings].reshape(-1, 4, 3)[reps])
+    twists, joints = dh_from_axes_stack(_catalog_chain_axes()[reps])
     classes = [
         WristClass(
             label=label,

@@ -99,10 +99,9 @@ def cmd_enumerate(fmt: str, output: str | None):
 @_output_option()
 def cmd_classify(fmt: str, output: str | None):
     """Emit the eight distinct wrist classes and the symmetry-map tables."""
-    solutions = enumerate_solutions()
-    wrists = distinct_wrists(solutions)
+    wrists = distinct_wrists()
     if fmt == "json":
-        text = _json_text(documents.wrist_catalog_document(wrists, solutions))
+        text = _json_text(documents.wrist_catalog_document(wrists))
     else:
         text = documents.wrist_catalog_table(wrists)
     _emit(text, output)
@@ -162,7 +161,7 @@ def cmd_posture(label: str, theta1: float, theta4: float, fmt: str, output: str 
     """Emit one wrist class's geometry at its isotropic posture."""
     theta1 %= 360.0
     theta4 %= 360.0
-    wrist = next(w for w in distinct_wrists(enumerate_solutions()) if w.label == label)
+    wrist = next(w for w in distinct_wrists() if w.label == label)
     geometry = isotropic_posture_geometry(wrist, math.radians(theta1), math.radians(theta4))
     if fmt == "obj-lines":
         text = documents.posture_obj_lines(geometry)

@@ -88,7 +88,7 @@ def _class_entry(w: WristClass) -> dict:
     }
 
 
-def wrist_catalog_document(wrists, solutions) -> dict:
+def wrist_catalog_document(wrists) -> dict:
     """Document with the eight wrist classes and both symmetry-map tables."""
     return {
         "schema_version": SCHEMA_VERSION,
@@ -96,11 +96,11 @@ def wrist_catalog_document(wrists, solutions) -> dict:
         "classes": [_class_entry(w) for w in wrists],
         "antipodal_maps": [
             {"source": m.source_index, "subset": list(m.subset), "target": m.target_index}
-            for m in antipodal_map_table(solutions)
+            for m in antipodal_map_table()
         ],
         "reflection_maps": [
             {"source": m.source_index, "operation": m.operation, "target": m.target_index}
-            for m in reflection_map_table(solutions)
+            for m in reflection_map_table()
         ],
     }
 

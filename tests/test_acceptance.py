@@ -58,8 +58,8 @@ def solutions():
 
 
 @pytest.fixture(scope="module")
-def wrists(solutions):
-    return distinct_wrists(solutions)
+def wrists():
+    return distinct_wrists()
 
 
 def _ok(number, text):
@@ -132,8 +132,8 @@ def test_criterion_5_platonic_table():
     _ok(5, f"five Platonic sigma^2 values reproduce n/3 (worst {worst:.2e})")
 
 
-def test_criterion_6_symmetry_maps(solutions):
-    antipodal = {m.subset: m.target_index for m in antipodal_map_table(solutions)}
+def test_criterion_6_symmetry_maps():
+    antipodal = {m.subset: m.target_index for m in antipodal_map_table()}
     assert antipodal[(2,)] == 10
     assert antipodal[(3,)] == 23
     assert antipodal[(4,)] == 17
@@ -149,7 +149,7 @@ def test_criterion_6_symmetry_maps(solutions):
         "reflect_xz": (27, 2, 29, 28, 8, 30, 1, 7),
         "reflect_xz_then_xy": (26, 4, 31, 25, 6, 32, 3, 5),
     }
-    maps = reflection_map_table(solutions)
+    maps = reflection_map_table()
     for op, expected in expected_rows.items():
         assert tuple(m.target_index for m in maps if m.operation == op) == expected
     _ok(6, "antipodal images (10,23,17,16,15 + {2,4}->9, {3,4}->24) and all 24 reflection images verified")

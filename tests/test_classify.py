@@ -30,7 +30,7 @@ from isowrist.classify import (
 from isowrist.kinematics import DHChain, dh_from_axes, dh_from_axes_stack
 from isowrist.solver import (
     CATALOG_SIGNS, RESIDUAL_TOL, SOLUTION_CATALOG, TRIVIAL_SET_INDEX, _axes_of, catalog_distances, catalog_rows,
-    enumerate_solutions, sign_patterns, solve_closed_form,
+    enumerate_solutions,
 )
 from isowrist.spheregeom import (
     PointSet, antipodal_exchange, reflect_about_line, reflect_about_plane, rotation_about_axis,
@@ -76,8 +76,8 @@ def solutions():
 
 
 @pytest.fixture(scope="module")
-def wrists(solutions):
-    return distinct_wrists(solutions)
+def wrists():
+    return distinct_wrists()
 
 
 class TestChainOrderings:
@@ -89,18 +89,18 @@ class TestChainOrderings:
 
 
 class TestSymmetryMaps:
-    def test_antipodal_targets(self, solutions):
-        maps = {m.subset: m.target_index for m in antipodal_map_table(solutions)}
+    def test_antipodal_targets(self):
+        maps = {m.subset: m.target_index for m in antipodal_map_table()}
         assert maps == EXPECTED_ANTIPODAL
 
-    def test_reflection_targets(self, solutions):
-        maps = reflection_map_table(solutions)
+    def test_reflection_targets(self):
+        maps = reflection_map_table()
         for op, expected in EXPECTED_REFLECTIONS.items():
             assert tuple(m.target_index for m in maps if m.operation == op) == expected
 
     def test_all_maps_verified_as_ordered_lists(self, solutions):
         by_index = {r.index: r for r in solutions}
-        for m in reflection_map_table(solutions):
+        for m in reflection_map_table():
             img = per_plane_reflection(by_index[m.source_index].axes, m.operation)
             np.testing.assert_allclose(img.array, by_index[m.target_index].axes.array, rtol=0, atol=1e-12)
 
@@ -311,9 +311,6 @@ class TestStackedDistinctWrists:
         assert len(wrists) == 8
         assert wrists == per_chain_distinct_wrists(solutions)
 
-    def test_subset_equals_the_per_chain_reference(self, solutions):
-        assert distinct_wrists(solutions[1:]) == per_chain_distinct_wrists(solutions[1:])
-
     def test_built_from_the_catalog_alone(self, wrists, monkeypatch):
         # classes hold catalog facts only: proving the couplings isotropic is the wrist-classes check's work
         def refuse(twists, theta):
@@ -327,47 +324,15 @@ class TestStackedDistinctWrists:
 
         monkeypatch.setattr(classify, "_forward_chain", refuse)
         monkeypatch.setattr(classify, "dh_from_axes_stack", counted)
-        assert distinct_wrists(enumerate_solutions()) == wrists
+        assert distinct_wrists() == wrists
         # the signatures are exact; float DH parameters are recovered for the 8 representatives only
         assert calls == [(8, 4, 3)]
 
-    def test_records_in_any_order_give_the_same_classes(self, solutions, wrists):
-        assert distinct_wrists(solutions[::-1]) == wrists
-
-    def test_closed_form_records_without_an_index_are_refused(self):
-        records = [solve_closed_form(p) for p in sign_patterns()]
-        row = catalog_rows(np.sign(records[0].components))[0]
-        with pytest.raises(ArithmeticError, match=rf"^record 0 \(index None\) carries the signs of catalog row {row}$"):
-            distinct_wrists(records)
-
-    def test_relabelled_record_is_refused(self, solutions):
-        records = list(solutions)
-        records[7] = records[7]._replace(index=40)
-        with pytest.raises(ArithmeticError, match=r"^record 7 \(index 40\) carries the signs of catalog row 8$"):
-            distinct_wrists(records)
-
-    def test_repeated_index_is_refused(self, solutions):
-        with pytest.raises(ArithmeticError, match="^record 32 repeats catalog index 5$"):
-            distinct_wrists(solutions + [solutions[4]])
-
-    def test_signs_of_no_catalog_row_are_refused(self, solutions):
-        trivial = solutions[TRIVIAL_SET_INDEX - 1]
-        with pytest.raises(ArithmeticError, match="match no catalog row"):
-            distinct_wrists(solutions[:17] + [trivial._replace(c=-trivial.c)] + solutions[18:])
-
-    @pytest.mark.parametrize("label", list("abcdefgh"))
-    def test_a_subset_without_a_positive_representative_has_fewer_classes(self, solutions, wrists, label):
-        # why a representative always exists: dropping every record that gives this class a positive theta_2
-        # also drops some other class entirely
-        (w,) = [w for w in wrists if w.label == label]
-        positive = {m.solution_index for m in w.members if m.joint_signs[0] > 0}
-        with pytest.raises(ArithmeticError, match="expected 8 signature classes"):
-            distinct_wrists([r for r in solutions if r.index not in positive])
-
     @pytest.mark.parametrize("count", [0, 5])
-    def test_too_few_solutions_keep_the_class_count_error(self, solutions, count):
+    def test_too_few_solutions_keep_the_class_count_error(self, monkeypatch, count):
+        monkeypatch.setattr(classify, "CATALOG_SIGNS", CATALOG_SIGNS[:count])
         with pytest.raises(ArithmeticError, match="expected 8 signature classes"):
-            distinct_wrists(solutions[:count])
+            distinct_wrists()
 
 
 def catalog_chains(axes):
@@ -517,33 +482,10 @@ class TestStackedSymmetryImages:
             assert np.array_equal(images[k], per_plane_reflection(rec.axes, operation).array)
 
     def test_antipodal_map_table_equals_the_per_image_reference(self, solutions):
-        assert antipodal_map_table(solutions) == per_image_antipodal_map_table(solutions)
+        assert antipodal_map_table() == per_image_antipodal_map_table(solutions)
 
     def test_reflection_map_table_equals_the_per_image_reference(self, solutions):
-        assert reflection_map_table(solutions) == per_image_reflection_map_table(solutions)
-
-    def test_tables_reach_only_the_records_they_read(self, solutions):
-        # the antipodal table reads the trivial set alone, the reflection table the eight seeds
-        seeds = [r for r in solutions if r.index in REFLECTION_SEEDS]
-        assert antipodal_map_table(seeds) == per_image_antipodal_map_table(solutions)
-        assert reflection_map_table(seeds[::-1]) == per_image_reflection_map_table(solutions)
-
-    @pytest.mark.parametrize(("dropped", "antipodal_missing", "reflection_missing"), [
-        (range(1, 33), 18, 18),  # no records at all
-        ((18,), 18, 18),
-        ((10,), None, 10),  # a reflection seed, which the antipodal table does not read
-    ])
-    def test_missing_record_names_its_catalog_index(self, solutions, dropped, antipodal_missing, reflection_missing):
-        kept = [r for r in solutions if r.index not in dropped]
-        for table, reference, missing in [
-            (antipodal_map_table, per_image_antipodal_map_table, antipodal_missing),
-            (reflection_map_table, per_image_reflection_map_table, reflection_missing),
-        ]:
-            if missing is None:
-                assert table(kept) == reference(solutions)
-            else:
-                with pytest.raises(ArithmeticError, match=f"^no solution record for catalog index {missing}$"):
-                    table(kept)
+        assert reflection_map_table() == per_image_reflection_map_table(solutions)
 
     def test_unmatched_image_raises_with_its_axes(self, solutions):
         stack = np.sign([r.components for r in solutions[:3]])
@@ -552,7 +494,3 @@ class TestStackedSymmetryImages:
             catalog_rows(stack)
         assert str(stack[1].tolist()) in str(info.value)
         assert catalog_rows(stack[::2]) == [1, 3]
-        trivial = solutions[TRIVIAL_SET_INDEX - 1]
-        broken = [trivial._replace(c=-trivial.c)]
-        with pytest.raises(ArithmeticError, match="match no catalog row"):
-            antipodal_map_table(broken)

@@ -188,9 +188,9 @@ def test_bad_input_is_usage_error(runner, args):
 #: Each subcommand with the first library call it makes.
 FIRST_WORK = [
     (["enumerate"], "isowrist.cli.enumerate_solutions"),
-    (["classify"], "isowrist.cli.enumerate_solutions"),
+    (["classify"], "isowrist.cli.distinct_wrists"),
     (["verify"], "isowrist.cli.run_checks"),
-    (["posture", "a"], "isowrist.cli.enumerate_solutions"),
+    (["posture", "a"], "isowrist.cli.distinct_wrists"),
     (["platonic", "cube"], "isowrist.cli.documents.platonic_table"),
 ]
 
@@ -285,7 +285,7 @@ def test_output_under_a_file_is_rejected(runner, tmp_path):
         (["enumerate"], "isowrist.cli.enumerate_solutions"),
         (["classify"], "isowrist.cli.distinct_wrists"),
         (["verify", "--oracle-starts", "0"], "isowrist.checks.enumerate_solutions"),
-        (["posture", "a"], "isowrist.cli.enumerate_solutions"),
+        (["posture", "a"], "isowrist.cli.distinct_wrists"),
     ],
 )
 def test_internal_failure_exits_1_without_traceback(runner, monkeypatch, args, target):

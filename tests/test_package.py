@@ -21,7 +21,6 @@ SOURCES = Path(isowrist.__file__).resolve().parent
 PARAMETERS_WITH_DEFAULTS = {
     ("isowrist.checks._result", "extra_ok"),
     ("isowrist.checks._result", "detail"),
-    ("isowrist.checks._by_size", "size"),
     ("isowrist.cli._output_option", "help_text"),
     ("isowrist.solver.oracle_root_hunt", "n_starts"),
     ("isowrist.solver.oracle_root_hunt", "seed"),
@@ -76,6 +75,62 @@ def test_parameters_with_defaults_are_the_allowed_ones():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found.update(_parameters_with_defaults(tree, f"isowrist.{path.stem}".removesuffix(".__init__")))
     assert found == PARAMETERS_WITH_DEFAULTS
+
+
+def _loaded_names(tree):
+    """The names a module reads: every name loaded or deleted, and every entry of its __all__."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            yield from ast.literal_eval(node.value)
+
+
+def _imported_names(tree):
+    """The names a module's imports bind, except from __future__."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (alias.asname or alias.name for alias in node.names)
+
+
+def _private_definitions(tree):
+    """The module-level _private functions, classes and constants of a module, dunder names aside."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from (name for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+def test_every_import_and_private_name_is_read():
+    # no linter runs on the package: an import its module never reads, or a _private name the package never
+    # reads, is code that a deletion left behind
+    paths = sorted(SOURCES.glob("*.py"))
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in paths}
+    unused = [
+        f"{module}: {name}"
+        for module, tree in trees.items()
+        for name in sorted(set(_imported_names(tree)) - set(_loaded_names(tree)))
+    ]
+    # a private name is read where it is loaded, taken as an attribute, or imported by another module
+    read = set()
+    for tree in trees.values():
+        read.update(_loaded_names(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    unread = [
+        f"{module}: {name}" for module, tree in trees.items() for name in _private_definitions(tree) if name not in read
+    ]
+    assert (unused, unread) == ([], [])
 
 
 def test_readme_python_example_runs():
