@@ -8,6 +8,8 @@ from isowrist import classify
 from isowrist.checks import _isotropic_couplings
 from isowrist.classify import (
     _LABELS,
+    _catalog_chain_axes,
+    _catalog_chains,
     _exact_chain_invariants,
     _integer_axes,
     _signatures,
@@ -29,8 +31,8 @@ from isowrist.classify import (
 )
 from isowrist.kinematics import DHChain, dh_from_axes, dh_from_axes_stack
 from isowrist.solver import (
-    CATALOG_SIGNS, RESIDUAL_TOL, SOLUTION_CATALOG, TRIVIAL_SET_INDEX, _axes_of, catalog_distances, catalog_rows,
-    enumerate_solutions,
+    _CATALOG_AXES, CATALOG_SIGNS, RESIDUAL_TOL, SOLUTION_CATALOG, TRIVIAL_SET_INDEX, _axes_of, catalog_distances,
+    catalog_rows, enumerate_solutions,
 )
 from isowrist.spheregeom import (
     PointSet, antipodal_exchange, reflect_about_line, reflect_about_plane, rotation_about_axis,
@@ -334,6 +336,37 @@ class TestStackedDistinctWrists:
         with pytest.raises(ArithmeticError, match="expected 8 signature classes"):
             distinct_wrists()
 
+    def test_catalog_chains_are_the_records_chains(self, solutions):
+        chains, axes = _catalog_chains(), _catalog_chain_axes()
+        assert len(chains) == len(axes) == 192
+        assert chains == [(r.index, tuple(i + 1 for i in o)) for r in solutions for o in chain_orderings()]
+        for (index, ordering), chain in zip(chains, axes):
+            assert np.array_equal(chain, solutions[index - 1].axes.array[np.subtract(ordering, 1)])
+
+    @pytest.mark.parametrize("rows", [range(1, 32), range(31, -1, -1)], ids=["without-row-1", "reversed"])
+    def test_any_catalog_equals_the_per_chain_reference_of_its_rows(self, solutions, monkeypatch, rows):
+        # the classes read the catalog whole and number its rows from 1, as the reference numbers its records
+        records = use_catalog_rows(monkeypatch, solutions, rows)
+        assert distinct_wrists() == per_chain_distinct_wrists(records)
+
+    @pytest.mark.parametrize("label", list("abcdefgh"))
+    def test_a_catalog_without_a_positive_representative_has_fewer_classes(self, solutions, wrists, monkeypatch, label):
+        # why a representative always exists: dropping every row that gives this class a positive theta_2
+        # also drops some other class entirely
+        (w,) = [w for w in wrists if w.label == label]
+        positive = {m.solution_index for m in w.members if m.joint_signs[0] > 0}
+        use_catalog_rows(monkeypatch, solutions, [k for k in range(32) if k + 1 not in positive])
+        with pytest.raises(ArithmeticError, match="expected 8 signature classes"):
+            distinct_wrists()
+
+
+def use_catalog_rows(monkeypatch, solutions, rows):
+    """Make classify read only the catalog rows (0-based, in order); returns their records numbered from 1."""
+    rows = list(rows)
+    monkeypatch.setattr(classify, "CATALOG_SIGNS", CATALOG_SIGNS[rows])
+    monkeypatch.setattr(classify, "_CATALOG_AXES", _CATALOG_AXES[rows])
+    return [solutions[k]._replace(index=n) for n, k in enumerate(rows, 1)]
+
 
 def catalog_chains(axes):
     """The 192 chains of axis sets (32, 4, 3), (solution, ordering) order: shape (192, 4, 3)."""
@@ -494,3 +527,32 @@ class TestStackedSymmetryImages:
             catalog_rows(stack)
         assert str(stack[1].tolist()) in str(info.value)
         assert catalog_rows(stack[::2]) == [1, 3]
+
+    def test_tables_read_only_their_seed_rows(self, solutions, monkeypatch):
+        # the antipodal table reads the trivial set alone, the reflection table the eight seeds
+        signs = np.zeros_like(CATALOG_SIGNS)
+        signs[np.subtract(REFLECTION_SEEDS, 1)] = CATALOG_SIGNS[np.subtract(REFLECTION_SEEDS, 1)]
+        monkeypatch.setattr(classify, "CATALOG_SIGNS", signs)
+        assert antipodal_map_table() == per_image_antipodal_map_table(solutions)
+        assert reflection_map_table() == per_image_reflection_map_table(solutions)
+
+    @pytest.mark.parametrize(("row", "antipodal_fails", "reflection_fails"), [
+        (18, True, True),  # the trivial set, which both tables read
+        (10, False, True),  # a reflection seed, which the antipodal table does not read
+        (5, False, False),  # a row neither table reads
+    ])
+    def test_a_broken_row_fails_only_the_tables_that_read_it(
+        self, solutions, monkeypatch, row, antipodal_fails, reflection_fails
+    ):
+        signs = CATALOG_SIGNS.copy()
+        signs[row - 1, 0] = -signs[row - 1, 0]  # flipping c alone leaves no catalog row, nor any symmetry image of one
+        monkeypatch.setattr(classify, "CATALOG_SIGNS", signs)
+        for table, reference, fails in [
+            (antipodal_map_table, per_image_antipodal_map_table, antipodal_fails),
+            (reflection_map_table, per_image_reflection_map_table, reflection_fails),
+        ]:
+            if fails:
+                with pytest.raises(ArithmeticError, match="match no catalog row"):
+                    table()
+            else:
+                assert table() == reference(solutions)

@@ -380,6 +380,20 @@ def test_output_matches_golden_file(runner, name):
     assert result.stdout_bytes == (GOLDEN / name).read_bytes()
 
 
+@pytest.mark.parametrize("name", ["classify.txt", "classify.json", "posture-c.json", "posture-c.obj"])
+def test_wrist_commands_build_no_solution_records(runner, monkeypatch, name):
+    # the wrist classes are functions of the catalog: classify and posture never enumerate or solve
+    def refuse(*args, **kwargs):
+        raise AssertionError("a wrist command built a solution record")
+
+    monkeypatch.setattr("isowrist.cli.enumerate_solutions", refuse)
+    monkeypatch.setattr("isowrist.solver.enumerate_solutions", refuse)
+    monkeypatch.setattr("isowrist.solver.solve_closed_form_stack", refuse)
+    result = runner.invoke(cli, GOLDEN_COMMANDS[name])
+    assert result.exit_code == 0
+    assert result.stdout_bytes == (GOLDEN / name).read_bytes()
+
+
 class TestPosture:
     def test_class_a_condition_number(self, runner):
         doc = json.loads(runner.invoke(cli, ["posture", "a"]).output)
