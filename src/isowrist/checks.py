@@ -21,7 +21,7 @@ from .classify import (
 )
 from .kinematics import DHChain, _forward_chain, dh_from_axes_stack, isotropy_report_stack, jacobian_from_axes_stack
 from .solver import (
-    NONVANISHING_FLOOR, RESIDUAL_TOL, SOLUTION_CATALOG, _CATALOG, _axes_of, catalog_distances,
+    NONVANISHING_FLOOR, RESIDUAL_TOL, _CATALOG, _axes_of, catalog_distances,
     enumerate_solutions, oracle_root_hunt, residuals, solve_closed_form_stack,
 )
 from .spheregeom import ONE_THIRD as _T, SQRT2_THIRD as _R2, SQRT6_THIRD as _R6, TWO_SQRT2_THIRD as _S2
@@ -396,7 +396,7 @@ def check_oracle(oracle_starts, seed) -> CheckResult:
         return CheckResult("oracle-root-hunt", True, 0.0, 1e-8, "skipped (0 starts)", skipped=True)
     report = oracle_root_hunt(n_starts=oracle_starts, seed=seed)
     # Euclidean distance to the nearest catalog row; the max-norm of catalog_distances would loosen the check
-    gaps = np.linalg.norm(report.roots[:, None, :] - np.array(SOLUTION_CATALOG), axis=-1)
+    gaps = np.linalg.norm(report.roots[:, None, :] - _CATALOG, axis=-1)
     # no root at all is no match: an infinite worst, never a perfect 0
     worst = float(np.max(np.min(gaps, axis=1))) if report.n_roots else math.inf
     ok = report.n_roots == 32

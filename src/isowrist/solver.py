@@ -320,7 +320,9 @@ def _cluster(points: np.ndarray, radius: float) -> np.ndarray:
     representative unless an earlier representative lies within radius.
     Equivalently, the first point not yet covered is the next
     representative, and every point within radius of it is covered at
-    once.  Representatives come out lexicographically sorted.
+    once.  Representatives come out lexicographically sorted.  Each is
+    kept as a copy, not a view, so every pass's array is freed when the
+    next pass replaces it.
     """
     rest = points[np.lexsort(points.T[::-1])]
     reps = []
@@ -328,7 +330,7 @@ def _cluster(points: np.ndarray, radius: float) -> np.ndarray:
         rep = rest[0]
         covered = np.linalg.norm(rest - rep, axis=1) <= radius
         covered[0] = True  # a representative never survives its own pass, even if not finite
-        reps.append(rep)
+        reps.append(rep.copy())
         rest = rest[~covered]
     return np.array(reps) if reps else np.empty((0, 8))
 

@@ -7,6 +7,7 @@ import signal
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -752,6 +753,43 @@ class TestCluster:
 
     def test_empty(self):
         assert _cluster(np.empty((0, 8)), 1e-6).shape == (0, 8)
+
+    def test_non_finite_rows_match_greedy_reference(self):
+        rng = np.random.default_rng(7)
+        radius = 1e-3
+        centres = rng.uniform(-1.0, 1.0, size=(6, 8))
+        cloud = np.concatenate([centres, centres + 0.3 * radius, centres[:3]])
+        cloud[[0, 6, 12], 2] = np.nan
+        cloud[[1, 7], 5] = np.inf
+        cloud[[2, 13], 0] = -np.inf
+        cloud = cloud[rng.permutation(cloud.shape[0])]
+        with np.errstate(invalid="ignore"):  # inf - inf
+            assert np.array_equal(_cluster(cloud, radius), _greedy_cluster(cloud, radius), equal_nan=True)
+
+    def test_nan_representative_covers_only_itself(self):
+        cloud = np.zeros((4, 8))
+        cloud[1] = np.nan
+        cloud[2] = np.nan
+        cloud[3, 0] = 1e-9
+        reps = _cluster(cloud, 1e-6)
+        assert np.array_equal(reps, [np.zeros(8), np.full(8, np.nan), np.full(8, np.nan)], equal_nan=True)
+
+    def test_peak_memory_is_a_few_copies_of_the_input(self):
+        # each pass's array must be freed when the next replaces it; keeping all 32 passes alive costs about 16x
+        rng = np.random.default_rng(11)
+        radius = 1e-6
+        centres = rng.uniform(-1.5, 1.5, size=(32, 8))
+        cloud = np.repeat(centres, 128, axis=0) + rng.uniform(-0.1, 0.1, size=(4096, 8)) * radius
+        cloud = cloud[rng.permutation(cloud.shape[0])]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            reps = _cluster(cloud, radius)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert reps.shape == (32, 8)
+        assert peak - before < 6 * cloud.nbytes
 
 
 class TestJacobianBatch:
