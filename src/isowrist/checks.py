@@ -96,6 +96,12 @@ def _result(name, worst, tol, extra_ok=True, detail="") -> CheckResult:
     return CheckResult(name, bool(extra_ok) and worst <= tol, float(worst), float(tol), detail)
 
 
+def _worst(margins) -> float:
+    """The largest of the margins, or nan if any is nan: Python's max keeps a nan only when it comes first."""
+    margins = [float(m) for m in margins]
+    return math.nan if any(map(math.isnan, margins)) else max(margins)
+
+
 def _axis_stack(solutions) -> np.ndarray:
     """The axes e_1..e_4 of every record, shape (len(solutions), 4, 3)."""
     return _axes_of([r.components for r in solutions])
@@ -123,7 +129,7 @@ def check_catalog_bijection(solutions) -> CheckResult:
 
 
 def check_nonvanishing(solutions) -> CheckResult:
-    worst = max(NONVANISHING_FLOOR - float(np.min(np.abs(r.components))) for r in solutions)
+    worst = NONVANISHING_FLOOR - float(np.min(np.abs([r.components for r in solutions])))
     return _result("solution-nonvanishing", worst, 1e-9, detail="min |component| >= 1/3 for all solutions")
 
 
@@ -147,13 +153,13 @@ def check_axis_dot_products(solutions) -> CheckResult:
 
 def check_antipodal_closure(solutions) -> CheckResult:
     images = symmetry_images([r.components for r in solutions])[: len(ANTIPODAL_SUBSETS)]
-    worst = max(_closure_gap(image) for image in images)
+    worst = _worst(map(_closure_gap, images))
     return _result("antipodal-closure", worst, RESIDUAL_TOL, detail="32 solutions closed under antipodal exchanges")
 
 
 def check_reflection_closure(solutions) -> CheckResult:
     images = symmetry_images([r.components for r in solutions])[len(ANTIPODAL_SUBSETS) :]
-    worst = max(_closure_gap(image) for image in images)
+    worst = _worst(map(_closure_gap, images))
     return _result("reflection-closure", worst, RESIDUAL_TOL, detail="32 solutions closed under coordinate reflections")
 
 
@@ -174,24 +180,18 @@ def check_reflection_map_targets() -> CheckResult:
 
 
 def check_platonic_moments() -> CheckResult:
-    worst = 0.0
-    ok = True
-    for kind in PlatonicSolid:
-        iso = isotropy_of(second_moment(platonic_vertices(kind)))
-        ok = ok and iso.isotropic
-        worst = max(worst, abs(iso.sigma_sq - kind.n / 3.0))
+    isos = {kind: isotropy_of(second_moment(platonic_vertices(kind))) for kind in PlatonicSolid}
+    worst = _worst(abs(iso.sigma_sq - kind.n / 3.0) for kind, iso in isos.items())
+    ok = all(iso.isotropic for iso in isos.values())
     return _result("platonic-moments", worst, RESIDUAL_TOL, ok, "five vertex sets isotropic with sigma^2 = n/3")
 
 
 def check_reflected_tetrahedra() -> CheckResult:
     tetra = PointSet(TETRAHEDRON)
     normals = {"yz": (1.0, 0.0, 0.0), "xz": (0.0, 1.0, 0.0), "xy": (0.0, 0.0, 1.0)}
-    worst = 0.0
-    ok = True
-    for plane, normal in normals.items():
-        img = reflect_about_plane(tetra, normal)
-        worst = max(worst, float(np.max(np.abs(img.array - EXPECTED_REFLECTED_TETRAHEDRA[plane]))))
-        ok = ok and isotropy_of(second_moment(img)).isotropic
+    images = {plane: reflect_about_plane(tetra, normal) for plane, normal in normals.items()}
+    worst = _worst(np.max(np.abs(img.array - EXPECTED_REFLECTED_TETRAHEDRA[plane])) for plane, img in images.items())
+    ok = all(isotropy_of(second_moment(img)).isotropic for img in images.values())
     return _result("reflected-tetrahedra", worst, RESIDUAL_TOL, ok, "coordinate-plane reflections of the trivial set")
 
 
@@ -229,12 +229,12 @@ def _unit_vectors(gen, count):
 def check_line_reflection(seed) -> CheckResult:
     axes = _unit_vectors(random.Random(seed), LINE_REFLECTION_COUNT)
     ell = _line_reflection(axes)
-    worst = max(
-        float(np.max(np.abs(ell @ ell.swapaxes(1, 2) - np.eye(3)))),
-        float(np.max(np.abs(np.linalg.det(ell) - 1.0))),
-        float(np.max(np.abs((ell @ axes[..., None])[..., 0] - axes))),
-        float(np.max(np.abs(ell - rotation_about_axis(axes, math.pi)))),
-    )
+    worst = _worst([
+        np.max(np.abs(ell @ ell.swapaxes(1, 2) - np.eye(3))),
+        np.max(np.abs(np.linalg.det(ell) - 1.0)),
+        np.max(np.abs((ell @ axes[..., None])[..., 0] - axes)),
+        np.max(np.abs(ell - rotation_about_axis(axes, math.pi))),
+    ])
     detail = f"2ee^T - I proper orthogonal over {LINE_REFLECTION_COUNT} random axes"
     return _result("line-reflection", worst, RESIDUAL_TOL, detail=detail)
 
@@ -286,15 +286,15 @@ def check_wrist_classes(wrists) -> CheckResult:
         # no class checked is no evidence: an infinite worst, never a perfect 0
         return _result("wrist-classes", math.inf, tol_deg, detail=detail)
     expected = {label: pat.cos_twists for label, pat in CLASS_PATTERNS.items()}
-    worst = 0.0
     chains = _catalog_chains()
     # every catalog chain is a member exactly once, so the float pass can look each member up
     members = sorted((m.solution_index, m.ordering) for w in wrists for m in w.members)
     ok = len(wrists) == 8 and members == chains and _float_member_classes(wrists, chains)
-    for w, isotropic in zip(wrists, _isotropic_couplings(wrists)):
-        ok = ok and w.couplings == isotropic
-        for a, c in zip(w.twists, expected[w.label]):
-            worst = max(worst, abs(math.degrees(a) - math.degrees(math.acos(c))))
+    couplings = _isotropic_couplings(wrists)
+    ok = ok and all(w.couplings == isotropic for w, isotropic in zip(wrists, couplings))
+    worst = _worst(
+        abs(math.degrees(a) - math.degrees(math.acos(c))) for w in wrists for a, c in zip(w.twists, expected[w.label])
+    )
     return _result("wrist-classes", worst, tol_deg, ok, detail)
 
 
@@ -324,7 +324,7 @@ def check_posture_isotropy(wrists) -> CheckResult:
         # the SVD would raise on nan: axes that read theta_4 fail with an infinite worst instead
         return _result("posture-isotropy", math.inf, 1e-9, detail=detail)
     _, sigma, cond, _ = isotropy_report_stack(jacobian_from_axes_stack(axes))
-    worst = max(float(np.max(np.abs(cond - 1.0))), float(np.max(np.abs(sigma - SIGMA_FOUR_AXES))))
+    worst = _worst([np.max(np.abs(cond - 1.0)), np.max(np.abs(sigma - SIGMA_FOUR_AXES))])
     return _result("posture-isotropy", worst, 1e-9, detail=detail)
 
 
@@ -340,7 +340,7 @@ def _random_chains(gen, count):
 
 
 def check_dh_round_trip(wrists, seed) -> CheckResult:
-    worst = 0.0
+    margins = []
     chains = [w.representative_dh for w in wrists] + _random_chains(random.Random(seed), DH_ROUND_TRIP_COUNT)
     for _, group in _by_size(chains, lambda dh: dh.n):
         theta = [(0.4,) + dh.joints[1:-1] + (1.1,) for dh in group]
@@ -348,12 +348,8 @@ def check_dh_round_trip(wrists, seed) -> CheckResult:
         axes, _ = _forward_chain(twists, theta)
         back_twists, back_joints = dh_from_axes_stack(axes)
         interior = np.array([dh.joints[1:-1] for dh in group])
-        worst = max(
-            worst,
-            float(np.max(np.abs(twists - back_twists))),
-            float(np.max(np.abs(interior - back_joints[:, 1:-1]))),
-        )
-    return _result("dh-round-trip", worst, 1e-9, detail="forward kinematics then parameter recovery")
+        margins += [np.max(np.abs(twists - back_twists)), np.max(np.abs(interior - back_joints[:, 1:-1]))]
+    return _result("dh-round-trip", _worst(margins), 1e-9, detail="forward kinematics then parameter recovery")
 
 
 def _random_unit_sets(gen, count):
@@ -368,7 +364,7 @@ def _random_unit_sets(gen, count):
 
 
 def check_jacobian_moment_agreement(solutions, seed) -> CheckResult:
-    worst = 0.0
+    margins = []
     agree = True
     stacks = [_axis_stack(solutions)] + [platonic_vertices(k).array[None] for k in PlatonicSolid]
     stacks += [stack for _, stack in _random_unit_sets(random.Random(seed), MOMENT_AGREEMENT_COUNT)]
@@ -376,19 +372,20 @@ def check_jacobian_moment_agreement(solutions, seed) -> CheckResult:
         stack = np.concatenate(group)
         j = jacobian_from_axes_stack(stack)
         h = second_moment_stack(stack)
-        worst = max(worst, float(np.max(np.abs(j @ j.swapaxes(1, 2) - h))))
+        margins.append(np.max(np.abs(j @ j.swapaxes(1, 2) - h)))
         *_, iso_j = isotropy_report_stack(j)
         iso_h, _ = isotropy_of_stack(h)
         agree = agree and bool(np.array_equal(iso_j, iso_h))
-    return _result("jacobian-moment-agreement", worst, 1e-12, agree, "J J^T = H and matching isotropy verdicts")
+    detail = "J J^T = H and matching isotropy verdicts"
+    return _result("jacobian-moment-agreement", _worst(margins), 1e-12, agree, detail)
 
 
 def check_trace_identity(seed) -> CheckResult:
-    worst = 0.0
+    margins = []
     for n, stack in _random_unit_sets(random.Random(seed), TRACE_IDENTITY_COUNT):
         sv = np.linalg.svd(jacobian_from_axes_stack(stack), compute_uv=False)
-        worst = max(worst, float(np.max(np.abs(np.sum(sv**2, axis=-1) - n))))
-    return _result("singular-value-trace", worst, 1e-12, detail="squared singular values sum to n")
+        margins.append(np.max(np.abs(np.sum(sv**2, axis=-1) - n)))
+    return _result("singular-value-trace", _worst(margins), 1e-12, detail="squared singular values sum to n")
 
 
 def check_oracle(oracle_starts, seed) -> CheckResult:

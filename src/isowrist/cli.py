@@ -54,8 +54,47 @@ def _output_option(help_text: str = "Write to a file instead of stdout."):
     )
 
 
+_quote = json.encoder.encode_basestring_ascii
+_SCALARS = {  # json's text of each scalar type
+    str: _quote, int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__, type(None): {None: "null"}.get,
+    float: lambda x: float.__repr__(x) if math.isfinite(x) else json.dumps(x),  # json's NaN, Infinity, -Infinity
+}
+_BRACKETS = {dict: "{}", list: "[]", tuple: "[]"}
+_KINDS = (str, int, float, list, tuple, dict)  # a subclass is written as the first of these it is, as json does
+
+
+def _json_chunks(value, pad: str, out: list) -> None:
+    kind = type(value)
+    if kind not in _SCALARS and kind not in _BRACKETS:
+        kind = next((k for k in _KINDS if isinstance(value, k)), None)
+        if kind is None:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if kind in _SCALARS or not value:
+        return out.append(_SCALARS[kind](value) if kind in _SCALARS else _BRACKETS[kind])
+    inner, (start, end) = pad + "  ", _BRACKETS[kind]
+    lead, sep = f"{start}\n{inner}", ",\n" + inner
+    kinds = () if kind is dict else set(map(type, value))
+    if len(kinds) == 1 and (one := _SCALARS.get(kinds.pop())):
+        return out.append(f"{lead}{sep.join(map(one, value))}\n{pad}{end}")
+    for key, item in value.items() if kind is dict else enumerate(value):
+        write = _SCALARS.get(type(item))
+        label = f"{lead}{_quote(key)}: " if kind is dict else lead
+        out.append(label + write(item) if write else label)
+        if not write:
+            _json_chunks(item, inner, out)
+        lead = sep
+    out.append(f"\n{pad}{end}")
+
+
 def _json_text(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """doc as JSON text: exactly the bytes of json.dumps(doc, indent=2) + "\\n", without json's pure-Python encoder.
+
+    Keys must be str: any other key raises TypeError, where json.dumps would convert it.  Any other value
+    json cannot write raises TypeError, as in json.dumps.  Cyclic documents are out of scope.
+    """
+    out = []
+    _json_chunks(doc, "", out)
+    return "".join(out) + "\n"
 
 
 def _finite(ctx, param, value: float) -> float:

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import math
 import random
+import types
 
 import numpy as np
 import pytest
@@ -551,3 +552,103 @@ class TestFixedBounds:
         assert result.tolerance == RESIDUAL_TOL == 1e-12
         assert result.status == "PASS"
         assert result.worst <= result.tolerance
+
+
+def nan_on_call(function, call, poison):
+    """function, except that its result on the given call (1-based) goes through poison first."""
+    calls = itertools.count(1)
+
+    def wrapped(*args, **kwargs):
+        result = function(*args, **kwargs)
+        return poison(result) if next(calls) == call else result
+
+    return wrapped
+
+
+def with_nan_at(index):
+    """A poison that returns a copy of an array with a nan at index."""
+
+    def poison(array):
+        array = np.array(array, dtype=float)
+        array[index] = math.nan
+        return array
+
+    return poison
+
+
+class TestNanMarginFails:
+    """A check whose margins hold one nan, never the first, fails with a nan worst.
+
+    Python's max keeps a nan only when it comes first, so a fold by max
+    passed such a check on the margins around the nan.
+    """
+
+    @staticmethod
+    def assert_fails_on_nan(result):
+        assert result.status == "FAIL"
+        assert math.isnan(result.worst)
+
+    def test_nonvanishing(self, solutions):
+        # the check reads its records only: the fifth one carries the nan
+        bad = solutions[4]._replace(c=math.nan)
+        self.assert_fails_on_nan(checks.check_nonvanishing([*solutions[:4], bad, *solutions[5:]]))
+
+    @pytest.mark.parametrize(
+        "check, image",
+        [(check_antipodal_closure, 2), (check_reflection_closure, len(ANTIPODAL_SUBSETS) + 1)],
+    )
+    def test_closure(self, solutions, monkeypatch, check, image):
+        poisoned = nan_on_call(checks.symmetry_images, 1, with_nan_at((image, 0, 0)))
+        monkeypatch.setattr(checks, "symmetry_images", poisoned)
+        self.assert_fails_on_nan(check(solutions))
+
+    def test_platonic_moments(self, monkeypatch):
+        # isotropic, so only the second solid's sigma^2 margin can fail the check
+        poison = lambda iso: iso._replace(isotropic=True, sigma_sq=math.nan)  # noqa: E731
+        monkeypatch.setattr(checks, "isotropy_of", nan_on_call(checks.isotropy_of, 2, poison))
+        self.assert_fails_on_nan(checks.check_platonic_moments())
+
+    def test_reflected_tetrahedra(self, monkeypatch):
+        # a PointSet holds no nan, so the second image is a stand-in; every image's moment is isotropic
+        poison = lambda img: types.SimpleNamespace(array=with_nan_at((1, 0))(img.array))  # noqa: E731
+        monkeypatch.setattr(checks, "reflect_about_plane", nan_on_call(checks.reflect_about_plane, 2, poison))
+        monkeypatch.setattr(checks, "second_moment", lambda img: np.eye(3) * len(img.array) / 3.0)
+        self.assert_fails_on_nan(checks.check_reflected_tetrahedra())
+
+    def test_line_reflection(self, monkeypatch):
+        # the half-turn margin is the last of the four
+        monkeypatch.setattr(checks, "rotation_about_axis", lambda axes, angle: np.full((len(axes), 3, 3), math.nan))
+        self.assert_fails_on_nan(check_line_reflection(seed=0))
+
+    def test_wrist_classes(self, wrists, monkeypatch):
+        # the second class's middle twist is nan; each class keeps its own couplings
+        bad = dataclasses.replace(wrists[1], twists=(wrists[1].twists[0], math.nan, wrists[1].twists[2]))
+        monkeypatch.setattr(checks, "_isotropic_couplings", lambda ws: [w.couplings for w in ws])
+        self.assert_fails_on_nan(check_wrist_classes([wrists[0], bad, *wrists[2:]]))
+
+    def test_posture_isotropy(self, wrists, monkeypatch):
+        # sigma, the second margin, is nan for one posture
+        poison = lambda report: (report[0], with_nan_at(5)(report[1]), *report[2:])  # noqa: E731
+        monkeypatch.setattr(checks, "isotropy_report_stack", nan_on_call(checks.isotropy_report_stack, 1, poison))
+        self.assert_fails_on_nan(check_posture_isotropy(wrists))
+
+    def test_dh_round_trip(self, wrists, monkeypatch):
+        # the recovered twists of the second chain-size group
+        poison = lambda back: (with_nan_at((0, 0))(back[0]), back[1])  # noqa: E731
+        monkeypatch.setattr(checks, "dh_from_axes_stack", nan_on_call(checks.dh_from_axes_stack, 2, poison))
+        self.assert_fails_on_nan(check_dh_round_trip(wrists, seed=0))
+
+    def test_jacobian_moment_agreement(self, solutions, monkeypatch):
+        # the second moments of the second point-count group
+        poison = with_nan_at((0, 0, 0))
+        monkeypatch.setattr(checks, "second_moment_stack", nan_on_call(checks.second_moment_stack, 2, poison))
+        self.assert_fails_on_nan(check_jacobian_moment_agreement(solutions, seed=0))
+
+    def test_singular_value_trace(self, monkeypatch):
+        # the second point-count group expects a nan sum
+        def sets(gen, count):
+            groups = _random_unit_sets(gen, count)
+            return [groups[0], (math.nan, groups[1][1]), *groups[2:]]
+
+        monkeypatch.setattr(checks, "_random_unit_sets", sets)
+        self.assert_fails_on_nan(check_trace_identity(seed=0))

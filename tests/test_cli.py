@@ -489,3 +489,15 @@ def test_commands_read_value_records_by_attribute_only(runner, monkeypatch, name
     result = runner.invoke(cli, GOLDEN_COMMANDS[name])
     assert result.exit_code == 0
     assert result.stdout_bytes == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(name for name in GOLDEN_COMMANDS if name.endswith(".json")))
+def test_json_artifacts_never_take_the_python_encoder(runner, monkeypatch, name):
+    # json.dumps with an indent builds its text in pure Python through _make_iterencode; no artifact may
+    def refuse(*args, **kwargs):
+        raise AssertionError("an artifact went through json's pure-Python encoder")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    result = runner.invoke(cli, GOLDEN_COMMANDS[name])
+    assert result.exit_code == 0
+    assert result.stdout_bytes == (GOLDEN / name).read_bytes()

@@ -1,16 +1,20 @@
-"""Property tests for the unit-sphere invariants and the mirror-invariant signature.
+"""Property tests for the unit-sphere invariants, the mirror-invariant signature and the JSON writer.
 
 Examples are derandomized and bounded, so every run checks the same
 cases in well under a second.
 """
 
+import enum
+import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isowrist.classify import canonical_signature
+from isowrist.cli import _json_text
 from isowrist.kinematics import DHChain, dh_from_axes, forward_axes
 from isowrist.spheregeom import (
     PointSet,
@@ -86,3 +90,81 @@ def test_dh_round_trip_recovers_random_chains(data):
     back = dh_from_axes(forward_axes(dh, (theta_1, *interior, theta_n)))
     assert np.max(np.abs(np.subtract(back.twists, dh.twists))) <= 1e-9
     assert np.max(np.abs(np.subtract(back.joints[1:-1], interior)), initial=0.0) <= 1e-9
+
+
+class _Level(enum.IntEnum):
+    low = 1
+    high = 2
+
+
+class _Name(str, enum.Enum):
+    first = "a\u00e9"
+
+
+#: Strings json must escape: quotes, backslashes, control, non-ASCII and astral characters.
+_HARD_STRINGS = ['"', "\\", 'a"b\\c', "\x00\x1f\x7f\n\t", "\u00e9\u2028\u2029", "\U0001f600", "\ud800", ""]
+#: Floats and ints at json's edges: non-finite, signed zero, extremes, and ints past 64 bits.
+_HARD_NUMBERS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e308, -1e308, 5e-324, 1e16, 2**64, -(2**70), 10**40]
+_strings = st.one_of(st.text(), st.sampled_from(_HARD_STRINGS))
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.sampled_from(_HARD_NUMBERS),
+    _strings,
+    st.floats().map(np.float64),
+    st.sampled_from(list(_Level)),
+)
+_json_docs = st.recursive(
+    _scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_strings, children, max_size=4),
+        # lists of one scalar type take the writer's one-join path
+        st.one_of(st.lists(st.floats()), st.lists(st.integers()), st.lists(st.booleans()), st.lists(_strings)),
+    ),
+    max_leaves=24,
+)
+
+
+@bounded
+@given(st.dictionaries(_strings, _json_docs, max_size=5))
+def test_json_text_is_json_dumps_indented(doc):
+    assert _json_text(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+EDGE_DOCUMENTS = [
+    {"empty": [], "nothing": {}, "nested": [[], {}, [[{}]], (), {"a": {"b": []}}], "tuple": ()},
+    {s: s for s in _HARD_STRINGS},
+    {"numbers": _HARD_NUMBERS, "mixed": [*_HARD_NUMBERS, "x", None, True]},
+    {"numpy": [np.float64(1.5), np.float64(math.nan), np.float64(-math.inf), np.float64(-0.0)], "one": np.float64(2.0)},
+    {"enum": [_Level.low, _Level.high], "mixed": [_Level.low, 3], "value": _Level.high},
+    {_Name.first: [_Name.first, "b"], "name": _Name.first},
+    # bool is an int subclass: json writes true and false, never 1 and 0
+    {"bools": [True, False], "bool_ints": [True, 1, False, 0], "nones": [None, None], "deep": [[[[True]]]]},
+]
+
+
+@pytest.mark.parametrize("doc", EDGE_DOCUMENTS)
+def test_json_text_is_json_dumps_indented_on_edges(doc):
+    assert _json_text(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [set(), b"x", np.bool_(True), np.int64(1), np.float32(1.0), object()])
+@pytest.mark.parametrize("wrap", [lambda v: {"a": v}, lambda v: {"a": [1, v]}, lambda v: {"a": {"b": (v,)}}])
+def test_json_text_rejects_what_json_rejects(value, wrap):
+    doc = wrap(value)
+    with pytest.raises(TypeError):
+        json.dumps(doc, indent=2)
+    with pytest.raises(TypeError):
+        _json_text(doc)
+
+
+@pytest.mark.parametrize("key", [1, 1.5, True, None, 2**70])
+def test_json_text_rejects_keys_that_json_would_convert(key):
+    # documents use str keys only: a key json would write as a string raises TypeError instead
+    json.dumps({key: 1}, indent=2)
+    with pytest.raises(TypeError):
+        _json_text({"outer": {key: 1}})
