@@ -92,28 +92,31 @@ class CheckResult:
         return "PASS" if self.passed else "FAIL"
 
 
-def _result(name, worst, tol, extra_ok=True, detail="") -> CheckResult:
+def _result(name, worst, tol, extra_ok=True, *, detail) -> CheckResult:
+    """The verdict on a worst margin: it passes when extra_ok holds and worst <= tol, so a nan or inf worst fails."""
     return CheckResult(name, bool(extra_ok) and worst <= tol, float(worst), float(tol), detail)
 
 
 def _worst(margins) -> float:
-    """The largest of the margins, or nan if any is nan: Python's max keeps a nan only when it comes first."""
-    margins = [float(m) for m in margins]
-    return math.nan if any(map(math.isnan, margins)) else max(margins)
+    """The largest margin, nan if any is nan (np.max keeps it), and inf if there is none: no margin is no evidence."""
+    margins = np.fromiter(margins, dtype=float)
+    return float(np.max(margins)) if margins.size else math.inf
 
 
-def _axis_stack(solutions) -> np.ndarray:
-    """The axes e_1..e_4 of every record, shape (len(solutions), 4, 3)."""
-    return _axes_of([r.components for r in solutions])
+def _components(solutions) -> np.ndarray:
+    """The unknowns (c, s, x, y, z, u, v, w) of every record, shape (len(solutions), 8)."""
+    return np.array([r.components for r in solutions], dtype=float)
 
 
-def _closure_gap(images) -> float:
-    """Largest distance from the axes of any of the unknowns (m, 8) to their nearest catalog row, from one table."""
-    return float(np.max(np.min(catalog_distances(_axes_of(images)), axis=-1)))
+def _closure_gap(solutions, symmetries: slice) -> float:
+    """Largest distance from the axes of any of the records' symmetry images to their nearest catalog row."""
+    images = symmetry_images(_components(solutions))[symmetries]
+    # one catalog table per image: one table over all images is a larger temporary, about twice as slow on 2 vCPUs
+    return _worst(np.max(np.min(catalog_distances(_axes_of(image)), axis=-1)) for image in images)
 
 
 def check_solution_residuals(solutions) -> CheckResult:
-    worst = float(np.max(np.abs(residuals([r.components for r in solutions]))))
+    worst = float(np.max(np.abs(residuals(_components(solutions)))))
     return _result("solution-residuals", worst, RESIDUAL_TOL, detail="max |residual| over 32 solutions")
 
 
@@ -125,16 +128,16 @@ def check_catalog_bijection(solutions) -> CheckResult:
     cascade = solve_closed_form_stack(patterns)
     worst = float(np.max(np.abs(cascade - _CATALOG[np.asarray(indices) - 1])))
     ok = sorted(indices) == list(range(1, 33)) and len(set(patterns)) == 32
-    return _result("catalog-bijection", worst, RESIDUAL_TOL, ok, "closed forms match catalog rows 1..32")
+    return _result("catalog-bijection", worst, RESIDUAL_TOL, ok, detail="closed forms match catalog rows 1..32")
 
 
 def check_nonvanishing(solutions) -> CheckResult:
-    worst = NONVANISHING_FLOOR - float(np.min(np.abs([r.components for r in solutions])))
+    worst = NONVANISHING_FLOOR - float(np.min(np.abs(_components(solutions))))
     return _result("solution-nonvanishing", worst, 1e-9, detail="min |component| >= 1/3 for all solutions")
 
 
 def check_distinctness(solutions) -> CheckResult:
-    comps = np.array([r.components for r in solutions])
+    comps = _components(solutions)
     gaps = np.max(np.abs(comps[:, None, :] - comps[None, :, :]), axis=-1)
     dmin = float(np.min(gaps[np.triu_indices(len(comps), k=1)]))
     return CheckResult(
@@ -143,7 +146,7 @@ def check_distinctness(solutions) -> CheckResult:
 
 
 def check_axis_dot_products(solutions) -> CheckResult:
-    a = _axis_stack(solutions)
+    a = _axes_of(_components(solutions))
     # each Gram entry is bit-equal to the 1-D dot a[k, i] @ a[k, j] of the same two axes
     gram = a @ a.swapaxes(1, 2)
     i, j = np.triu_indices(4, k=1)
@@ -152,14 +155,12 @@ def check_axis_dot_products(solutions) -> CheckResult:
 
 
 def check_antipodal_closure(solutions) -> CheckResult:
-    images = symmetry_images([r.components for r in solutions])[: len(ANTIPODAL_SUBSETS)]
-    worst = _worst(map(_closure_gap, images))
+    worst = _closure_gap(solutions, slice(len(ANTIPODAL_SUBSETS)))
     return _result("antipodal-closure", worst, RESIDUAL_TOL, detail="32 solutions closed under antipodal exchanges")
 
 
 def check_reflection_closure(solutions) -> CheckResult:
-    images = symmetry_images([r.components for r in solutions])[len(ANTIPODAL_SUBSETS) :]
-    worst = _worst(map(_closure_gap, images))
+    worst = _closure_gap(solutions, slice(len(ANTIPODAL_SUBSETS), None))
     return _result("reflection-closure", worst, RESIDUAL_TOL, detail="32 solutions closed under coordinate reflections")
 
 
@@ -167,7 +168,7 @@ def check_antipodal_map_targets() -> CheckResult:
     maps = {m.subset: m.target_index for m in antipodal_map_table()}
     ok = maps == EXPECTED_ANTIPODAL_TARGETS
     detail = ", ".join(f"{set(s) or '{}'}->{t}" for s, t in sorted(maps.items(), key=lambda kv: (len(kv[0]), kv[0])))
-    return CheckResult("antipodal-map-targets", ok, 0.0 if ok else 1.0, 0.5, detail)
+    return _result("antipodal-map-targets", float(not ok), 0.5, ok, detail=detail)
 
 
 def check_reflection_map_targets() -> CheckResult:
@@ -176,14 +177,14 @@ def check_reflection_map_targets() -> CheckResult:
         op: tuple(m.target_index for m in maps if m.operation == op) for op in EXPECTED_REFLECTION_TARGETS
     }
     ok = computed == EXPECTED_REFLECTION_TARGETS
-    return CheckResult("reflection-map-targets", ok, 0.0 if ok else 1.0, 0.5, "all 24 reflection images verified")
+    return _result("reflection-map-targets", float(not ok), 0.5, ok, detail="all 24 reflection images verified")
 
 
 def check_platonic_moments() -> CheckResult:
     isos = {kind: isotropy_of(second_moment(platonic_vertices(kind))) for kind in PlatonicSolid}
     worst = _worst(abs(iso.sigma_sq - kind.n / 3.0) for kind, iso in isos.items())
     ok = all(iso.isotropic for iso in isos.values())
-    return _result("platonic-moments", worst, RESIDUAL_TOL, ok, "five vertex sets isotropic with sigma^2 = n/3")
+    return _result("platonic-moments", worst, RESIDUAL_TOL, ok, detail="five vertex sets isotropic with sigma^2 = n/3")
 
 
 def check_reflected_tetrahedra() -> CheckResult:
@@ -192,7 +193,8 @@ def check_reflected_tetrahedra() -> CheckResult:
     images = {plane: reflect_about_plane(tetra, normal) for plane, normal in normals.items()}
     worst = _worst(np.max(np.abs(img.array - EXPECTED_REFLECTED_TETRAHEDRA[plane])) for plane, img in images.items())
     ok = all(isotropy_of(second_moment(img)).isotropic for img in images.values())
-    return _result("reflected-tetrahedra", worst, RESIDUAL_TOL, ok, "coordinate-plane reflections of the trivial set")
+    detail = "coordinate-plane reflections of the trivial set"
+    return _result("reflected-tetrahedra", worst, RESIDUAL_TOL, ok, detail=detail)
 
 
 def _uniform(gen, count, low, high):
@@ -280,22 +282,16 @@ def _float_member_classes(wrists, chains) -> bool:
 
 
 def check_wrist_classes(wrists) -> CheckResult:
-    tol_deg = 0.05
-    detail = "8 classes, twist triples in degrees, couplings verified"
-    if not wrists:
-        # no class checked is no evidence: an infinite worst, never a perfect 0
-        return _result("wrist-classes", math.inf, tol_deg, detail=detail)
     expected = {label: pat.cos_twists for label, pat in CLASS_PATTERNS.items()}
     chains = _catalog_chains()
     # every catalog chain is a member exactly once, so the float pass can look each member up
     members = sorted((m.solution_index, m.ordering) for w in wrists for m in w.members)
     ok = len(wrists) == 8 and members == chains and _float_member_classes(wrists, chains)
-    couplings = _isotropic_couplings(wrists)
-    ok = ok and all(w.couplings == isotropic for w, isotropic in zip(wrists, couplings))
+    ok = ok and all(w.couplings == isotropic for w, isotropic in zip(wrists, _isotropic_couplings(wrists)))
     worst = _worst(
         abs(math.degrees(a) - math.degrees(math.acos(c))) for w in wrists for a, c in zip(w.twists, expected[w.label])
     )
-    return _result("wrist-classes", worst, tol_deg, ok, detail)
+    return _result("wrist-classes", worst, 0.05, ok, detail="8 classes, twist triples in degrees, couplings verified")
 
 
 def _by_size(items, size):
@@ -307,25 +303,23 @@ def _by_size(items, size):
 
 
 def check_posture_isotropy(wrists) -> CheckResult:
+    margins = []
+    if wrists:
+        angles = np.linspace(0.0, 2.0 * math.pi, POSTURE_GRID, endpoint=False)
+        # one row per (wrist, theta_1 grid value): the wrist's own twists and interior joints, theta_4 = nan.
+        # theta_4 turns only the end-effector normal; an axis that read it would come out nan, so finite axes
+        # are the ones every theta_4 of the grid (and every theta_4 at all) gives, bit for bit
+        chains = [w.representative_dh for w in wrists]
+        twists = np.repeat([dh.twists for dh in chains], POSTURE_GRID, axis=0)
+        theta = np.repeat([dh.joints for dh in chains], POSTURE_GRID, axis=0)
+        theta[:, 0], theta[:, -1] = np.tile(angles, len(chains)), math.nan
+        axes, _ = _forward_chain(twists, theta)
+        # the SVD would raise on nan: axes that read theta_4 leave no margin, so the worst is infinite
+        if np.isfinite(axes).all():
+            _, sigma, cond, _ = isotropy_report_stack(jacobian_from_axes_stack(axes))
+            margins = [np.max(np.abs(cond - 1.0)), np.max(np.abs(sigma - SIGMA_FOUR_AXES))]
     detail = f"condition number and sigma over a {POSTURE_GRID}x{POSTURE_GRID} free-angle grid"
-    if not wrists:
-        # no posture checked is no evidence: an infinite worst, never a perfect 0
-        return _result("posture-isotropy", math.inf, 1e-9, detail=detail)
-    angles = np.linspace(0.0, 2.0 * math.pi, POSTURE_GRID, endpoint=False)
-    # one row per (wrist, theta_1 grid value): the wrist's own twists and interior joints, theta_4 = nan.
-    # theta_4 turns only the end-effector normal; an axis that read it would come out nan, so finite axes
-    # are the ones every theta_4 of the grid (and every theta_4 at all) gives, bit for bit
-    chains = [w.representative_dh for w in wrists]
-    twists = np.repeat([dh.twists for dh in chains], POSTURE_GRID, axis=0)
-    theta = np.repeat([dh.joints for dh in chains], POSTURE_GRID, axis=0)
-    theta[:, 0], theta[:, -1] = np.tile(angles, len(chains)), math.nan
-    axes, _ = _forward_chain(twists, theta)
-    if not np.isfinite(axes).all():
-        # the SVD would raise on nan: axes that read theta_4 fail with an infinite worst instead
-        return _result("posture-isotropy", math.inf, 1e-9, detail=detail)
-    _, sigma, cond, _ = isotropy_report_stack(jacobian_from_axes_stack(axes))
-    worst = _worst([np.max(np.abs(cond - 1.0)), np.max(np.abs(sigma - SIGMA_FOUR_AXES))])
-    return _result("posture-isotropy", worst, 1e-9, detail=detail)
+    return _result("posture-isotropy", _worst(margins), 1e-9, detail=detail)
 
 
 def _random_chains(gen, count):
@@ -366,7 +360,7 @@ def _random_unit_sets(gen, count):
 def check_jacobian_moment_agreement(solutions, seed) -> CheckResult:
     margins = []
     agree = True
-    stacks = [_axis_stack(solutions)] + [platonic_vertices(k).array[None] for k in PlatonicSolid]
+    stacks = [_axes_of(_components(solutions))] + [platonic_vertices(k).array[None] for k in PlatonicSolid]
     stacks += [stack for _, stack in _random_unit_sets(random.Random(seed), MOMENT_AGREEMENT_COUNT)]
     for _, group in _by_size(stacks, lambda stack: stack.shape[1]):
         stack = np.concatenate(group)
@@ -377,7 +371,7 @@ def check_jacobian_moment_agreement(solutions, seed) -> CheckResult:
         iso_h, _ = isotropy_of_stack(h)
         agree = agree and bool(np.array_equal(iso_j, iso_h))
     detail = "J J^T = H and matching isotropy verdicts"
-    return _result("jacobian-moment-agreement", _worst(margins), 1e-12, agree, detail)
+    return _result("jacobian-moment-agreement", _worst(margins), 1e-12, agree, detail=detail)
 
 
 def check_trace_identity(seed) -> CheckResult:
@@ -394,14 +388,13 @@ def check_oracle(oracle_starts, seed) -> CheckResult:
     report = oracle_root_hunt(n_starts=oracle_starts, seed=seed)
     # Euclidean distance to the nearest catalog row; the max-norm of catalog_distances would loosen the check
     gaps = np.linalg.norm(report.roots[:, None, :] - _CATALOG, axis=-1)
-    # no root at all is no match: an infinite worst, never a perfect 0
-    worst = float(np.max(np.min(gaps, axis=1))) if report.n_roots else math.inf
+    worst = _worst(np.min(gaps, axis=1))
     ok = report.n_roots == 32
     detail = (
         f"{report.n_roots} clusters from {report.n_converged}/{report.n_starts} converged starts "
         f"({report.n_discarded} discarded)"
     )
-    return _result("oracle-root-hunt", worst, 1e-8, ok, detail)
+    return _result("oracle-root-hunt", worst, 1e-8, ok, detail=detail)
 
 
 def run_checks(oracle_starts: int, seed: int) -> list:

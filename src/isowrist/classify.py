@@ -28,7 +28,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .kinematics import DHChain, _cross, _forward_chain, dh_from_axes_stack, isotropy_report, jacobian_from_axes
-from .solver import CATALOG_MAGNITUDES, CATALOG_SIGNS, TRIVIAL_SET_INDEX, _AXIS_SLOTS, _CATALOG_AXES, catalog_rows
+from .solver import CATALOG_MAGNITUDES, CATALOG_SIGNS, TRIVIAL_SET_INDEX, _AXIS_SLOTS, _CATALOG_AXES, _axes_of
+from .solver import catalog_rows
 from .spheregeom import ONE_THIRD, PointSet, _antipodal_signs
 
 SIGNATURE_TOL = 1e-9
@@ -248,19 +249,10 @@ _LABELS = {pat: label for label, pat in CLASS_PATTERNS.items()}
 #: 9 e_i . e_j = a a' + 2 b b' + 6 c c': the weights of the three coordinates.
 _GRAM_WEIGHTS = np.array((1, 2, 6))
 
-#: The integer coefficient of each unknown (c, s, x, y, z, u, v, w) in its coordinate,
-#: 3 |unknown| / sqrt(weight) = (1, 2, 1, 1, 1, 1, 1, 1).
-_INTEGER_MAGNITUDES = np.rint(
-    3.0 * np.array(CATALOG_MAGNITUDES) / np.sqrt(_GRAM_WEIGHTS[np.array(_AXIS_SLOTS) % 3])
-).astype(int)
-
 
 def _integer_axes(signs: np.ndarray) -> np.ndarray:
     """The axes 3 e_1..3 e_4 of catalog sign rows (m, 8) as integers (a, b, c): shape (m, 4, 3)."""
-    axes = np.zeros((len(signs), 12), dtype=int)
-    axes[:, 0] = 3
-    axes[:, _AXIS_SLOTS] = signs * _INTEGER_MAGNITUDES
-    return axes.reshape(-1, 4, 3)
+    return np.rint(3.0 * _axes_of(signs * np.array(CATALOG_MAGNITUDES)) / np.sqrt(_GRAM_WEIGHTS)).astype(int)
 
 
 def _exact_chain_invariants(a: np.ndarray):

@@ -198,8 +198,8 @@ def cmd_verify(oracle_starts: int, seed: int, output: str | None):
 @_output_option()
 def cmd_posture(label: str, theta1: float, theta4: float, fmt: str, output: str | None):
     """Emit one wrist class's geometry at its isotropic posture."""
-    theta1 %= 360.0
-    theta4 %= 360.0
+    # a tiny negative angle's float mod rounds up to 360.0, which the second mod wraps to 0.0: both lie in [0, 360)
+    theta1, theta4 = theta1 % 360.0 % 360.0, theta4 % 360.0 % 360.0
     wrist = next(w for w in distinct_wrists() if w.label == label)
     geometry = isotropic_posture_geometry(wrist, math.radians(theta1), math.radians(theta4))
     if fmt == "obj-lines":

@@ -85,7 +85,7 @@ def per_record_catalog_bijection(solutions, tolerance):
         float(catalog_distances(solve_closed_form(r.sign_pattern).axes.array)[r.index - 1]) for r in solutions
     )
     ok = indices == list(range(1, 33)) and len({r.sign_pattern for r in solutions}) == 32
-    return _result("catalog-bijection", worst, tolerance, ok, "closed forms match catalog rows 1..32")
+    return _result("catalog-bijection", worst, tolerance, ok, detail="closed forms match catalog rows 1..32")
 
 
 def per_pair_axis_dot_products(solutions, tolerance):
@@ -283,7 +283,7 @@ def per_set_jacobian_moment_agreement(solutions, seed):
         *_, iso_j = isotropy_report_stack(j)
         iso_h, _ = isotropy_of_stack(h)
         agree = agree and bool(np.array_equal(iso_j, iso_h))
-    return _result("jacobian-moment-agreement", worst, 1e-12, agree, "J J^T = H and matching isotropy verdicts")
+    return _result("jacobian-moment-agreement", worst, 1e-12, agree, detail="J J^T = H and matching isotropy verdicts")
 
 
 def per_set_trace_identity(seed):
@@ -574,6 +574,20 @@ def with_nan_at(index):
         return array
 
     return poison
+
+
+@pytest.mark.parametrize(
+    "margins",
+    [[], [2.0], [0.5, 3.0, -1.0], [math.inf, 1.0], [math.nan, 1.0, 2.0], [1.0, math.nan, 2.0], [1.0, 2.0, math.nan]],
+)
+def test_worst_is_inf_without_margins_nan_with_a_nan_else_max(margins):
+    worst = checks._worst(iter(margins))
+    if not margins:
+        assert worst == math.inf
+    elif any(map(math.isnan, margins)):
+        assert math.isnan(worst)
+    else:
+        assert worst == max(margins)
 
 
 class TestNanMarginFails:

@@ -410,9 +410,15 @@ class TestPosture:
         turned = json.loads(runner.invoke(cli, ["posture", "a", "--theta1", "45"]).output)
         assert abs(base["isotropy"]["condition_number"] - turned["isotropy"]["condition_number"]) < 1e-12
 
-    def test_angles_wrap_mod_360(self, runner):
-        doc = json.loads(runner.invoke(cli, ["posture", "a", "--theta1", "405"]).output)
-        assert doc["theta_1_deg"] == pytest.approx(45.0)
+    @pytest.mark.parametrize("option, key", [("--theta1", "theta_1_deg"), ("--theta4", "theta_4_deg")])
+    @pytest.mark.parametrize(
+        "angle, wrapped", [("405", 45.0), ("-315", 45.0), ("360", 0.0), ("-0.0", 0.0), ("-1e-20", 0.0), ("-1e-15", 0.0)]
+    )
+    def test_angles_wrap_mod_360(self, runner, option, key, angle, wrapped):
+        # -1e-20 % 360.0 rounds to 360.0: the angle must still wrap into [0, 360), to the bytes of the wrapped angle
+        output = runner.invoke(cli, ["posture", "a", option, angle]).output
+        assert json.loads(output)[key] == wrapped
+        assert output == runner.invoke(cli, ["posture", "a", option, repr(wrapped)]).output
 
     def test_obj_lines_format(self, runner):
         result = runner.invoke(cli, ["posture", "b", "--format", "obj-lines"])

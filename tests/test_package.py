@@ -20,7 +20,6 @@ SOURCES = Path(isowrist.__file__).resolve().parent
 #: settable value means a deliberate edit here, and a caller that sets it.
 PARAMETERS_WITH_DEFAULTS = {
     ("isowrist.checks._result", "extra_ok"),
-    ("isowrist.checks._result", "detail"),
     ("isowrist.cli._output_option", "help_text"),
     ("isowrist.solver.oracle_root_hunt", "n_starts"),
     ("isowrist.solver.oracle_root_hunt", "seed"),
