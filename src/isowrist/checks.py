@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,25 +76,19 @@ TRACE_IDENTITY_COUNT = 200
 POSTURE_GRID = 12
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
+    """One check's verdict: status is "PASS", "FAIL" or "SKIP", worst its worst margin against tolerance."""
+
     name: str
-    passed: bool
+    status: str
     worst: float
     tolerance: float
-    detail: str = ""
-    skipped: bool = False
-
-    @property
-    def status(self) -> str:
-        if self.skipped:
-            return "SKIP"
-        return "PASS" if self.passed else "FAIL"
+    detail: str
 
 
 def _result(name, worst, tol, extra_ok=True, *, detail) -> CheckResult:
     """The verdict on a worst margin: it passes when extra_ok holds and worst <= tol, so a nan or inf worst fails."""
-    return CheckResult(name, bool(extra_ok) and worst <= tol, float(worst), float(tol), detail)
+    return CheckResult(name, "PASS" if extra_ok and worst <= tol else "FAIL", float(worst), float(tol), detail)
 
 
 def _worst(margins) -> float:
@@ -104,19 +98,19 @@ def _worst(margins) -> float:
 
 
 def _components(solutions) -> np.ndarray:
-    """The unknowns (c, s, x, y, z, u, v, w) of every record, shape (len(solutions), 8)."""
-    return np.array([r.components for r in solutions], dtype=float)
+    """The unknowns (c, s, x, y, z, u, v, w) of every record, shape (len(solutions), 8), also with no records."""
+    return np.array([r.components for r in solutions], dtype=float).reshape(-1, 8)
 
 
 def _closure_gap(solutions, symmetries: slice) -> float:
     """Largest distance from the axes of any of the records' symmetry images to their nearest catalog row."""
     images = symmetry_images(_components(solutions))[symmetries]
     # one catalog table per image: one table over all images is a larger temporary, about twice as slow on 2 vCPUs
-    return _worst(np.max(np.min(catalog_distances(_axes_of(image)), axis=-1)) for image in images)
+    return _worst(np.concatenate([np.min(catalog_distances(_axes_of(image)), axis=-1) for image in images]))
 
 
 def check_solution_residuals(solutions) -> CheckResult:
-    worst = float(np.max(np.abs(residuals(_components(solutions)))))
+    worst = _worst(np.max(np.abs(residuals(_components(solutions))), axis=1))
     return _result("solution-residuals", worst, RESIDUAL_TOL, detail="max |residual| over 32 solutions")
 
 
@@ -125,24 +119,23 @@ def check_catalog_bijection(solutions) -> CheckResult:
     # pattern it must land within the bound of the row the record names, rows 1..32 once each
     indices = [r.index for r in solutions]
     patterns = [r.sign_pattern for r in solutions]
-    cascade = solve_closed_form_stack(patterns)
-    worst = float(np.max(np.abs(cascade - _CATALOG[np.asarray(indices) - 1])))
+    cascade = solve_closed_form_stack(np.reshape(patterns, (-1, 5)))
+    worst = _worst(np.max(np.abs(cascade - _CATALOG[np.asarray(indices, dtype=int) - 1]), axis=1))
     ok = sorted(indices) == list(range(1, 33)) and len(set(patterns)) == 32
     return _result("catalog-bijection", worst, RESIDUAL_TOL, ok, detail="closed forms match catalog rows 1..32")
 
 
 def check_nonvanishing(solutions) -> CheckResult:
-    worst = NONVANISHING_FLOOR - float(np.min(np.abs(_components(solutions))))
+    worst = _worst(NONVANISHING_FLOOR - np.min(np.abs(_components(solutions)), axis=1))
     return _result("solution-nonvanishing", worst, 1e-9, detail="min |component| >= 1/3 for all solutions")
 
 
 def check_distinctness(solutions) -> CheckResult:
     comps = _components(solutions)
     gaps = np.max(np.abs(comps[:, None, :] - comps[None, :, :]), axis=-1)
-    dmin = float(np.min(gaps[np.triu_indices(len(comps), k=1)]))
-    return CheckResult(
-        "solution-distinctness", dmin >= 0.1, dmin, 0.1, "min pairwise max-norm separation (must exceed tolerance)"
-    )
+    dmin = -_worst(-gaps[np.triu_indices(len(comps), k=1)])
+    detail = "min pairwise max-norm separation (must exceed tolerance)"
+    return CheckResult("solution-distinctness", "PASS" if dmin >= 0.1 else "FAIL", dmin, 0.1, detail)
 
 
 def check_axis_dot_products(solutions) -> CheckResult:
@@ -150,7 +143,7 @@ def check_axis_dot_products(solutions) -> CheckResult:
     # each Gram entry is bit-equal to the 1-D dot a[k, i] @ a[k, j] of the same two axes
     gram = a @ a.swapaxes(1, 2)
     i, j = np.triu_indices(4, k=1)
-    worst = float(np.max(np.abs(np.abs(gram[:, i, j]) - _T)))
+    worst = _worst(np.max(np.abs(np.abs(gram[:, i, j]) - _T), axis=1))
     return _result("axis-dot-products", worst, RESIDUAL_TOL, detail="all pairwise axis angles are arccos(+-1/3)")
 
 
@@ -384,7 +377,7 @@ def check_trace_identity(seed) -> CheckResult:
 
 def check_oracle(oracle_starts, seed) -> CheckResult:
     if oracle_starts < 1:
-        return CheckResult("oracle-root-hunt", True, 0.0, 1e-8, "skipped (0 starts)", skipped=True)
+        return CheckResult("oracle-root-hunt", "SKIP", 0.0, 1e-8, "skipped (0 starts)")
     report = oracle_root_hunt(n_starts=oracle_starts, seed=seed)
     # Euclidean distance to the nearest catalog row; the max-norm of catalog_distances would loosen the check
     gaps = np.linalg.norm(report.roots[:, None, :] - _CATALOG, axis=-1)

@@ -20,7 +20,7 @@ import click
 
 from . import documents
 from .checks import run_checks
-from .classify import distinct_wrists, isotropic_posture_geometry
+from .classify import CLASS_PATTERNS, distinct_wrists, isotropic_posture_geometry
 from .solver import enumerate_solutions
 from .spheregeom import PlatonicSolid
 
@@ -166,8 +166,8 @@ def cmd_verify(oracle_starts: int, seed: int, output: str | None):
     lines = []
     for r in results:
         lines.append(f"[{r.status}] {r.name:<{width}}  worst {r.worst:.3e}  tol {r.tolerance:.1e}  {r.detail}")
-    ran = [r for r in results if not r.skipped]
-    failures = [r for r in ran if not r.passed]
+    ran = [r for r in results if r.status != "SKIP"]
+    failures = [r for r in ran if r.status == "FAIL"]
     summary = f"{len(ran) - len(failures)}/{len(ran)} checks passed"
     if len(ran) < len(results):
         summary += f", {len(results) - len(ran)} skipped"
@@ -187,7 +187,7 @@ def cmd_verify(oracle_starts: int, seed: int, output: str | None):
 
 
 @cli.command("posture")
-@click.argument("label", type=click.Choice(list("abcdefgh")))
+@click.argument("label", type=click.Choice(sorted(CLASS_PATTERNS)))
 @click.option(
     "--theta1", type=float, default=0.0, show_default=True, callback=_finite, help="Free joint 1 angle in degrees."
 )

@@ -10,8 +10,6 @@ radians inside the library.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 
 from .classify import WristClass, antipodal_map_table, reflection_map_table
@@ -50,13 +48,9 @@ def solution_document(solutions) -> dict:
 
 
 def solution_csv(solutions) -> str:
-    """RFC-4180-style CSV of the catalog: header row plus 32 data rows."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(CSV_HEADER)
-    for rec in solutions:
-        writer.writerow([rec.index] + [repr(v) for v in rec.components])
-    return buf.getvalue()
+    """RFC-4180 CSV of the catalog: header row plus 32 data rows; no field holds a comma, quote or newline."""
+    rows = [CSV_HEADER] + [(str(rec.index), *map(repr, rec.components)) for rec in solutions]
+    return "".join(",".join(row) + "\r\n" for row in rows)
 
 
 def solution_table(solutions) -> str:

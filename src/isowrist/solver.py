@@ -527,7 +527,8 @@ def oracle_root_hunt(n_starts: int = 20000, seed: int = 0, starts: np.ndarray | 
 
     Starts are uniform in [-START_BOX, START_BOX]^8 (all unknowns are sines
     or cosines, so the box with margin is a sound search region); an
-    explicit starts array overrides the random draw.  Converged points are
+    explicit starts array overrides the random draw.  Zero starts give an
+    empty report; a negative n_starts raises ValueError.  Converged points are
     polished, clustered and returned sorted, so the outcome is independent
     of scheduling for a fixed seed.  A start is discarded, and counted, once
     no damped step lowers its residual norm (a Jacobian LAPACK finds
@@ -548,8 +549,6 @@ def oracle_root_hunt(n_starts: int = 20000, seed: int = 0, starts: np.ndarray | 
     since |det J| = 256 sqrt(2)/81 at every root.
     """
     if starts is None:
-        if n_starts < 1:
-            return OracleReport(np.empty((0, 8)), 0, 0, 0, np.empty(0, dtype=int))
         rng = np.random.default_rng(seed)
         pts = rng.uniform(-START_BOX, START_BOX, size=(n_starts, 8))
     else:

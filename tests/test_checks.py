@@ -666,3 +666,30 @@ class TestNanMarginFails:
 
         monkeypatch.setattr(checks, "_random_unit_sets", sets)
         self.assert_fails_on_nan(check_trace_identity(seed=0))
+
+
+#: The checks that read records alone, each with the worst it must report without records: no margin is no
+#: evidence, so each fails with an infinite worst; distinctness, whose margin must exceed its bound, with -inf.
+RECORD_ONLY_CHECKS = [
+    (check_solution_residuals, math.inf),
+    (check_catalog_bijection, math.inf),
+    (checks.check_nonvanishing, math.inf),
+    (checks.check_distinctness, -math.inf),
+    (check_axis_dot_products, math.inf),
+    (check_antipodal_closure, math.inf),
+    (check_reflection_closure, math.inf),
+]
+
+
+@pytest.mark.parametrize(
+    "check, worst",
+    RECORD_ONLY_CHECKS + [(check_jacobian_moment_agreement, None)],
+    ids=lambda value: getattr(value, "__name__", None),
+)
+def test_no_records(check, worst):
+    if worst is None:  # the Platonic and random sets still give margins, so the moment check passes
+        result = check([], seed=0)
+        assert result.status == "PASS" and result.worst <= result.tolerance
+    else:
+        result = check([])
+        assert (result.status, result.worst) == ("FAIL", worst)

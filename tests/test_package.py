@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import isowrist
+from isowrist.checks import CheckResult
 from isowrist.classify import ClassMember, SolutionMap
 from isowrist.solver import SOLUTION_CATALOG, SolutionRecord
 
@@ -180,8 +181,9 @@ def test_only_the_oracle_imports_numpy_random():
     assert "'numpy.random'" in _loaded_after([["verify", "--oracle-starts", "500"]], modules)
 
 
-#: The value records built in bulk on every artifact command, an example of each, and its field names.
+#: The value records, an example of each, and its field names.
 RECORDS = [
+    (CheckResult("solution-residuals", "PASS", 0.0, 1e-12, ""), ("name", "status", "worst", "tolerance", "detail")),
     (SolutionRecord(*SOLUTION_CATALOG[17], 18), ("c", "s", "x", "y", "z", "u", "v", "w", "index")),
     (ClassMember(18, (1, 3, 2, 4), (1, -1)), ("solution_index", "ordering", "joint_signs")),
     (SolutionMap(18, "antipodal", 10, (2,)), ("source_index", "operation", "target_index", "subset")),
@@ -195,3 +197,30 @@ def test_value_records_are_immutable_named_tuples(record, fields):
         with pytest.raises(AttributeError):
             setattr(record, name, 0)
     assert record == type(record)(*(getattr(record, name) for name in fields))
+
+
+def _module_functions(path):
+    """The module-level functions of a source file, by name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return tree, {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+def _calls(node):
+    """The names called inside node, once per call."""
+    return [n.func.id for n in ast.walk(node) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)]
+
+
+def test_run_checks_calls_every_check():
+    # a new check_* function that run_checks does not call would never run under verify
+    _, functions = _module_functions(SOURCES / "checks.py")
+    found = {name for name in functions if name.startswith("check_")}
+    assert found and found <= set(_calls(functions["run_checks"]))
+
+
+def test_check_results_are_built_in_three_functions():
+    # every other verdict is _result's, so no check can pass by a rule of its own
+    tree, functions = _module_functions(SOURCES / "checks.py")
+    builders = {name: _calls(node).count("CheckResult") for name, node in functions.items()}
+    builders = {name: count for name, count in builders.items() if count}
+    assert set(builders) == {"_result", "check_distinctness", "check_oracle"}
+    assert sum(builders.values()) == _calls(tree).count("CheckResult")

@@ -370,12 +370,12 @@ class TestNonvanishing:
     def test_all_catalog_rows(self):
         for rec in enumerate_solutions():
             result = check_nonvanishing([rec])
-            assert result.passed and result.tolerance == 1e-9
+            assert result.status == "PASS" and result.tolerance == 1e-9
 
     def test_vanishing_u_violates_normality(self):
         # u = v = 0 forces |e_4| != 1; the third residual exposes it
         bad = (ROW_1[0], ROW_1[1], ROW_1[2], ROW_1[3], ROW_1[4], 0.0, 0.0, 2.0 * math.sqrt(3.0) / 3.0)
-        assert not check_nonvanishing([SolutionRecord(*bad)]).passed
+        assert check_nonvanishing([SolutionRecord(*bad)]).status == "FAIL"
         r = residuals(bad)
         assert abs(r[2]) > 0.1
         norm_e4_sq = bad[5] ** 2 + bad[6] ** 2 + bad[7] ** 2
@@ -383,7 +383,7 @@ class TestNonvanishing:
 
     def test_vanishing_c_rejected(self):
         bad = (0.0, 1.0) + ROW_1[2:]
-        assert not check_nonvanishing([SolutionRecord(*bad)]).passed
+        assert check_nonvanishing([SolutionRecord(*bad)]).status == "FAIL"
         assert abs(residuals(bad)[6]) < 1e-15  # unit e_2 alone is satisfiable...
         assert np.max(np.abs(residuals(bad))) > 0.1  # ...but not the full system
 
@@ -392,7 +392,7 @@ class TestCatalogChecks:
     def test_bijection_worst_is_cascade_rounding(self):
         # the cascade lands one unit in the last place of 1/3 from its own catalog row
         result = check_catalog_bijection(enumerate_solutions())
-        assert result.passed
+        assert result.status == "PASS"
         assert result.worst == 2.0**-54
 
     def test_bijection_fails_on_a_repeated_sign_pattern(self):
@@ -405,7 +405,6 @@ class TestCatalogChecks:
     def test_oracle_without_converged_starts_fails_with_infinite_worst(self):
         result = check_oracle(1, 3)  # the single start does not converge
         assert result.status == "FAIL"
-        assert result.passed is False
         assert result.worst == math.inf
 
     def test_oracle_worst_matches_per_root_loop(self):
@@ -418,7 +417,7 @@ class TestCatalogChecks:
         comps = np.array(SOLUTION_CATALOG)
         loop = min(float(np.max(np.abs(comps[i] - comps[j]))) for i in range(32) for j in range(i + 1, 32))
         result = check_distinctness(enumerate_solutions())
-        assert result.passed
+        assert result.status == "PASS"
         assert result.worst == loop
 
     def test_duplicate_solution_fails_distinctness(self):
@@ -504,6 +503,18 @@ class TestOracle:
         assert (report.n_starts, report.n_converged, report.n_discarded, report.n_roots) == (0, 0, 0, 0)
         assert report.roots.shape == (0, 8)
         assert report.iterations.shape == (0,)
+
+    def test_zero_starts_give_the_empty_starts_report(self):
+        # one path for no starts: n_starts=0 draws a (0, 8) array and hunts it like explicit empty starts
+        drawn, given = oracle_root_hunt(n_starts=0), oracle_root_hunt(starts=np.empty((0, 8)))
+        for field in ("roots", "n_starts", "n_converged", "n_discarded", "iterations"):
+            value, expected = np.asarray(getattr(drawn, field)), np.asarray(getattr(given, field))
+            assert (value.shape, value.dtype) == (expected.shape, expected.dtype)
+            assert np.array_equal(value, expected)
+
+    def test_negative_starts_raise(self):
+        with pytest.raises(ValueError):
+            oracle_root_hunt(n_starts=-1)
 
     def test_pinned_counts_for_fixed_seed(self):
         report = oracle_root_hunt(n_starts=2000, seed=42)  # fits one solve slice
