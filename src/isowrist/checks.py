@@ -111,7 +111,8 @@ def _closure_gap(solutions, symmetries: slice) -> float:
 
 def check_solution_residuals(solutions) -> CheckResult:
     worst = _worst(np.max(np.abs(residuals(_components(solutions))), axis=1))
-    return _result("solution-residuals", worst, RESIDUAL_TOL, detail="max |residual| over 32 solutions")
+    detail = f"max |residual| over {len(solutions)} solutions"
+    return _result("solution-residuals", worst, RESIDUAL_TOL, detail=detail)
 
 
 def check_catalog_bijection(solutions) -> CheckResult:
@@ -149,12 +150,14 @@ def check_axis_dot_products(solutions) -> CheckResult:
 
 def check_antipodal_closure(solutions) -> CheckResult:
     worst = _closure_gap(solutions, slice(len(ANTIPODAL_SUBSETS)))
-    return _result("antipodal-closure", worst, RESIDUAL_TOL, detail="32 solutions closed under antipodal exchanges")
+    detail = f"{len(solutions)} solutions closed under antipodal exchanges"
+    return _result("antipodal-closure", worst, RESIDUAL_TOL, detail=detail)
 
 
 def check_reflection_closure(solutions) -> CheckResult:
     worst = _closure_gap(solutions, slice(len(ANTIPODAL_SUBSETS), None))
-    return _result("reflection-closure", worst, RESIDUAL_TOL, detail="32 solutions closed under coordinate reflections")
+    detail = f"{len(solutions)} solutions closed under coordinate reflections"
+    return _result("reflection-closure", worst, RESIDUAL_TOL, detail=detail)
 
 
 def check_antipodal_map_targets() -> CheckResult:

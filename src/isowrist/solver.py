@@ -45,7 +45,13 @@ cache-sized batches of starts, and it hunts the starts in contiguous
 blocks: on Linux, when more than one CPU is usable and the caller has one
 thread, every block but the first runs in a forked worker.  Every step of
 the hunt acts on each start alone, so neither the batch size nor the
-blocks change a single bit of the result.
+blocks change a single bit of the result.  Its residual norms come from
+_row_norms, which sums the eight squares in the order numpy's pairwise
+sum takes, so they equal np.linalg.norm's bit for bit without its conj
+copy and per-row reduce.  The converged points are clustered over one
+covered mask, each pass taking norms only over the points on its
+representative's side of every coordinate plane the representative lies
+farther than the cluster radius from.
 """
 
 from __future__ import annotations
@@ -313,6 +319,27 @@ class OracleReport:
         return self.roots.shape[0]
 
 
+def _row_norms(r: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of a C-contiguous (m, 8) array, bit-equal to np.linalg.norm(r, axis=1).
+
+    The squares are summed in the order numpy's pairwise sum takes for 8
+    contiguous elements, ((q0 + q1) + (q2 + q3)) + ((q4 + q5) + (q6 + q7)),
+    so every bit matches, without the conj copy and the per-row reduce.
+    The sums are taken in place in the array of squares, so the squares and
+    the norms are the only arrays made: column temporaries would raise the
+    hunt's peak memory.
+    """
+    q = r * r
+    q[:, 0::2] += q[:, 1::2]  # q0 + q1, q2 + q3, q4 + q5, q6 + q7 in columns 0, 2, 4, 6
+    q[:, 0::4] += q[:, 2::4]  # (q0 + q1) + (q2 + q3) in column 0, (q4 + q5) + (q6 + q7) in column 4
+    norms = q[:, 0] + q[:, 4]
+    return np.sqrt(norms, out=norms)
+
+
+#: Bit j of a sign code stands for coordinate j of a point.
+_SIGN_BITS = 1 << np.arange(8)
+
+
 def _cluster(points: np.ndarray, radius: float) -> np.ndarray:
     """Greedy clustering in lexicographic order, one pass per cluster.
 
@@ -320,19 +347,43 @@ def _cluster(points: np.ndarray, radius: float) -> np.ndarray:
     representative unless an earlier representative lies within radius.
     Equivalently, the first point not yet covered is the next
     representative, and every point within radius of it is covered at
-    once.  Representatives come out lexicographically sorted.  Each is
-    kept as a copy, not a view, so every pass's array is freed when the
-    next pass replaces it.
+    once.  Representatives come out lexicographically sorted.  The points
+    are sorted once and marked in one covered mask, never copied on a pass.
+
+    A pass takes norms only over its candidates: the uncovered points on
+    the representative's side of every coordinate plane it lies more
+    than radius from (a decided coordinate), read off the sign codes
+    sum_j 2^j [p_j > 0].  The filter drops no point the greedy rule
+    covers.  Across a decided coordinate j, |fl(p_j - rep_j)| >= |rep_j| >
+    radius, since rounded subtraction is monotone and -rep_j is a double;
+    and the computed norm is at least every computed |p_j - rep_j|, since a
+    rounded sum of non-negative squares is monotone and fl(sqrt(fl(d d)))
+    = |d| while d d neither underflows nor overflows (an overflow gives
+    inf).  Coordinates within 2^-511 of a plane stay undecided, so no such
+    square is subnormal whatever the radius.  A NaN gives sign bit 0 and
+    leaves its coordinate undecided, so a NaN representative still covers
+    only itself.
     """
     rest = points[np.lexsort(points.T[::-1])]
+    n = rest.shape[0]
+    if n == 0:
+        return np.empty((0, 8))
+    codes = (rest > 0) @ _SIGN_BITS
+    floor = max(radius, 2.0**-511)
+    covered = np.zeros(n, dtype=bool)
     reps = []
-    while rest.shape[0]:
-        rep = rest[0]
-        covered = np.linalg.norm(rest - rep, axis=1) <= radius
-        covered[0] = True  # a representative never survives its own pass, even if not finite
-        reps.append(rep.copy())
-        rest = rest[~covered]
-    return np.array(reps) if reps else np.empty((0, 8))
+    i = 0
+    while True:
+        rep = rest[i]
+        decided = (np.abs(rep) > floor) @ _SIGN_BITS
+        # every point before i is covered, so only the tail is searched
+        cand = i + np.flatnonzero((((codes[i:] ^ codes[i]) & decided) == 0) & ~covered[i:])
+        covered[cand[_row_norms(rest[cand] - rep) <= radius]] = True
+        covered[i] = True  # a representative never survives its own pass, even if not finite
+        reps.append(rep)
+        i += int(np.argmin(covered[i:]))  # the first point not yet covered, or i again once all are
+        if covered[i]:
+            return np.array(reps)
 
 
 START_BOX = 1.5  # half-width of the cube the oracle's starts are drawn from
@@ -391,7 +442,7 @@ def _hunt_block(pts: np.ndarray) -> tuple:
     # one Jacobian buffer per block; its structural zeros are never written
     jac_buf = np.zeros((_SOLVE_CHUNK, 8, 8))
     r = residuals(pts)
-    norm = np.linalg.norm(r, axis=1)
+    norm = _row_norms(r)
     done = norm < CONVERGE_TOL
     iters[done] = 0
     # the active starts' points, residuals and residual norms, carried
@@ -406,7 +457,7 @@ def _hunt_block(pts: np.ndarray) -> tuple:
         # every start, then halved steps for the starts still pending
         new = cur + step
         new_r = residuals(new)
-        new_norm = np.linalg.norm(new_r, axis=1)
+        new_norm = _row_norms(new_r)
         improved = new_norm < norm
         pending = np.nonzero(~improved)[0]
         for lam in 0.5 ** np.arange(1, 7):
@@ -414,7 +465,7 @@ def _hunt_block(pts: np.ndarray) -> tuple:
                 break
             trial = cur[pending] + lam * step[pending]
             trial_r = residuals(trial)
-            trial_norm = np.linalg.norm(trial_r, axis=1)
+            trial_norm = _row_norms(trial_r)
             ok = trial_norm < norm[pending]
             sel = pending[ok]
             new[sel], new_r[sel], new_norm[sel] = trial[ok], trial_r[ok], trial_norm[ok]

@@ -76,7 +76,8 @@ def wrists():
 
 def per_record_residuals(solutions, tolerance):
     worst = max(float(np.max(np.abs(residuals(r.components)))) for r in solutions)
-    return _result("solution-residuals", worst, tolerance, detail="max |residual| over 32 solutions")
+    detail = f"max |residual| over {len(solutions)} solutions"
+    return _result("solution-residuals", worst, tolerance, detail=detail)
 
 
 def per_record_catalog_bijection(solutions, tolerance):
@@ -101,7 +102,8 @@ def per_pair_axis_dot_products(solutions, tolerance):
 def per_image_antipodal_closure(solutions, tolerance):
     images = (antipodal_exchange(r.axes, subset) for r in solutions for subset in ANTIPODAL_SUBSETS)
     worst = max(float(np.min(catalog_distances(img.array))) for img in images)
-    return _result("antipodal-closure", worst, tolerance, detail="32 solutions closed under antipodal exchanges")
+    detail = f"{len(solutions)} solutions closed under antipodal exchanges"
+    return _result("antipodal-closure", worst, tolerance, detail=detail)
 
 
 def per_plane_reflection(axes, operation):
@@ -113,7 +115,8 @@ def per_plane_reflection(axes, operation):
 def per_image_reflection_closure(solutions, tolerance):
     images = (per_plane_reflection(r.axes, op) for op in REFLECTIONS for r in solutions)
     worst = max(float(np.min(catalog_distances(img.array))) for img in images)
-    return _result("reflection-closure", worst, tolerance, detail="32 solutions closed under coordinate reflections")
+    detail = f"{len(solutions)} solutions closed under coordinate reflections"
+    return _result("reflection-closure", worst, tolerance, detail=detail)
 
 
 def per_axis_normals(gen, count):
@@ -693,3 +696,18 @@ def test_no_records(check, worst):
     else:
         result = check([])
         assert (result.status, result.worst) == ("FAIL", worst)
+
+
+@pytest.mark.parametrize(
+    "check, detail",
+    [
+        (check_solution_residuals, "max |residual| over {} solutions"),
+        (check_antipodal_closure, "{} solutions closed under antipodal exchanges"),
+        (check_reflection_closure, "{} solutions closed under coordinate reflections"),
+    ],
+    ids=lambda value: getattr(value, "__name__", None),
+)
+def test_details_count_the_records_given(solutions, check, detail):
+    # no records say "0 solutions"; the 32 catalog records keep verify's text
+    for records in ([], solutions[:5], solutions):
+        assert check(records).detail == detail.format(len(records))

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 import math
@@ -11,6 +12,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from isowrist import checks, solver
 from isowrist.classify import _SYMMETRY_SIGNS, ANTIPODAL_SUBSETS, REFLECTIONS
@@ -20,6 +24,7 @@ from isowrist.solver import (
     _cluster,
     _jacobian_batch,
     _newton_steps,
+    _row_norms,
     _SOLVE_CHUNK,
     BEZOUT_COUNT,
     BKK_BOUND_CITED,
@@ -536,6 +541,31 @@ class TestOracle:
         assert int(report.iterations.sum()) == iterations
         assert report.n_roots == 32
 
+    @pytest.mark.parametrize(
+        ("n_starts", "seed", "digest"),
+        [
+            (2000, 42, "3bea6062b45c8ae39a11c577ad73fdedec96cc23350eaed2bd67231a9207a8ec"),
+            (5000, 3, "23a80cc62b81e53c8b186a651a142dde22315a18be597c8a747de32a64f86fcd"),
+        ],
+        ids=["2000-starts", "5000-starts"],
+    )
+    def test_pinned_bits_for_fixed_seed(self, n_starts, seed, digest):
+        # SHA-256 of the roots as <f8 bytes, then the iterations as <i8 bytes
+        report = oracle_root_hunt(n_starts=n_starts, seed=seed)
+        data = report.roots.astype("<f8").tobytes() + report.iterations.astype("<i8").tobytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
+    def test_hunt_never_takes_numpy_norm(self, monkeypatch):
+        # np.linalg.norm makes a conj copy and reduces row by row; the hunt takes _row_norms
+        usual = oracle_root_hunt(n_starts=500, seed=7)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the hunt went through np.linalg.norm")
+
+        monkeypatch.setattr(solver, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(np.linalg, "norm", refuse)
+        _same_report(oracle_root_hunt(n_starts=500, seed=7), usual)
+
 
 def _assert_no_children():
     # every worker has been reaped: no zombie is left, and no orphan runs on
@@ -739,6 +769,33 @@ def _greedy_cluster(points, radius):
     return np.array(reps) if reps else np.empty((0, 8))
 
 
+#: Entries that stress a row norm: signed zeros, subnormals, infinities, NaN, squares that overflow
+#: (1e200) or underflow, next to ordinary magnitudes whose sums round.
+_norm_entries = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 1e-160, np.inf, -np.inf, np.nan, 1e200, -1e200]),
+    st.floats(-1e3, 1e3),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 300), st.just(8)), elements=_norm_entries))
+def test_row_norms_are_bit_equal_to_numpy(r):
+    assert r.flags.c_contiguous
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = np.linalg.norm(r, axis=1)
+        norms = _row_norms(r)
+    assert np.array_equal(norms, expected, equal_nan=True)
+    assert np.array_equal(np.signbit(norms), np.signbit(expected))
+
+
+def _assert_same_cover(cloud, radius):
+    reps, expected = _cluster(cloud, radius), _greedy_cluster(cloud, radius)
+    assert np.array_equal(reps, expected, equal_nan=True)
+    assert np.array_equal(np.signbit(reps), np.signbit(expected))
+    return reps
+
+
 class TestCluster:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_greedy_reference(self, seed):
@@ -752,6 +809,53 @@ class TestCluster:
         cloud = np.concatenate([centres, picks + scale * radius * directions, centres[:4]])
         cloud = cloud[rng.permutation(cloud.shape[0])]
         assert np.array_equal(_cluster(cloud, radius), _greedy_cluster(cloud, radius))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_clouds_straddling_coordinate_planes_match_greedy_reference(self, seed):
+        # each centre has coordinates within radius of 0 (undecided) and within 2 radius (decided, but
+        # with neighbours across the plane); the cloud around it spreads up to 1.9 radius
+        rng = np.random.default_rng(100 + seed)
+        radius = 1e-3
+        centres = rng.uniform(-1.0, 1.0, size=(12, 8))
+        near_plane = rng.random(size=centres.shape) < 0.5
+        centres[near_plane] = rng.uniform(-2.0, 2.0, size=int(near_plane.sum())) * radius
+        directions = rng.normal(size=(200, 8))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        picks = centres[rng.integers(0, 12, size=200)]
+        scale = rng.uniform(0.0, 1.9, size=(200, 1))
+        cloud = np.concatenate([centres, picks + scale * radius * directions])
+        _assert_same_cover(cloud[rng.permutation(cloud.shape[0])], radius)
+
+    def test_signed_zero_coordinates_match_greedy_reference(self):
+        # +0.0 and -0.0 share sign bit 0 and sort as equals, so input order picks the representative
+        rng = np.random.default_rng(12)
+        radius = 1e-3
+        centres = rng.uniform(-1.0, 1.0, size=(8, 8))
+        centres[:, [1, 4]] = 0.0
+        cloud = np.repeat(centres, 6, axis=0)
+        cloud[::2, [1, 4]] = -0.0
+        cloud[1::3, 4] = rng.choice([-0.7, 0.7, -1.2, 1.2], size=cloud[1::3].shape[0]) * radius
+        cloud = cloud[rng.permutation(cloud.shape[0])]
+        reps = _assert_same_cover(cloud, radius)
+        assert np.signbit(reps[:, [1, 4]]).any() and not np.signbit(reps[:, [1, 4]]).all()
+
+    def test_undecided_coordinate_covers_across_its_plane(self):
+        # the representative sits 0.5 radius below the plane of coordinate 3: a point 0.3 radius above it
+        # has another sign code but is within radius, while one 0.6 radius above it is not
+        radius = 1.0
+        cloud = np.tile([-5.0, 2.0, 0.0, 0.0, 3.0, -4.0, 1.0, -2.0], (3, 1))
+        cloud[:, 3] = [0.6, 0.3, -0.5]
+        reps = _assert_same_cover(cloud, radius)
+        assert np.array_equal(reps[:, 3], [-0.5, 0.6])
+
+    def test_squares_below_the_normal_range_match_greedy_reference(self):
+        # with radius 1e-200, points 2e-190 apart have a difference whose square underflows to 0, so the
+        # greedy rule covers one with the other although each lies farther than radius from the plane between
+        radius = 1e-200
+        cloud = np.zeros((3, 8))
+        cloud[:, 0] = [-1e-190, 1e-190, 1e-100]
+        reps = _assert_same_cover(cloud, radius)
+        assert np.array_equal(reps[:, 0], [-1e-190, 1e-100])
 
     def test_chain_of_near_neighbours_is_split_greedily(self):
         # 0.9 r steps: each point is near its neighbours but not the one after next
