@@ -9,7 +9,9 @@ canonical signature of their Denavit-Hartenberg parameters, yielding
 exactly eight distinct isotropic wrist architectures.  The isotropy
 condition puts every pair of axes at e_i . e_j = +-1/3, so the
 signatures follow exactly from the catalog's integer sign table; only
-the eight class representatives get float DH parameters.
+the eight class representatives get float DH parameters.  The classes
+are built once per process for each catalog object, on the first
+distinct_wrists call that reads it.
 
 Two chains are considered the same wrist when they differ only by the
 free end joints or by a global mirror, which flips the signs of both
@@ -273,6 +275,10 @@ def _exact_chain_invariants(a: np.ndarray):
     return gram, interior, dets
 
 
+#: The catalog objects the last distinct_wrists build read, and the classes it built.
+_built_wrists = (None, None, ())
+
+
 def distinct_wrists() -> list:
     """Group all 192 catalog chains (_catalog_chains) into the distinct wrist classes.
 
@@ -288,7 +294,24 @@ def distinct_wrists() -> list:
     recovers every chain in floats.
     Raises with a diagnostic dump if the grouping does not produce
     exactly eight classes.
+
+    The classes are built once per process for each catalog object: a
+    call whose CATALOG_SIGNS and _CATALOG_AXES bindings are the objects
+    the last build read returns a new list of that build's classes,
+    which are immutable; any other call rebuilds.  A build that raises
+    stores nothing.
     """
+    global _built_wrists
+    signs, axes, classes = _built_wrists
+    if signs is not CATALOG_SIGNS or axes is not _CATALOG_AXES:
+        signs, axes = CATALOG_SIGNS, _CATALOG_AXES
+        classes = _build_wrists()
+        _built_wrists = (signs, axes, classes)  # one assignment, so racing builds store equal entries
+    return list(classes)
+
+
+def _build_wrists() -> tuple:
+    """The classes distinct_wrists returns, built from the current catalog bindings, sorted by label."""
     gram, interior, dets = _exact_chain_invariants(_integer_axes(CATALOG_SIGNS)[:, chain_orderings()].reshape(-1, 4, 3))
     theta_signs = np.sign(dets)
     products = theta_signs[:, 0] * theta_signs[:, 1]
@@ -326,8 +349,7 @@ def distinct_wrists() -> list:
             labels, reps, groups.values(), twists.tolist(), joints[:, 1:3].tolist()
         )
     ]
-    classes.sort(key=lambda w: w.label)
-    return classes
+    return tuple(sorted(classes, key=lambda w: w.label))
 
 
 def isotropic_posture_geometry(w: WristClass, theta_1: float, theta_4: float) -> PostureGeometry:

@@ -172,6 +172,8 @@ def _axes_of(points) -> np.ndarray:
 #: The catalog as one (32, 8) array, and the axes e_1..e_4 of every row, shape (32, 4, 3).
 _CATALOG = np.array(SOLUTION_CATALOG)
 _CATALOG_AXES = _axes_of(_CATALOG)
+_CATALOG.setflags(write=False)
+_CATALOG_AXES.setflags(write=False)
 
 
 def residuals(points) -> np.ndarray:

@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -324,6 +326,8 @@ class TestStackedDistinctWrists:
             calls.append(np.shape(a))
             return dh_from_axes_stack(a)
 
+        # a catalog object no call has read yet, so this call builds the classes instead of returning stored ones
+        monkeypatch.setattr(classify, "CATALOG_SIGNS", read_only_copy(CATALOG_SIGNS))
         monkeypatch.setattr(classify, "_forward_chain", refuse)
         monkeypatch.setattr(classify, "dh_from_axes_stack", counted)
         assert distinct_wrists() == wrists
@@ -336,6 +340,69 @@ class TestStackedDistinctWrists:
         with pytest.raises(ArithmeticError, match="expected 8 signature classes"):
             distinct_wrists()
 
+    def test_a_second_call_builds_nothing(self, wrists, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("distinct_wrists rebuilt the classes of a catalog it has built")
+
+        distinct_wrists()
+        monkeypatch.setattr(classify, "_exact_chain_invariants", refuse)
+        monkeypatch.setattr(classify, "dh_from_axes_stack", refuse)
+        first = distinct_wrists()
+        assert first == wrists and first is not distinct_wrists()
+        # each call returns its own list: a caller that changes it changes no later result
+        first.clear()
+        assert distinct_wrists() == wrists
+
+    @pytest.mark.parametrize("name", ["CATALOG_SIGNS", "_CATALOG_AXES"])
+    def test_a_new_catalog_object_rebuilds(self, wrists, monkeypatch, name):
+        calls = []
+
+        def counted(a):
+            calls.append(np.shape(a))
+            return dh_from_axes_stack(a)
+
+        distinct_wrists()
+        monkeypatch.setattr(classify, "dh_from_axes_stack", counted)
+        monkeypatch.setattr(classify, name, read_only_copy(getattr(classify, name)))
+        assert distinct_wrists() == distinct_wrists() == wrists
+        assert calls == [(8, 4, 3)]
+        monkeypatch.undo()
+        assert distinct_wrists() == wrists
+
+    def test_a_failed_build_stores_nothing(self, wrists, monkeypatch):
+        distinct_wrists()
+        monkeypatch.setattr(classify, "CATALOG_SIGNS", CATALOG_SIGNS[:5])
+        for _ in range(2):
+            with pytest.raises(ArithmeticError, match="expected 8 signature classes"):
+                distinct_wrists()
+        monkeypatch.undo()
+        assert distinct_wrists() == wrists
+
+    def test_racing_first_calls_all_get_the_classes(self, wrists, monkeypatch):
+        # threads that find no stored classes may each build, but the entry is stored whole, so none sees a torn one
+        monkeypatch.setattr(classify, "CATALOG_SIGNS", read_only_copy(CATALOG_SIGNS))
+        results, start = [], threading.Barrier(4)
+
+        def call():
+            start.wait(timeout=60)
+            for _ in range(5):
+                results.append(distinct_wrists())
+
+        threads = [threading.Thread(target=call) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == 20 and all(result == wrists for result in results)
+        signs, axes, _ = classify._built_wrists
+        assert signs is classify.CATALOG_SIGNS and axes is classify._CATALOG_AXES
+
     def test_catalog_chains_are_the_records_chains(self, solutions):
         chains, axes = _catalog_chains(), _catalog_chain_axes()
         assert len(chains) == len(axes) == 192
@@ -344,10 +411,13 @@ class TestStackedDistinctWrists:
             assert np.array_equal(chain, solutions[index - 1].axes.array[np.subtract(ordering, 1)])
 
     @pytest.mark.parametrize("rows", [range(1, 32), range(31, -1, -1)], ids=["without-row-1", "reversed"])
-    def test_any_catalog_equals_the_per_chain_reference_of_its_rows(self, solutions, monkeypatch, rows):
+    def test_any_catalog_equals_the_per_chain_reference_of_its_rows(self, solutions, wrists, monkeypatch, rows):
         # the classes read the catalog whole and number its rows from 1, as the reference numbers its records
         records = use_catalog_rows(monkeypatch, solutions, rows)
-        assert distinct_wrists() == per_chain_distinct_wrists(records)
+        assert distinct_wrists() == per_chain_distinct_wrists(records) != wrists
+        # the classes of the swapped catalog are not served once the real catalog is back
+        monkeypatch.undo()
+        assert distinct_wrists() == wrists
 
     @pytest.mark.parametrize("label", list("abcdefgh"))
     def test_a_catalog_without_a_positive_representative_has_fewer_classes(self, solutions, wrists, monkeypatch, label):
@@ -366,6 +436,13 @@ def use_catalog_rows(monkeypatch, solutions, rows):
     monkeypatch.setattr(classify, "CATALOG_SIGNS", CATALOG_SIGNS[rows])
     monkeypatch.setattr(classify, "_CATALOG_AXES", _CATALOG_AXES[rows])
     return [solutions[k]._replace(index=n) for n, k in enumerate(rows, 1)]
+
+
+def read_only_copy(array):
+    """A new read-only array equal to array, as the catalog arrays are."""
+    copy = array.copy()
+    copy.setflags(write=False)
+    return copy
 
 
 def catalog_chains(axes):

@@ -394,6 +394,24 @@ def test_wrist_commands_build_no_solution_records(runner, monkeypatch, name):
     assert result.stdout_bytes == (GOLDEN / name).read_bytes()
 
 
+def test_a_session_of_wrist_commands_builds_the_classes_once(runner, monkeypatch):
+    # distinct_wrists keeps the classes of each catalog object it reads, so the commands of one process share a build
+    build = classify.dh_from_axes_stack
+    calls = []
+
+    def counted(a):
+        calls.append(len(a))
+        return build(a)
+
+    fresh = solver.CATALOG_SIGNS.copy()  # a catalog object no call has read, so the first command builds
+    fresh.setflags(write=False)
+    monkeypatch.setattr(classify, "CATALOG_SIGNS", fresh)
+    monkeypatch.setattr(classify, "dh_from_axes_stack", counted)
+    for args in [["classify", "--format", "json"], ["classify"], ["posture", "a"], ["posture", "c"], ["posture", "h"]]:
+        assert runner.invoke(cli, args).exit_code == 0
+    assert calls == [8]
+
+
 class TestPosture:
     def test_class_a_condition_number(self, runner):
         doc = json.loads(runner.invoke(cli, ["posture", "a"]).output)

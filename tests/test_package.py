@@ -141,10 +141,15 @@ def test_readme_python_example_runs():
     assert doctest.DocTestRunner().run(test) == doctest.TestResults(failed=0, attempted=4)
 
 
+def _fresh_python(code, *args):
+    """Standard output of code run by a fresh interpreter that imports isowrist from this tree."""
+    src = str(SOURCES.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True).stdout
+
+
 def _loaded_after(commands, modules):
     """The modules, of those named, that a fresh interpreter holds after import isowrist.cli and each command."""
-    src = str(Path(isowrist.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = (
         "import contextlib, io, sys, isowrist.cli\n"
         "assert isowrist.cli.__file__.startswith(sys.argv[1]), isowrist.cli.__file__\n"
@@ -158,8 +163,13 @@ def _loaded_after(commands, modules):
         "    assert out.getvalue(), args\n"
         f"print(sorted(m for m in {modules!r} if m in sys.modules))\n"
     )
-    done = subprocess.run([sys.executable, "-c", code, src], env=env, capture_output=True, text=True, check=True)
-    return done.stdout
+    return _fresh_python(code, str(SOURCES.parent))
+
+
+def test_import_builds_no_wrist_classes():
+    # distinct_wrists builds on its first call, so start-up pays nothing for the classes
+    code = "import isowrist.cli\nfrom isowrist import classify\nprint(classify._built_wrists)\n"
+    assert _fresh_python(code) == "(None, None, ())\n"
 
 
 def test_cli_import_pulls_in_no_process_pool():

@@ -311,6 +311,15 @@ class TestExactSigns:
         assert np.array_equal(np.sign(SOLUTION_CATALOG), CATALOG_SIGNS)
         assert CATALOG_SIGNS.shape == (32, 8) and not CATALOG_SIGNS.flags.writeable
 
+    @pytest.mark.parametrize("name", ["CATALOG_SIGNS", "_CATALOG", "_CATALOG_AXES"])
+    def test_catalog_arrays_refuse_writes(self, name):
+        # distinct_wrists keys its stored classes on these objects, so none of them may change in place
+        array = getattr(solver, name)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            array *= 1
+
     def test_exactly_the_table_rows_solve_the_sign_equations(self):
         roots = [s for s in itertools.product((1, -1), repeat=8) if solves_sign_equations(s)]
         assert len(roots) == 32
