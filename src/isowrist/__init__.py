@@ -35,7 +35,7 @@ from .solver import (
     enumerate_solutions,
     oracle_root_hunt,
     residuals,
-    solve_closed_form,
+    solve_closed_form_stack,
 )
 from .spheregeom import (
     IsotropyCheck,
@@ -90,5 +90,5 @@ __all__ = [
     "residuals",
     "rotation_about_axis",
     "second_moment",
-    "solve_closed_form",
+    "solve_closed_form_stack",
 ]

@@ -75,6 +75,11 @@ MOMENT_AGREEMENT_COUNT = 1000
 TRACE_IDENTITY_COUNT = 200
 POSTURE_GRID = 12
 
+#: The least max-norm gap between two solutions, and the greatest distance
+#: from an oracle root to its nearest catalog row.
+DISTINCTNESS_FLOOR = 0.1
+ORACLE_ROOT_TOL = 1e-8
+
 
 class CheckResult(NamedTuple):
     """One check's verdict: status is "PASS", "FAIL" or "SKIP", worst its worst margin against tolerance."""
@@ -135,8 +140,9 @@ def check_distinctness(solutions) -> CheckResult:
     comps = _components(solutions)
     gaps = np.max(np.abs(comps[:, None, :] - comps[None, :, :]), axis=-1)
     dmin = -_worst(-gaps[np.triu_indices(len(comps), k=1)])
+    status = "PASS" if dmin >= DISTINCTNESS_FLOOR else "FAIL"
     detail = "min pairwise max-norm separation (must exceed tolerance)"
-    return CheckResult("solution-distinctness", "PASS" if dmin >= 0.1 else "FAIL", dmin, 0.1, detail)
+    return CheckResult("solution-distinctness", status, dmin, DISTINCTNESS_FLOOR, detail)
 
 
 def check_axis_dot_products(solutions) -> CheckResult:
@@ -380,7 +386,7 @@ def check_trace_identity(seed) -> CheckResult:
 
 def check_oracle(oracle_starts, seed) -> CheckResult:
     if oracle_starts < 1:
-        return CheckResult("oracle-root-hunt", "SKIP", 0.0, 1e-8, "skipped (0 starts)")
+        return CheckResult("oracle-root-hunt", "SKIP", 0.0, ORACLE_ROOT_TOL, "skipped (0 starts)")
     report = oracle_root_hunt(n_starts=oracle_starts, seed=seed)
     # Euclidean distance to the nearest catalog row; the max-norm of catalog_distances would loosen the check
     gaps = np.linalg.norm(report.roots[:, None, :] - _CATALOG, axis=-1)
@@ -390,7 +396,7 @@ def check_oracle(oracle_starts, seed) -> CheckResult:
         f"{report.n_roots} clusters from {report.n_converged}/{report.n_starts} converged starts "
         f"({report.n_discarded} discarded)"
     )
-    return _result("oracle-root-hunt", worst, 1e-8, ok, detail=detail)
+    return _result("oracle-root-hunt", worst, ORACLE_ROOT_TOL, ok, detail=detail)
 
 
 def run_checks(oracle_starts: int, seed: int) -> list:

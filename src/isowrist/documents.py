@@ -10,10 +10,10 @@ radians inside the library.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 from .classify import WristClass, antipodal_map_table, reflection_map_table
-from .kinematics import IsotropyReport
 from .solver import CATALOG_RADICALS, RESIDUAL_TOL
 from .spheregeom import PlatonicSolid, isotropy_of, platonic_vertices, second_moment
 
@@ -110,15 +110,6 @@ def wrist_catalog_table(wrists) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _report_dict(report: IsotropyReport) -> dict:
-    return {
-        "singular_values": list(report.singular_values),
-        "sigma": report.sigma,
-        "condition_number": report.condition_number,
-        "is_isotropic": report.is_isotropic,
-    }
-
-
 def posture_document(label: str, theta_1_deg: float, theta_4_deg: float, geometry) -> dict:
     """Document with axes, link frames and isotropy data at a posture."""
     axes = geometry.axes.array
@@ -132,7 +123,7 @@ def posture_document(label: str, theta_1_deg: float, theta_4_deg: float, geometr
         "axes": [list(map(float, a)) for a in axes],
         "frames": [[list(map(float, row)) for row in f] for f in geometry.frames],
         "consecutive_dot_products": dots,
-        "isotropy": _report_dict(geometry.report),
+        "isotropy": dataclasses.asdict(geometry.report),
     }
 
 

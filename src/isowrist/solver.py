@@ -56,14 +56,13 @@ farther than the cluster radius from.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import pickle
 import sys
 import threading
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -118,7 +117,7 @@ class SolutionRecord(NamedTuple):
     """One root (c, s, x, y, z, u, v, w) of the isotropy system.
 
     index is the 1-based row in SOLUTION_CATALOG that enumerate_solutions
-    read the record from; None for a record of solve_closed_form.
+    read the record from.
     sign_pattern is read off the signs of the components: the five
     square-root branch choices (s_u, s_z, s_v, s_s, s_w) whose cascade
     gives a point with these signs.  A zero or NaN component gives a 0
@@ -133,7 +132,7 @@ class SolutionRecord(NamedTuple):
     u: float
     v: float
     w: float
-    index: int | None = None
+    index: int
 
     @property
     def components(self) -> tuple:
@@ -226,11 +225,6 @@ def _jacobian_batch(pts: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def sign_patterns() -> list:
-    """All 32 branch choices (s_u, s_z, s_v, s_s, s_w), s_u most significant."""
-    return list(itertools.product((1, -1), repeat=5))
-
-
 def solve_closed_form_stack(patterns) -> np.ndarray:
     """Evaluate the elimination cascade for square-root sign patterns (m, 5): unknowns (m, 8).
 
@@ -264,12 +258,6 @@ def solve_closed_form_stack(patterns) -> np.ndarray:
     if not (worst <= RESIDUAL_TOL).all():
         raise ArithmeticError(f"closed-form solution violates the system: residual {float(np.max(worst))!r}")
     return points
-
-
-def solve_closed_form(pattern: Sequence[int]) -> SolutionRecord:
-    """The elimination cascade for one sign pattern (s_u, s_z, s_v, s_s, s_w): solve_closed_form_stack with m = 1."""
-    signs = np.asarray(pattern)[None]
-    return SolutionRecord(*solve_closed_form_stack(signs)[0].tolist())
 
 
 def catalog_distances(axes) -> np.ndarray:

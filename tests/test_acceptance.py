@@ -5,6 +5,7 @@ single pass line (run pytest with -s to see them; a failing criterion
 fails its test).
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -19,8 +20,7 @@ from isowrist.solver import (
     enumerate_solutions,
     oracle_root_hunt,
     residuals,
-    sign_patterns,
-    solve_closed_form,
+    solve_closed_form_stack,
 )
 from isowrist.spheregeom import (
     PlatonicSolid,
@@ -70,9 +70,8 @@ def test_criterion_1_solution_count_and_values(solutions):
     assert len(solutions) == 32
     assert sorted(r.index for r in solutions) == list(range(1, 33))
     worst = 0.0
-    for rec in solutions:
-        raw = solve_closed_form(rec.sign_pattern)
-        worst = max(worst, float(np.max(np.abs(np.array(raw.components) - np.array(SOLUTION_CATALOG[rec.index - 1])))))
+    for rec, raw in zip(solutions, solve_closed_form_stack([r.sign_pattern for r in solutions])):
+        worst = max(worst, float(np.max(np.abs(raw - np.array(SOLUTION_CATALOG[rec.index - 1])))))
     assert worst <= 1e-12
     assert len({r.sign_pattern for r in solutions}) == 32
     _ok(1, f"32 solutions match the catalog bijectively (worst deviation {worst:.2e})")
@@ -80,9 +79,9 @@ def test_criterion_1_solution_count_and_values(solutions):
 
 def test_criterion_2_system_residuals(solutions):
     worst = 0.0
-    for rec in solutions:
+    for rec, raw in zip(solutions, solve_closed_form_stack([r.sign_pattern for r in solutions])):
         worst = max(worst, float(np.max(np.abs(residuals(rec.components)))))
-        worst = max(worst, float(np.max(np.abs(residuals(solve_closed_form(rec.sign_pattern).components)))))
+        worst = max(worst, float(np.max(np.abs(residuals(raw)))))
     assert worst < 1e-12
     _ok(2, f"all eight residuals below 1e-12 for every solution (worst {worst:.2e})")
 
@@ -173,7 +172,7 @@ def test_criterion_7_line_reflection_property():
     _ok(7, f"2ee^T - I is the half-turn about e for 100 random axes (worst {worst:.2e})")
 
 
-def test_criterion_8_oracle_equivalence():
+def test_criterion_8_oracle_equivalence(solutions):
     report = oracle_root_hunt(n_starts=20000, seed=20240)
     assert report.n_roots == 32
     catalog = np.array(SOLUTION_CATALOG)
@@ -184,7 +183,9 @@ def test_criterion_8_oracle_equivalence():
     # structural degree count: eight quadratics
     assert BEZOUT_COUNT == 2**8
     assert len(residuals(np.zeros(8))) == 8
-    assert len(sign_patterns()) == 32
+    # the 32 records' branch choices are exactly the 2^5 square-root sign choices
+    patterns = [r.sign_pattern for r in solutions]
+    assert len(patterns) == 32 and set(patterns) == set(itertools.product((1, -1), repeat=5))
     # the mixed-volume bound is documented, not recomputed
     assert BKK_BOUND_CITED == 192
     _ok(8, f"20000-start hunt converged only to the 32 solutions (worst {worst:.2e}; {report.n_converged} converged)")

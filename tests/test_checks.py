@@ -46,7 +46,14 @@ from isowrist.kinematics import (
     isotropy_report_stack,
     jacobian_from_axes_stack,
 )
-from isowrist.solver import RESIDUAL_TOL, catalog_distances, enumerate_solutions, residuals, solve_closed_form
+from isowrist.solver import (
+    RESIDUAL_TOL,
+    SolutionRecord,
+    catalog_distances,
+    enumerate_solutions,
+    residuals,
+    solve_closed_form_stack,
+)
 from isowrist.spheregeom import (
     PlatonicSolid,
     antipodal_exchange,
@@ -82,9 +89,8 @@ def per_record_residuals(solutions, tolerance):
 
 def per_record_catalog_bijection(solutions, tolerance):
     indices = sorted(r.index for r in solutions)
-    worst = max(
-        float(catalog_distances(solve_closed_form(r.sign_pattern).axes.array)[r.index - 1]) for r in solutions
-    )
+    raw = [SolutionRecord(*solve_closed_form_stack([r.sign_pattern])[0], r.index) for r in solutions]
+    worst = max(float(catalog_distances(q.axes.array)[q.index - 1]) for q in raw)
     ok = indices == list(range(1, 33)) and len({r.sign_pattern for r in solutions}) == 32
     return _result("catalog-bijection", worst, tolerance, ok, detail="closed forms match catalog rows 1..32")
 

@@ -10,11 +10,12 @@ from pathlib import Path
 import pytest
 
 import isowrist
-from isowrist.checks import CheckResult
+from isowrist.checks import CheckResult, run_checks
 from isowrist.classify import ClassMember, SolutionMap
 from isowrist.solver import SOLUTION_CATALOG, SolutionRecord
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+BENCHMARK = README.parent / "benchmark"
 SOURCES = Path(isowrist.__file__).resolve().parent
 
 #: Every (function, parameter) of the library with a default value.  A new
@@ -189,6 +190,30 @@ def test_only_the_oracle_imports_numpy_random():
     assert _loaded_after([["verify", "--oracle-starts", "0"]], modules) == "[]\n"
     # 500 starts find all 32 roots at seed 0, so this verify passes too; the oracle keeps numpy's stream
     assert "'numpy.random'" in _loaded_after([["verify", "--oracle-starts", "500"]], modules)
+
+
+def test_benchmark_harness_finds_every_name_it_wraps_or_probes():
+    # the harness wraps and probes library names by attribute, so a removed name breaks only its traced runs
+    code = (
+        "import sys\n"
+        "sys.dont_write_bytecode = True\n"  # leave no bytecode beside the harness
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import child\n"
+        "child.install(child.Tracer())\n"
+        "print(len(list(child.probe_batches())))\n"
+    )
+    assert _fresh_python(code, str(BENCHMARK)) == "8\n"
+
+
+def test_benchmark_check_names_match_verify():
+    # the harness keeps its own copy of the check names; read it without importing the harness
+    tree = ast.parse((BENCHMARK / "run.py").read_text(encoding="utf-8"))
+    [value] = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["CHECK_NAMES"]
+    ]
+    assert ast.literal_eval(value) == tuple(r.name for r in run_checks(0, 0))
 
 
 #: The value records, an example of each, and its field names.

@@ -39,8 +39,6 @@ from isowrist.solver import (
     enumerate_solutions,
     oracle_root_hunt,
     residuals,
-    sign_patterns,
-    solve_closed_form,
     solve_closed_form_stack,
 )
 from isowrist.documents import solution_document
@@ -54,6 +52,9 @@ S2 = 2.0 * math.sqrt(2.0) / 3.0
 ROW_1 = (T, -S2, -T, -R2, R6, T, R2, R6)
 ROW_18 = (-T, -S2, -T, R2, R6, -T, R2, -R6)
 
+#: All 32 branch choices (s_u, s_z, s_v, s_s, s_w), s_u most significant.
+PATTERNS = list(itertools.product((1, -1), repeat=5))
+
 
 class TestResiduals:
     def test_trivial_set_solves_the_system(self):
@@ -64,8 +65,8 @@ class TestResiduals:
         assert np.max(np.abs(residuals(np.zeros(8)) - expected)) < 1e-15
 
     def test_all_plus_pattern_is_a_root(self):
-        rec = solve_closed_form((1, 1, 1, 1, 1))
-        assert np.max(np.abs(residuals(rec.components))) < 1e-15
+        point = solve_closed_form_stack([(1, 1, 1, 1, 1)])[0]
+        assert np.max(np.abs(residuals(point))) < 1e-15
 
     def test_system_has_eight_quadratics(self):
         assert residuals(np.zeros(8)).shape == (8,)
@@ -87,26 +88,25 @@ class TestResiduals:
 
 class TestClosedForm:
     def test_pattern_for_row_1(self):
-        rec = solve_closed_form((1, 1, 1, -1, 1))
-        assert np.max(np.abs(np.array(rec.components) - np.array(ROW_1))) < 1e-15
+        point = solve_closed_form_stack([(1, 1, 1, -1, 1)])[0]
+        assert np.max(np.abs(point - np.array(ROW_1))) < 1e-15
 
     def test_pattern_for_row_18(self):
-        rec = solve_closed_form((-1, -1, -1, -1, -1))
-        assert np.max(np.abs(np.array(rec.components) - np.array(ROW_18))) < 1e-15
+        point = solve_closed_form_stack([(-1, -1, -1, -1, -1)])[0]
+        assert np.max(np.abs(point - np.array(ROW_18))) < 1e-15
 
     def test_single_sign_flip_changes_solution(self):
-        base = solve_closed_form((1, 1, 1, -1, 1))
-        flipped = solve_closed_form((-1, 1, 1, -1, 1))
-        assert catalog_rows(np.sign([base.components, flipped.components])) == [1, 4]
+        base, flipped = solve_closed_form_stack([(1, 1, 1, -1, 1), (-1, 1, 1, -1, 1)])
+        assert catalog_rows(np.sign([base, flipped])) == [1, 4]
 
     def test_rejects_bad_pattern(self):
         with pytest.raises(ValueError, match="sign pattern"):
-            solve_closed_form((1, 1, 0, 1, 1))
+            solve_closed_form_stack([(1, 1, 0, 1, 1)])
 
     def test_component_magnitudes_are_catalog_radicals(self):
         magnitudes = (T, R2, R6, S2)
-        for pattern in sign_patterns():
-            for value in solve_closed_form(pattern).components:
+        for point in solve_closed_form_stack(PATTERNS):
+            for value in point:
                 assert min(abs(abs(value) - m) for m in magnitudes) < 1e-15
 
 
@@ -126,31 +126,30 @@ def scalar_cascade(pattern):
 
 class TestStackedCascade:
     def test_rows_are_bit_equal_to_the_scalar_cascade(self):
-        patterns = sign_patterns()
-        stack = solve_closed_form_stack(patterns)
+        stack = solve_closed_form_stack(PATTERNS)
         assert stack.shape == (32, 8)
-        for pattern, row in zip(patterns, stack):
-            reference = scalar_cascade(pattern).tobytes()
-            assert row.tobytes() == reference
-            assert np.array(solve_closed_form(pattern).components).tobytes() == reference
+        for pattern, row in zip(PATTERNS, stack):
+            assert row.tobytes() == scalar_cascade(pattern).tobytes()
 
     def test_rows_do_not_depend_on_their_neighbours(self):
-        patterns = np.array(sign_patterns())
+        patterns = np.array(PATTERNS)
         stack = solve_closed_form_stack(patterns)
         order = np.random.default_rng(3).permutation(32)
         assert solve_closed_form_stack(patterns[order]).tobytes() == stack[order].tobytes()
+        for k in range(32):  # each row alone, m = 1
+            assert solve_closed_form_stack(patterns[k : k + 1]).tobytes() == stack[k].tobytes()
         assert solve_closed_form_stack(patterns[:0]).shape == (0, 8)
 
     def test_single_record_keeps_its_pattern_as_ints(self):
-        rec = solve_closed_form(np.array([1.0, -1.0, 1.0, -1.0, 1.0]))
+        point = solve_closed_form_stack(np.array([[1.0, -1.0, 1.0, -1.0, 1.0]]))[0]
+        rec = SolutionRecord(*point, catalog_rows(np.sign(point))[0])
         assert rec.sign_pattern == (1, -1, 1, -1, 1)
         assert all(type(b) is int for b in rec.sign_pattern)
-        assert rec.index is None
 
-    @pytest.mark.parametrize("pattern", [(1, 1, 1, 1), (1, 1, 1, 1, 1, 1), ((1, 1, 1, 1, 1),)])
+    @pytest.mark.parametrize("pattern", [(1, 1, 1, 1), (1, 1, 1, 1, 1, 1)])
     def test_rejects_a_pattern_without_five_entries(self, pattern):
         with pytest.raises(ValueError, match=r"sign patterns of 5 entries \(s_u, s_z, s_v, s_s, s_w\)"):
-            solve_closed_form(pattern)
+            solve_closed_form_stack([pattern])
 
     @pytest.mark.parametrize("patterns", [np.ones(5), np.ones((3, 4)), np.ones((2, 5, 1))])
     def test_stack_rejects_a_shape_other_than_m_by_5(self, patterns):
@@ -161,7 +160,7 @@ class TestStackedCascade:
     def test_rejects_an_entry_other_than_plus_or_minus_one(self, entry):
         pattern = (1, -1, entry, 1, -1)
         with pytest.raises(ValueError, match=r"entries must be \+-1"):
-            solve_closed_form(pattern)
+            solve_closed_form_stack([pattern])
         with pytest.raises(ValueError, match=r"entries must be \+-1, got \[1.*, -1.*, "):
             solve_closed_form_stack([(1, 1, 1, 1, 1), pattern])
 
@@ -176,12 +175,12 @@ class TestStackedCascade:
 
         monkeypatch.setattr(solver, "residuals", row_21_off)
         with pytest.raises(ArithmeticError, match="violates the system: residual"):
-            solve_closed_form_stack(sign_patterns())
+            solve_closed_form_stack(PATTERNS)
 
     def test_vanishing_divisor_raises(self, monkeypatch):
         monkeypatch.setattr(solver, "math", type("NoRoots", (), {"sqrt": staticmethod(lambda value: 0.0)}))
         with pytest.raises(ArithmeticError, match="vanishing divisor in back-substitution: z=0.0"):
-            solve_closed_form_stack(sign_patterns())
+            solve_closed_form_stack(PATTERNS)
 
 
 class TestEnumerate:
@@ -192,10 +191,9 @@ class TestEnumerate:
 
     def test_closed_forms_match_catalog_within_tolerance(self):
         recs = enumerate_solutions()
-        for rec in recs:
-            raw = solve_closed_form(rec.sign_pattern)
+        for rec, raw in zip(recs, solve_closed_form_stack([r.sign_pattern for r in recs])):
             ref = np.array(SOLUTION_CATALOG[rec.index - 1])
-            assert np.max(np.abs(np.array(raw.components) - ref)) <= 1e-12
+            assert np.max(np.abs(raw - ref)) <= 1e-12
 
     def test_sign_patterns_are_unique(self):
         recs = enumerate_solutions()
@@ -369,7 +367,7 @@ class TestStackedCatalogLookup:
             assert np.array_equal(axes, [[1.0, 0.0, 0.0], [c, s, 0.0], [x, y, z], [u, v, w]])
         assert _axes_of(ROW_18).shape == (1, 4, 3)
         assert _axes_of([]).shape == (0, 4, 3)
-        assert np.array_equal(SolutionRecord(*ROW_18).axes.array, _axes_of(ROW_18)[0])
+        assert np.array_equal(SolutionRecord(*ROW_18, 18).axes.array, _axes_of(ROW_18)[0])
 
     def test_rows_equal_single_lookups(self):
         order = np.random.default_rng(5).permutation(32)
@@ -389,7 +387,7 @@ class TestNonvanishing:
     def test_vanishing_u_violates_normality(self):
         # u = v = 0 forces |e_4| != 1; the third residual exposes it
         bad = (ROW_1[0], ROW_1[1], ROW_1[2], ROW_1[3], ROW_1[4], 0.0, 0.0, 2.0 * math.sqrt(3.0) / 3.0)
-        assert check_nonvanishing([SolutionRecord(*bad)]).status == "FAIL"
+        assert check_nonvanishing([SolutionRecord(*bad, 1)]).status == "FAIL"
         r = residuals(bad)
         assert abs(r[2]) > 0.1
         norm_e4_sq = bad[5] ** 2 + bad[6] ** 2 + bad[7] ** 2
@@ -397,7 +395,7 @@ class TestNonvanishing:
 
     def test_vanishing_c_rejected(self):
         bad = (0.0, 1.0) + ROW_1[2:]
-        assert check_nonvanishing([SolutionRecord(*bad)]).status == "FAIL"
+        assert check_nonvanishing([SolutionRecord(*bad, 1)]).status == "FAIL"
         assert abs(residuals(bad)[6]) < 1e-15  # unit e_2 alone is satisfiable...
         assert np.max(np.abs(residuals(bad))) > 0.1  # ...but not the full system
 
