@@ -170,7 +170,7 @@ def check_antipodal_map_targets() -> CheckResult:
     maps = {m.subset: m.target_index for m in antipodal_map_table()}
     ok = maps == EXPECTED_ANTIPODAL_TARGETS
     detail = ", ".join(f"{set(s) or '{}'}->{t}" for s, t in sorted(maps.items(), key=lambda kv: (len(kv[0]), kv[0])))
-    return _result("antipodal-map-targets", float(not ok), 0.5, ok, detail=detail)
+    return _result("antipodal-map-targets", float(not ok), 0.5, detail=detail)
 
 
 def check_reflection_map_targets() -> CheckResult:
@@ -179,7 +179,7 @@ def check_reflection_map_targets() -> CheckResult:
         op: tuple(m.target_index for m in maps if m.operation == op) for op in EXPECTED_REFLECTION_TARGETS
     }
     ok = computed == EXPECTED_REFLECTION_TARGETS
-    return _result("reflection-map-targets", float(not ok), 0.5, ok, detail="all 24 reflection images verified")
+    return _result("reflection-map-targets", float(not ok), 0.5, detail="all 24 reflection images verified")
 
 
 def check_platonic_moments() -> CheckResult:

@@ -11,7 +11,6 @@ failed check wins: the write error is printed and the exit code is 1.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import sys
@@ -54,49 +53,6 @@ def _output_option(help_text: str = "Write to a file instead of stdout."):
     )
 
 
-_quote = json.encoder.encode_basestring_ascii
-_SCALARS = {  # json's text of each scalar type
-    str: _quote, int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__, type(None): {None: "null"}.get,
-    float: lambda x: float.__repr__(x) if math.isfinite(x) else json.dumps(x),  # json's NaN, Infinity, -Infinity
-}
-_BRACKETS = {dict: "{}", list: "[]", tuple: "[]"}
-_KINDS = (str, int, float, list, tuple, dict)  # a subclass is written as the first of these it is, as json does
-
-
-def _json_chunks(value, pad: str, out: list) -> None:
-    kind = type(value)
-    if kind not in _SCALARS and kind not in _BRACKETS:
-        kind = next((k for k in _KINDS if isinstance(value, k)), None)
-        if kind is None:
-            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    if kind in _SCALARS or not value:
-        return out.append(_SCALARS[kind](value) if kind in _SCALARS else _BRACKETS[kind])
-    inner, (start, end) = pad + "  ", _BRACKETS[kind]
-    lead, sep = f"{start}\n{inner}", ",\n" + inner
-    kinds = () if kind is dict else set(map(type, value))
-    if len(kinds) == 1 and (one := _SCALARS.get(kinds.pop())):
-        return out.append(f"{lead}{sep.join(map(one, value))}\n{pad}{end}")
-    for key, item in value.items() if kind is dict else enumerate(value):
-        write = _SCALARS.get(type(item))
-        label = f"{lead}{_quote(key)}: " if kind is dict else lead
-        out.append(label + write(item) if write else label)
-        if not write:
-            _json_chunks(item, inner, out)
-        lead = sep
-    out.append(f"\n{pad}{end}")
-
-
-def _json_text(doc: dict) -> str:
-    """doc as JSON text: exactly the bytes of json.dumps(doc, indent=2) + "\\n", without json's pure-Python encoder.
-
-    Keys must be str: any other key raises TypeError, where json.dumps would convert it.  Any other value
-    json cannot write raises TypeError, as in json.dumps.  Cyclic documents are out of scope.
-    """
-    out = []
-    _json_chunks(doc, "", out)
-    return "".join(out) + "\n"
-
-
 def _finite(ctx, param, value: float) -> float:
     if not math.isfinite(value):
         raise click.BadParameter(f"{value!r} is not a finite number")
@@ -127,7 +83,7 @@ def cmd_enumerate(fmt: str, output: str | None):
     if fmt == "csv":
         text = documents.solution_csv(solutions)
     elif fmt == "json":
-        text = _json_text(documents.solution_document(solutions))
+        text = documents.json_text(documents.solution_document(solutions))
     else:
         text = documents.solution_table(solutions)
     _emit(text, output)
@@ -140,15 +96,15 @@ def cmd_classify(fmt: str, output: str | None):
     """Emit the eight distinct wrist classes and the symmetry-map tables."""
     wrists = distinct_wrists()
     if fmt == "json":
-        text = _json_text(documents.wrist_catalog_document(wrists))
+        text = documents.json_text(documents.wrist_catalog_document(wrists))
     else:
         text = documents.wrist_catalog_table(wrists)
     _emit(text, output)
 
 
 @cli.command("verify")
-@click.option(
-    "--oracle-starts", type=click.IntRange(min=0), default=20000, show_default=True,
+@click.option(  # the largest N numpy will try to draw: the (N, 8) float64 starts take N * 64 <= sys.maxsize bytes
+    "--oracle-starts", type=click.IntRange(min=0, max=sys.maxsize // 64), default=20000, show_default=True,
     help="Newton starts; 0 skips the hunt.",
 )
 @click.option(
@@ -205,7 +161,7 @@ def cmd_posture(label: str, theta1: float, theta4: float, fmt: str, output: str 
     if fmt == "obj-lines":
         text = documents.posture_obj_lines(geometry)
     else:
-        text = _json_text(documents.posture_document(label, theta1, theta4, geometry))
+        text = documents.json_text(documents.posture_document(label, theta1, theta4, geometry))
     _emit(text, output)
 
 
@@ -217,7 +173,7 @@ def cmd_platonic(kind: str, fmt: str, output: str | None):
     """Emit a Platonic vertex set with its isotropy constants."""
     solid = PlatonicSolid[kind]
     if fmt == "json":
-        text = _json_text(documents.platonic_document(solid))
+        text = documents.json_text(documents.platonic_document(solid))
     else:
         text = documents.platonic_table(solid)
     _emit(text, output)

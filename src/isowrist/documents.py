@@ -1,4 +1,4 @@
-"""Serializable documents for the solution catalog, wrists and postures.
+"""Every artifact's text: JSON (json_text), CSV, tables and obj-lines.
 
 Numbers serialize as shortest round-trip decimals (Python repr), so a
 JSON document re-parsed with the standard library reproduces every
@@ -11,16 +11,17 @@ radians inside the library.
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 
 from .classify import WristClass, antipodal_map_table, reflection_map_table
-from .solver import CATALOG_RADICALS, RESIDUAL_TOL
+from .solver import CATALOG_RADICALS, RESIDUAL_TOL, SolutionRecord
 from .spheregeom import PlatonicSolid, isotropy_of, platonic_vertices, second_moment
 
 SCHEMA_VERSION = "1"
 GENERATOR = "isowrist"
 
-COMPONENT_NAMES = ("c", "s", "x", "y", "z", "u", "v", "w")
+COMPONENT_NAMES = SolutionRecord._fields[:8]
 CSV_HEADER = ("#",) + COMPONENT_NAMES
 
 PLATONIC_FOOTNOTE = (
@@ -30,8 +31,44 @@ PLATONIC_FOOTNOTE = (
 )
 
 
-def _metadata() -> dict:
-    return {"generator": GENERATOR}
+_quote = json.encoder.encode_basestring_ascii
+_SCALARS = {  # json's text of each scalar type
+    str: _quote, int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__, type(None): {None: "null"}.get,
+    float: lambda x: float.__repr__(x) if math.isfinite(x) else json.dumps(x),  # json's NaN, Infinity, -Infinity
+}
+_BRACKETS = {dict: "{}", list: "[]", tuple: "[]"}
+_KINDS = (str, int, float, list, tuple, dict)  # a subclass is written as the first of these it is, as json does
+
+
+def _json_chunks(value, pad: str, out: list) -> None:
+    kind = type(value)
+    if kind not in _SCALARS and kind not in _BRACKETS:
+        kind = next((k for k in _KINDS if isinstance(value, k)), None)
+        if kind is None:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if kind in _SCALARS or not value:
+        return out.append(_SCALARS[kind](value) if kind in _SCALARS else _BRACKETS[kind])
+    inner, (start, end) = pad + "  ", _BRACKETS[kind]
+    lead, sep = f"{start}\n{inner}", ",\n" + inner
+    for key, item in value.items() if kind is dict else enumerate(value):
+        write = _SCALARS.get(type(item))
+        label = f"{lead}{_quote(key)}: " if kind is dict else lead
+        out.append(label + write(item) if write else label)
+        if not write:
+            _json_chunks(item, inner, out)
+        lead = sep
+    out.append(f"\n{pad}{end}")
+
+
+def json_text(doc: dict) -> str:
+    """doc as JSON text: exactly the bytes of json.dumps(doc, indent=2) + "\\n", without json's pure-Python encoder.
+
+    Keys must be str: any other key raises TypeError, where json.dumps would convert it.  Any other value
+    json cannot write raises TypeError, as in json.dumps.  Cyclic documents are out of scope.
+    """
+    out = []
+    _json_chunks(doc, "", out)
+    return "".join(out) + "\n"
 
 
 def solution_document(solutions) -> dict:
@@ -43,7 +80,7 @@ def solution_document(solutions) -> dict:
         spelled = zip(COMPONENT_NAMES, rec.components, CATALOG_RADICALS)
         entry["radicals"] = {name: "-" + radical if value < 0 else radical for name, value, radical in spelled}
         entries.append(entry)
-    metadata = {**_metadata(), "tolerance": RESIDUAL_TOL}
+    metadata = {"generator": GENERATOR, "tolerance": RESIDUAL_TOL}
     return {"schema_version": SCHEMA_VERSION, "metadata": metadata, "solutions": entries}
 
 
@@ -86,7 +123,7 @@ def wrist_catalog_document(wrists) -> dict:
     """Document with the eight wrist classes and both symmetry-map tables."""
     return {
         "schema_version": SCHEMA_VERSION,
-        "metadata": _metadata(),
+        "metadata": {"generator": GENERATOR},
         "classes": [_class_entry(w) for w in wrists],
         "antipodal_maps": [
             {"source": m.source_index, "subset": list(m.subset), "target": m.target_index}
@@ -116,7 +153,7 @@ def posture_document(label: str, theta_1_deg: float, theta_4_deg: float, geometr
     dots = [float(axes[k] @ axes[k + 1]) for k in range(len(axes) - 1)]
     return {
         "schema_version": SCHEMA_VERSION,
-        "metadata": _metadata(),
+        "metadata": {"generator": GENERATOR},
         "class": label,
         "theta_1_deg": theta_1_deg,
         "theta_4_deg": theta_4_deg,

@@ -2,10 +2,12 @@
 
 import dataclasses
 import hashlib
+import importlib.util
 import itertools
 import math
 import random
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -717,3 +719,12 @@ def test_details_count_the_records_given(solutions, check, detail):
     # no records say "0 solutions"; the 32 catalog records keep verify's text
     for records in ([], solutions[:5], solutions):
         assert check(records).detail == detail.format(len(records))
+
+
+def test_run_checks_digest_pins_every_bit_of_verify():
+    # the recipe lives in tools/output_digests.py: every CheckResult field of seeds 0..99 and the default hunt
+    path = Path(__file__).resolve().parents[1] / "tools" / "output_digests.py"
+    spec = importlib.util.spec_from_file_location("output_digests", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.run_checks_digest() == "fd2ce7d47499b23bf022a03896b196b6190fdcae9f2007c767d8818799072c7c"

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import sys
 from pathlib import Path
 
 import click
@@ -478,13 +479,22 @@ class TestPlatonic:
         assert result.exit_code == 2
 
 
-def test_unallocatable_oracle_starts_is_usage_error(runner):
-    # numpy refuses the (10**14, 8) draw of starts, 5.7 PiB, at once: before any allocation or fork
-    result = runner.invoke(cli, ["verify", "--oracle-starts", str(10**14)], catch_exceptions=False)
+@pytest.mark.parametrize(
+    "starts, reason",
+    [
+        (10**14, "starts need more memory than is available"),
+        (sys.maxsize // 64 + 1, f"is not in the range 0<=x<={sys.maxsize // 64}."),
+        (10**20, f"is not in the range 0<=x<={sys.maxsize // 64}."),
+    ],
+)
+def test_unallocatable_oracle_starts_is_usage_error(runner, starts, reason):
+    # numpy refuses the (10**14, 8) draw of starts, 5.7 PiB, at once: before any allocation or fork;
+    # past sys.maxsize // 64 it would raise ValueError instead, so the option's range refuses those counts
+    result = runner.invoke(cli, ["verify", "--oracle-starts", str(starts)], catch_exceptions=False)
     assert result.exit_code == 2
     assert result.stdout == ""
     assert "Traceback" not in result.output
-    message = "Error: Invalid value for '--oracle-starts': 100000000000000 starts need more memory than is available"
+    message = f"Error: Invalid value for '--oracle-starts': {starts} {reason}"
     assert [line for line in result.stderr.splitlines() if line.startswith("Error")] == [message]
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isowrist.classify import canonical_signature
-from isowrist.cli import _json_text
+from isowrist.documents import json_text
 from isowrist.kinematics import DHChain, dh_from_axes, forward_axes
 from isowrist.spheregeom import (
     PointSet,
@@ -122,7 +122,7 @@ _json_docs = st.recursive(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
         st.dictionaries(_strings, children, max_size=4),
-        # lists of one scalar type take the writer's one-join path
+        # lists of one scalar type, like the documents' coordinate vectors
         st.one_of(st.lists(st.floats()), st.lists(st.integers()), st.lists(st.booleans()), st.lists(_strings)),
     ),
     max_leaves=24,
@@ -132,7 +132,7 @@ _json_docs = st.recursive(
 @bounded
 @given(st.dictionaries(_strings, _json_docs, max_size=5))
 def test_json_text_is_json_dumps_indented(doc):
-    assert _json_text(doc) == json.dumps(doc, indent=2) + "\n"
+    assert json_text(doc) == json.dumps(doc, indent=2) + "\n"
 
 
 EDGE_DOCUMENTS = [
@@ -149,7 +149,7 @@ EDGE_DOCUMENTS = [
 
 @pytest.mark.parametrize("doc", EDGE_DOCUMENTS)
 def test_json_text_is_json_dumps_indented_on_edges(doc):
-    assert _json_text(doc) == json.dumps(doc, indent=2) + "\n"
+    assert json_text(doc) == json.dumps(doc, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("value", [set(), b"x", np.bool_(True), np.int64(1), np.float32(1.0), object()])
@@ -159,7 +159,7 @@ def test_json_text_rejects_what_json_rejects(value, wrap):
     with pytest.raises(TypeError):
         json.dumps(doc, indent=2)
     with pytest.raises(TypeError):
-        _json_text(doc)
+        json_text(doc)
 
 
 @pytest.mark.parametrize("key", [1, 1.5, True, None, 2**70])
@@ -167,4 +167,4 @@ def test_json_text_rejects_keys_that_json_would_convert(key):
     # documents use str keys only: a key json would write as a string raises TypeError instead
     json.dumps({key: 1}, indent=2)
     with pytest.raises(TypeError):
-        _json_text({"outer": {key: 1}})
+        json_text({"outer": {key: 1}})

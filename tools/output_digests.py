@@ -7,7 +7,8 @@ Run from a checkout, against the package tree on PYTHONPATH:
 Two trees with equal digests give the same verify results and the same
 oracle bits on the recipes below.  A change that claims "same output"
 quotes both lines from each side.  The oracle hunts make it slow (about
-22 s on 2 vCPUs), so the test suite does not run it.
+22 s on 2 vCPUs), so the test suite runs only run_checks_digest (about
+2 s) and pins its value.
 
 - run-checks: the UTF-8 of repr(run_checks(0, s)) for s = 0..99, then of
   repr(run_checks(20000, 0)), concatenated with no separator.
