@@ -19,7 +19,7 @@ from .classify import (
     ANTIPODAL_SUBSETS, CLASS_PATTERNS, _catalog_chain_axes, _catalog_chains, _signatures, antipodal_map_table,
     distinct_wrists, reflection_map_table, symmetry_images,
 )
-from .kinematics import DHChain, _forward_chain, dh_from_axes_stack, isotropy_report_stack, jacobian_from_axes_stack
+from .kinematics import _forward_chain, dh_from_axes_stack, isotropy_report_stack, jacobian_from_axes_stack
 from .solver import (
     NONVANISHING_FLOOR, RESIDUAL_TOL, _CATALOG, _axes_of, catalog_distances,
     enumerate_solutions, oracle_root_hunt, residuals, solve_closed_form_stack,
@@ -122,13 +122,17 @@ def check_solution_residuals(solutions) -> CheckResult:
 
 def check_catalog_bijection(solutions) -> CheckResult:
     # enumerate_solutions reads the catalog, so this is where the cascade runs: from each record's sign
-    # pattern it must land within the bound of the row the record names, rows 1..32 once each
+    # pattern it must land within the bound of the row the record names, rows 1..32 once each.  A record
+    # with a 0 sign (a zero or nan component) has no branch, one with another index no row: its margin is inf
     indices = [r.index for r in solutions]
     patterns = [r.sign_pattern for r in solutions]
-    cascade = solve_closed_form_stack(np.reshape(patterns, (-1, 5)))
-    worst = _worst(np.max(np.abs(cascade - _CATALOG[np.asarray(indices, dtype=int) - 1]), axis=1))
+    signs, rows = np.reshape(patterns, (-1, 5)), np.asarray(indices, dtype=int)
+    valid = (signs != 0).all(axis=1) & (rows >= 1) & (rows <= len(_CATALOG))
+    margins = np.full(len(rows), math.inf)
+    margins[valid] = np.max(np.abs(solve_closed_form_stack(signs[valid]) - _CATALOG[rows[valid] - 1]), axis=1)
     ok = sorted(indices) == list(range(1, 33)) and len(set(patterns)) == 32
-    return _result("catalog-bijection", worst, RESIDUAL_TOL, ok, detail="closed forms match catalog rows 1..32")
+    detail = "closed forms match catalog rows 1..32"
+    return _result("catalog-bijection", _worst(margins), RESIDUAL_TOL, ok, detail=detail)
 
 
 def check_nonvanishing(solutions) -> CheckResult:
@@ -265,34 +269,20 @@ def _isotropic_couplings(wrists) -> list:
     ]
 
 
-def _float_member_classes(wrists, chains) -> bool:
-    """Whether every member, rebuilt in floats, has its class's signature and its own joint signs.
-
-    chains are the _catalog_chains, and the members must be exactly
-    these.  One dh_from_axes_stack call recovers them all from the
-    catalog axes; the classes come from an exact integer pass, so this
-    is its independent float cross-check.
-    """
+def check_wrist_classes(wrists) -> CheckResult:
+    # the classes come from an exact integer pass; its independent float cross-check recovers all 192 catalog
+    # chains in one dh_from_axes_stack call, in the sorted _catalog_chains order.  The sorted members must be
+    # exactly these chains, each with its class's signature and its own interior joint signs
     twists, joints = dh_from_axes_stack(_catalog_chain_axes())
     signs = map(tuple, np.sign(joints[:, 1:3]).astype(int).tolist())
-    found = dict(zip(chains, zip(_signatures(twists, joints[:, 1:3]), signs)))
-    return all(
-        found[m.solution_index, m.ordering] == (CLASS_PATTERNS[w.label], m.joint_signs)
-        for w in wrists
-        for m in w.members
+    chains = list(zip(_catalog_chains(), _signatures(twists, joints[:, 1:3]), signs))
+    members = sorted(
+        ((m.solution_index, m.ordering), CLASS_PATTERNS[w.label], m.joint_signs) for w in wrists for m in w.members
     )
-
-
-def check_wrist_classes(wrists) -> CheckResult:
-    expected = {label: pat.cos_twists for label, pat in CLASS_PATTERNS.items()}
-    chains = _catalog_chains()
-    # every catalog chain is a member exactly once, so the float pass can look each member up
-    members = sorted((m.solution_index, m.ordering) for w in wrists for m in w.members)
-    ok = len(wrists) == 8 and members == chains and _float_member_classes(wrists, chains)
+    ok = len(wrists) == 8 and members == chains
     ok = ok and all(w.couplings == isotropic for w, isotropic in zip(wrists, _isotropic_couplings(wrists)))
-    worst = _worst(
-        abs(math.degrees(a) - math.degrees(math.acos(c))) for w in wrists for a, c in zip(w.twists, expected[w.label])
-    )
+    pairs = [(a, c) for w in wrists for a, c in zip(w.twists, CLASS_PATTERNS[w.label].cos_twists)]
+    worst = _worst(abs(math.degrees(a) - math.degrees(math.acos(c))) for a, c in pairs)
     return _result("wrist-classes", worst, 0.05, ok, detail="8 classes, twist triples in degrees, couplings verified")
 
 
@@ -311,12 +301,11 @@ def check_posture_isotropy(wrists) -> CheckResult:
         # one row per (wrist, theta_1 grid value): the wrist's own twists and interior joints, theta_4 = nan.
         # theta_4 turns only the end-effector normal; an axis that read it would come out nan, so finite axes
         # are the ones every theta_4 of the grid (and every theta_4 at all) gives, bit for bit
-        chains = [w.representative_dh for w in wrists]
-        twists = np.repeat([dh.twists for dh in chains], POSTURE_GRID, axis=0)
-        theta = np.repeat([dh.joints for dh in chains], POSTURE_GRID, axis=0)
-        theta[:, 0], theta[:, -1] = np.tile(angles, len(chains)), math.nan
+        twists = np.repeat([w.twists for w in wrists], POSTURE_GRID, axis=0)
+        interior = np.repeat([w.interior_joints for w in wrists], POSTURE_GRID, axis=0)
+        theta = np.column_stack([np.tile(angles, len(wrists)), interior, np.full(len(interior), math.nan)])
         axes, _ = _forward_chain(twists, theta)
-        # the SVD would raise on nan: axes that read theta_4 leave no margin, so the worst is infinite
+        # non-finite axes (ones that read theta_4, or a class's nan field) leave no margin: the worst is infinite
         if np.isfinite(axes).all():
             _, sigma, cond, _ = isotropy_report_stack(jacobian_from_axes_stack(axes))
             margins = [np.max(np.abs(cond - 1.0)), np.max(np.abs(sigma - SIGMA_FOUR_AXES))]
@@ -325,25 +314,24 @@ def check_posture_isotropy(wrists) -> CheckResult:
 
 
 def _random_chains(gen, count):
-    """count random DH chains of 3..6 joints: all sizes in one draw, then every twist in one and every joint in another.
+    """count random (twists, interior joints) pairs of 3..6-joint chains: the sizes, twists and joints one draw each.
 
-    Twists are uniform on [0.2, pi - 0.2) and interior joints on [-3, 3); the free end joints are 0.
+    Twists are uniform on [0.2, pi - 0.2) and interior joints on [-3, 3); the free end joints are left out.
     """
     sizes = _sizes(gen, count, 3, 7)
     twists = np.split(_uniform(gen, int(np.sum(sizes - 1)), 0.2, math.pi - 0.2), np.cumsum(sizes - 1)[:-1])
     joints = np.split(_uniform(gen, int(np.sum(sizes - 2)), -3.0, 3.0), np.cumsum(sizes - 2)[:-1])
-    return [DHChain(t, [0.0, *j, 0.0]) for t, j in zip(twists, joints)]
+    return list(zip(twists, joints))
 
 
 def check_dh_round_trip(wrists, seed) -> CheckResult:
     margins = []
-    chains = [w.representative_dh for w in wrists] + _random_chains(random.Random(seed), DH_ROUND_TRIP_COUNT)
-    for _, group in _by_size(chains, lambda dh: dh.n):
-        theta = [(0.4,) + dh.joints[1:-1] + (1.1,) for dh in group]
-        twists = np.array([dh.twists for dh in group])
+    chains = [(w.twists, w.interior_joints) for w in wrists] + _random_chains(random.Random(seed), DH_ROUND_TRIP_COUNT)
+    for _, group in _by_size(chains, lambda chain: len(chain[0])):
+        twists, interior = (np.array(part, dtype=float) for part in zip(*group))
+        theta = np.column_stack([np.full(len(group), 0.4), interior, np.full(len(group), 1.1)])
         axes, _ = _forward_chain(twists, theta)
         back_twists, back_joints = dh_from_axes_stack(axes)
-        interior = np.array([dh.joints[1:-1] for dh in group])
         margins += [np.max(np.abs(twists - back_twists)), np.max(np.abs(interior - back_joints[:, 1:-1]))]
     return _result("dh-round-trip", _worst(margins), 1e-9, detail="forward kinematics then parameter recovery")
 

@@ -106,10 +106,16 @@ def isotropy_report_stack(j: np.ndarray):
     Returns (singular_values (..., 3), sigma, condition_number,
     is_isotropic), each of shape (...).  One stacked SVD serves the whole
     stack, and each entry equals the one isotropy_report gives for that
-    Jacobian alone.
+    Jacobian alone.  A Jacobian with a non-finite entry gets nan singular
+    values, so it is not isotropic, and the others keep their bits.
     """
     j = np.asarray(j, dtype=float)
-    sv = np.linalg.svd(j, compute_uv=False)
+    try:
+        sv = np.linalg.svd(j, compute_uv=False)
+    except np.linalg.LinAlgError:  # LAPACK does not converge on a nan or inf entry
+        finite = np.isfinite(j).all(axis=(-2, -1))
+        sv = np.full(j.shape[:-2] + (min(j.shape[-2:]),), math.nan)
+        sv[finite] = np.linalg.svd(j[finite], compute_uv=False)
     # fewer than three columns leave implicit zero singular values
     pad = 3 - min(j.shape[-2:])
     if pad > 0:

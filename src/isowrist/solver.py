@@ -121,7 +121,7 @@ class SolutionRecord(NamedTuple):
     sign_pattern is read off the signs of the components: the five
     square-root branch choices (s_u, s_z, s_v, s_s, s_w) whose cascade
     gives a point with these signs.  A zero or NaN component gives a 0
-    entry, which the cascade refuses.
+    entry, which has no cascade branch and fails catalog-bijection.
     """
 
     c: float
@@ -567,9 +567,10 @@ def oracle_root_hunt(n_starts: int = 20000, seed: int = 0, starts: np.ndarray | 
     """Hunt for real roots of the system by damped Newton from random starts.
 
     Starts are uniform in [-START_BOX, START_BOX]^8 (all unknowns are sines
-    or cosines, so the box with margin is a sound search region); an
-    explicit starts array overrides the random draw.  Zero starts give an
-    empty report; a negative n_starts raises ValueError.  Converged points are
+    or cosines, so the box with margin is a sound search region); explicit
+    starts of shape (m, 8) override the random draw, and any other shape
+    raises ValueError.  Zero starts give an empty report; a negative
+    n_starts raises ValueError.  Converged points are
     polished, clustered and returned sorted, so the outcome is independent
     of scheduling for a fixed seed.  A start is discarded, and counted, once
     no damped step lowers its residual norm (a Jacobian LAPACK finds
@@ -593,7 +594,9 @@ def oracle_root_hunt(n_starts: int = 20000, seed: int = 0, starts: np.ndarray | 
         rng = np.random.default_rng(seed)
         pts = rng.uniform(-START_BOX, START_BOX, size=(n_starts, 8))
     else:
-        pts = np.array(starts, dtype=float).reshape(-1, 8)
+        pts = np.array(starts, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != 8:
+            raise ValueError(f"starts must have shape (m, 8), got {pts.shape}")
         n_starts = pts.shape[0]
     results = _hunt_blocks(pts)
     hits = np.concatenate([block_hits for block_hits, _ in results])

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from isowrist import checks
+from isowrist import checks, kinematics
 from isowrist.checks import (
     DH_ROUND_TRIP_COUNT,
     LINE_REFLECTION_COUNT,
@@ -414,7 +414,10 @@ SEED_0_SAMPLES = {
         "e50ea22e522fd8c42b91789e0d37a94fef2aa1c3b08712259e81f7ddbe0cd6ec",
     ),
     "chains": (
-        lambda gen: [dh.twists + dh.joints for dh in _random_chains(gen, DH_ROUND_TRIP_COUNT)],
+        # each pair flattened as twists + (0, interior joints, 0): a DH chain's twists + joints with free ends at 0
+        lambda gen: [
+            tuple(twists) + (0.0, *interior, 0.0) for twists, interior in _random_chains(gen, DH_ROUND_TRIP_COUNT)
+        ],
         "827f11913ab64f45c9d468e848d2c25b6ff30333727ee92bd4c9efeb7cf27ca7",
     ),
 }
@@ -455,10 +458,10 @@ class TestSampler:
         for _, stack in sets:
             np.testing.assert_allclose(np.linalg.norm(stack, axis=-1), 1.0, rtol=0, atol=1e-15)
         chains = _random_chains(random.Random(11), DH_ROUND_TRIP_COUNT)
-        assert sorted({dh.n for dh in chains}) == [3, 4, 5, 6]
-        assert all(0.2 <= a < math.pi - 0.2 for dh in chains for a in dh.twists)
-        assert all(-3.0 <= t < 3.0 for dh in chains for t in dh.joints[1:-1])
-        assert all(dh.joints[0] == dh.joints[-1] == 0.0 for dh in chains)
+        assert sorted({len(twists) + 1 for twists, _ in chains}) == [3, 4, 5, 6]
+        assert all(len(interior) == len(twists) - 1 for twists, interior in chains)
+        assert all(0.2 <= a < math.pi - 0.2 for twists, _ in chains for a in twists)
+        assert all(-3.0 <= t < 3.0 for _, interior in chains for t in interior)
 
     def test_normals_at_a_fixed_seed_have_unit_moments(self):
         z = _normals(random.Random(11), 100_000)
@@ -728,3 +731,85 @@ def test_run_checks_digest_pins_every_bit_of_verify():
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     assert tool.run_checks_digest() == "fd2ce7d47499b23bf022a03896b196b6190fdcae9f2007c767d8818799072c7c"
+
+
+#: Every check that reads records, and every check that reads wrist classes, by name.
+RECORD_CHECKS = {
+    "solution-residuals": check_solution_residuals,
+    "catalog-bijection": check_catalog_bijection,
+    "solution-nonvanishing": checks.check_nonvanishing,
+    "solution-distinctness": checks.check_distinctness,
+    "axis-dot-products": check_axis_dot_products,
+    "antipodal-closure": check_antipodal_closure,
+    "reflection-closure": check_reflection_closure,
+    "jacobian-moment-agreement": lambda records: check_jacobian_moment_agreement(records, seed=0),
+}
+WRIST_CHECKS = {
+    "wrist-classes": check_wrist_classes,
+    "posture-isotropy": check_posture_isotropy,
+    "dh-round-trip": lambda wrists: check_dh_round_trip(wrists, seed=0),
+}
+
+
+class TestBadInputFailsWithoutRaising:
+    """A record or class with a nan value fails the checks that read it; none of them raises."""
+
+    @pytest.mark.parametrize("name", sorted(RECORD_CHECKS))
+    def test_record_with_a_nan_component(self, solutions, name):
+        assert solutions[4].index == 5
+        broken = [*solutions[:4], solutions[4]._replace(u=math.nan), *solutions[5:]]
+        result = RECORD_CHECKS[name](broken)
+        assert (result.name, result.status) == (name, "FAIL")
+        assert not result.worst <= result.tolerance
+
+    @pytest.mark.parametrize("name", sorted(WRIST_CHECKS))
+    @pytest.mark.parametrize("field", ["middle-twist", "theta_2"])
+    def test_class_with_a_nan_field(self, wrists, name, field):
+        b = wrists[1]
+        assert b.label == "b"
+        if field == "middle-twist":
+            bad = dataclasses.replace(b, twists=(b.twists[0], math.nan, b.twists[2]))
+        else:
+            bad = dataclasses.replace(b, interior_joints=(math.nan, b.interior_joints[1]))
+        result = WRIST_CHECKS[name]([wrists[0], bad, *wrists[2:]])
+        assert (result.name, result.status) == (name, "FAIL")
+        if (name, field) == ("wrist-classes", "theta_2"):
+            # its margin reads the twists alone: the coupling cross-check fails the class, the margin is kept
+            assert result.worst == check_wrist_classes(wrists).worst
+        else:
+            assert not result.worst <= result.tolerance
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"u": math.nan}, {"z": 0.0}, {"s": -0.0}, {"index": 33}, {"index": 0}, {"index": -1}],
+        ids=["u=nan", "z=0.0", "s=-0.0", "index=33", "index=0", "index=-1"],
+    )
+    def test_record_with_no_branch_or_no_row(self, solutions, monkeypatch, change):
+        # a 0 sign has no cascade branch and an index outside 1..32 no row; the other margins keep their bits
+        seen = []
+        worst = checks._worst
+
+        def recorded(margins):
+            seen.append(np.array(margins, dtype=float))
+            return worst(margins)
+
+        monkeypatch.setattr(checks, "_worst", recorded)
+        broken = list(solutions)
+        broken[5] = broken[5]._replace(**change)
+        result = check_catalog_bijection(broken)
+        assert (result.status, result.worst) == ("FAIL", math.inf)
+        check_catalog_bijection(solutions)
+        bad, good = seen
+        assert bad[5] == math.inf
+        assert np.array_equal(np.delete(bad, 5), np.delete(good, 5))
+
+
+def test_verify_builds_no_dh_chain(monkeypatch):
+    # the wrist checks read each class's twists and interior joints as plain numbers
+    expected = run_checks(0, 0)
+
+    def refuse(self, *args):
+        raise AssertionError("a check built a DHChain")
+
+    monkeypatch.setattr(kinematics.DHChain, "__init__", refuse)
+    assert run_checks(0, 0) == expected

@@ -4,6 +4,7 @@ import itertools
 import math
 import os
 import pickle
+import re
 import signal
 import sys
 import threading
@@ -527,6 +528,12 @@ class TestOracle:
     def test_negative_starts_raise(self):
         with pytest.raises(ValueError):
             oracle_root_hunt(n_starts=-1)
+
+    @pytest.mark.parametrize("shape", [(16, 4), (8,), (3, 5)])
+    def test_starts_of_another_shape_raise(self, shape):
+        # no reshape: a (16, 4) array is not 8 starts, nor an (8,) vector one
+        with pytest.raises(ValueError, match=re.escape(f"starts must have shape (m, 8), got {shape}")):
+            oracle_root_hunt(starts=np.zeros(shape))
 
     def test_pinned_counts_for_fixed_seed(self):
         report = oracle_root_hunt(n_starts=2000, seed=42)  # fits one solve slice
