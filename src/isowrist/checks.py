@@ -16,12 +16,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .classify import (
-    ANTIPODAL_SUBSETS, CLASS_PATTERNS, _catalog_chain_axes, _catalog_chains, _signatures, antipodal_map_table,
+    ANTIPODAL_SUBSETS, CLASS_PATTERNS, _catalog_chains, _signatures, antipodal_map_table, chain_orderings,
     distinct_wrists, reflection_map_table, symmetry_images,
 )
-from .kinematics import _forward_chain, dh_from_axes_stack, isotropy_report_stack, jacobian_from_axes_stack
+from .kinematics import TWIST_TOL, _forward_chain, dh_from_axes_stack, isotropy_report_stack, jacobian_from_axes_stack
 from .solver import (
-    NONVANISHING_FLOOR, RESIDUAL_TOL, _CATALOG, _axes_of, catalog_distances,
+    NONVANISHING_FLOOR, RESIDUAL_TOL, _CATALOG, _CATALOG_AXES, _axes_of, catalog_distances,
     enumerate_solutions, oracle_root_hunt, residuals, solve_closed_form_stack,
 )
 from .spheregeom import ONE_THIRD as _T, SQRT2_THIRD as _R2, SQRT6_THIRD as _R6, TWO_SQRT2_THIRD as _S2
@@ -130,7 +130,7 @@ def check_catalog_bijection(solutions) -> CheckResult:
     valid = (signs != 0).all(axis=1) & (rows >= 1) & (rows <= len(_CATALOG))
     margins = np.full(len(rows), math.inf)
     margins[valid] = np.max(np.abs(solve_closed_form_stack(signs[valid]) - _CATALOG[rows[valid] - 1]), axis=1)
-    ok = sorted(indices) == list(range(1, 33)) and len(set(patterns)) == 32
+    ok = sorted(indices) == list(range(1, len(_CATALOG) + 1)) and len(set(patterns)) == len(_CATALOG)
     detail = "closed forms match catalog rows 1..32"
     return _result("catalog-bijection", _worst(margins), RESIDUAL_TOL, ok, detail=detail)
 
@@ -269,17 +269,28 @@ def _isotropic_couplings(wrists) -> list:
     ]
 
 
+def _chainable(wrists) -> bool:
+    """True when every class's twists and interior joints are finite and no twist makes consecutive axes parallel.
+
+    Else a forward chain raises on an infinite angle, or dh_from_axes_stack on |cos twist| >= 1 - TWIST_TOL; a twist
+    passes only with |cos| < 1 - 2 TWIST_TOL, so the forward chain's rounding (about 1e-16) cannot carry it there.
+    """
+    twists = [a for w in wrists for a in w.twists]
+    values = twists + [t for w in wrists for t in w.interior_joints]
+    return all(map(math.isfinite, values)) and all(abs(math.cos(a)) < 1 - 2 * TWIST_TOL for a in twists)
+
+
 def check_wrist_classes(wrists) -> CheckResult:
-    # the classes come from an exact integer pass; its independent float cross-check recovers all 192 catalog
-    # chains in one dh_from_axes_stack call, in the sorted _catalog_chains order.  The sorted members must be
-    # exactly these chains, each with its class's signature and its own interior joint signs
-    twists, joints = dh_from_axes_stack(_catalog_chain_axes())
+    # the classes come from an exact pass over the sign table; its independent float cross-check recovers all
+    # 192 chains of the float catalog in one dh_from_axes_stack call, in the sorted _catalog_chains order.  The
+    # sorted members must be exactly these chains, each with its class's signature and its own interior joint signs
+    twists, joints = dh_from_axes_stack(_CATALOG_AXES[:, chain_orderings()].reshape(-1, 4, 3))
     signs = map(tuple, np.sign(joints[:, 1:3]).astype(int).tolist())
-    chains = list(zip(_catalog_chains(), _signatures(twists, joints[:, 1:3]), signs))
+    chains = list(zip(_catalog_chains(len(_CATALOG_AXES)), _signatures(twists, joints[:, 1:3]), signs))
     members = sorted(
         ((m.solution_index, m.ordering), CLASS_PATTERNS[w.label], m.joint_signs) for w in wrists for m in w.members
     )
-    ok = len(wrists) == 8 and members == chains
+    ok = len(wrists) == len(CLASS_PATTERNS) and members == chains and _chainable(wrists)
     ok = ok and all(w.couplings == isotropic for w, isotropic in zip(wrists, _isotropic_couplings(wrists)))
     pairs = [(a, c) for w in wrists for a, c in zip(w.twists, CLASS_PATTERNS[w.label].cos_twists)]
     worst = _worst(abs(math.degrees(a) - math.degrees(math.acos(c))) for a, c in pairs)
@@ -296,7 +307,7 @@ def _by_size(items, size):
 
 def check_posture_isotropy(wrists) -> CheckResult:
     margins = []
-    if wrists:
+    if wrists and _chainable(wrists):
         angles = np.linspace(0.0, 2.0 * math.pi, POSTURE_GRID, endpoint=False)
         # one row per (wrist, theta_1 grid value): the wrist's own twists and interior joints, theta_4 = nan.
         # theta_4 turns only the end-effector normal; an axis that read it would come out nan, so finite axes
@@ -305,7 +316,7 @@ def check_posture_isotropy(wrists) -> CheckResult:
         interior = np.repeat([w.interior_joints for w in wrists], POSTURE_GRID, axis=0)
         theta = np.column_stack([np.tile(angles, len(wrists)), interior, np.full(len(interior), math.nan)])
         axes, _ = _forward_chain(twists, theta)
-        # non-finite axes (ones that read theta_4, or a class's nan field) leave no margin: the worst is infinite
+        # non-finite axes (ones that read theta_4) leave no margin: the worst is infinite
         if np.isfinite(axes).all():
             _, sigma, cond, _ = isotropy_report_stack(jacobian_from_axes_stack(axes))
             margins = [np.max(np.abs(cond - 1.0)), np.max(np.abs(sigma - SIGMA_FOUR_AXES))]
@@ -327,7 +338,7 @@ def _random_chains(gen, count):
 def check_dh_round_trip(wrists, seed) -> CheckResult:
     margins = []
     chains = [(w.twists, w.interior_joints) for w in wrists] + _random_chains(random.Random(seed), DH_ROUND_TRIP_COUNT)
-    for _, group in _by_size(chains, lambda chain: len(chain[0])):
+    for _, group in _by_size(chains if _chainable(wrists) else [], lambda chain: len(chain[0])):
         twists, interior = (np.array(part, dtype=float) for part in zip(*group))
         theta = np.column_stack([np.full(len(group), 0.4), interior, np.full(len(group), 1.1)])
         axes, _ = _forward_chain(twists, theta)
@@ -379,7 +390,7 @@ def check_oracle(oracle_starts, seed) -> CheckResult:
     # Euclidean distance to the nearest catalog row; the max-norm of catalog_distances would loosen the check
     gaps = np.linalg.norm(report.roots[:, None, :] - _CATALOG, axis=-1)
     worst = _worst(np.min(gaps, axis=1))
-    ok = report.n_roots == 32
+    ok = report.n_roots == len(_CATALOG)
     detail = (
         f"{report.n_roots} clusters from {report.n_converged}/{report.n_starts} converged starts "
         f"({report.n_discarded} discarded)"

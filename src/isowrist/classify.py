@@ -10,8 +10,8 @@ exactly eight distinct isotropic wrist architectures.  The isotropy
 condition puts every pair of axes at e_i . e_j = +-1/3, so the
 signatures follow exactly from the catalog's integer sign table; only
 the eight class representatives get float DH parameters.  The classes
-are built once per process for each catalog object, on the first
-distinct_wrists call that reads it.
+read the sign table alone, and are built once per process for each sign
+table, on the first distinct_wrists call that reads it.
 
 Two chains are considered the same wrist when they differ only by the
 free end joints or by a global mirror, which flips the signs of both
@@ -30,8 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .kinematics import DHChain, _cross, _forward_chain, dh_from_axes_stack, isotropy_report, jacobian_from_axes
-from .solver import CATALOG_MAGNITUDES, CATALOG_SIGNS, TRIVIAL_SET_INDEX, _AXIS_SLOTS, _CATALOG_AXES, _axes_of
-from .solver import catalog_rows
+from .solver import CATALOG_MAGNITUDES, CATALOG_SIGNS, TRIVIAL_SET_INDEX, _AXIS_SLOTS, _axes_of, catalog_rows
 from .spheregeom import ONE_THIRD, PointSet, _antipodal_signs
 
 SIGNATURE_TOL = 1e-9
@@ -135,15 +134,10 @@ def chain_orderings() -> list:
     return [(0,) + p for p in itertools.permutations((1, 2, 3))]
 
 
-def _catalog_chains() -> list:
-    """The 192 catalog chains as (solution_index, 1-based ordering) pairs, in _catalog_chain_axes order."""
+def _catalog_chains(count: int) -> list:
+    """The chains of count catalog rows as (solution_index, 1-based ordering) pairs, in chain_orderings order."""
     positions = [tuple(i + 1 for i in ordering) for ordering in chain_orderings()]
-    return [(index, position) for index in range(1, len(CATALOG_SIGNS) + 1) for position in positions]
-
-
-def _catalog_chain_axes() -> np.ndarray:
-    """The float axes of every catalog chain, solution-major in chain_orderings order: shape (192, 4, 3)."""
-    return _CATALOG_AXES[:, chain_orderings()].reshape(-1, 4, 3)
+    return [(index, position) for index in range(1, count + 1) for position in positions]
 
 
 def symmetry_images(points) -> np.ndarray:
@@ -252,13 +246,8 @@ _LABELS = {pat: label for label, pat in CLASS_PATTERNS.items()}
 _GRAM_WEIGHTS = np.array((1, 2, 6))
 
 
-def _integer_axes(signs: np.ndarray) -> np.ndarray:
-    """The axes 3 e_1..3 e_4 of catalog sign rows (m, 8) as integers (a, b, c): shape (m, 4, 3)."""
-    return np.rint(3.0 * _axes_of(signs * np.array(CATALOG_MAGNITUDES)) / np.sqrt(_GRAM_WEIGHTS)).astype(int)
-
-
 def _exact_chain_invariants(a: np.ndarray):
-    """Integer invariants of m chains of integer axes a (m, 4, 3), as _integer_axes gives them.
+    """Integer invariants of m chains of integer axes a (m, 4, 3): each 3 e_k = (a, b sqrt(2), c sqrt(6)) as (a, b, c).
 
     Returns (gram (m, 5), interior (m, 2), dets (m, 2)):
     - gram holds d = 9 e_i . e_j for (i, j) = (1, 2), (2, 3), (3, 4),
@@ -275,8 +264,8 @@ def _exact_chain_invariants(a: np.ndarray):
     return gram, interior, dets
 
 
-#: The catalog objects the last distinct_wrists build read, and the classes it built.
-_built_wrists = (None, None, ())
+#: The sign table the last distinct_wrists build read, and the classes it built.
+_built_wrists = (None, ())
 
 
 def distinct_wrists() -> list:
@@ -289,30 +278,31 @@ def distinct_wrists() -> list:
     signs those of two determinants.  The classes are labeled a..h by
     CLASS_PATTERNS; members keep (solution_index, ordering) order, and
     the representative is the first member whose theta_2 is positive.
-    Only the representatives get float DH parameters, from the catalog
-    axes in one dh_from_axes_stack call; checks.check_wrist_classes
-    recovers every chain in floats.
+    Only the representatives get float DH parameters, from their axes in
+    one dh_from_axes_stack call; checks.check_wrist_classes recovers
+    every chain of the float catalog.
     Raises with a diagnostic dump if the grouping does not produce
-    exactly eight classes.
+    exactly one class per CLASS_PATTERNS entry.
 
-    The classes are built once per process for each catalog object: a
-    call whose CATALOG_SIGNS and _CATALOG_AXES bindings are the objects
-    the last build read returns a new list of that build's classes,
-    which are immutable; any other call rebuilds.  A build that raises
-    stores nothing.
+    The classes read CATALOG_SIGNS alone and are built once per process
+    for each sign table: a call whose CATALOG_SIGNS binding is the object
+    the last build read returns a new list of that build's classes, which
+    are immutable; any other call rebuilds.  A build that raises stores
+    nothing.
     """
     global _built_wrists
-    signs, axes, classes = _built_wrists
-    if signs is not CATALOG_SIGNS or axes is not _CATALOG_AXES:
-        signs, axes = CATALOG_SIGNS, _CATALOG_AXES
-        classes = _build_wrists()
-        _built_wrists = (signs, axes, classes)  # one assignment, so racing builds store equal entries
+    signs, classes = _built_wrists
+    if signs is not CATALOG_SIGNS:
+        signs = CATALOG_SIGNS
+        classes = _build_wrists(signs)
+        _built_wrists = (signs, classes)  # one assignment, so racing builds store equal entries
     return list(classes)
 
 
-def _build_wrists() -> tuple:
-    """The classes distinct_wrists returns, built from the current catalog bindings, sorted by label."""
-    gram, interior, dets = _exact_chain_invariants(_integer_axes(CATALOG_SIGNS)[:, chain_orderings()].reshape(-1, 4, 3))
+def _build_wrists(signs: np.ndarray) -> tuple:
+    """The classes distinct_wrists returns, built from the sign table signs (m, 8) and nothing else, sorted by label."""
+    axes = _axes_of(signs * np.array(CATALOG_MAGNITUDES))[:, chain_orderings()].reshape(-1, 4, 3)
+    gram, interior, dets = _exact_chain_invariants(np.rint(3.0 * axes / np.sqrt(_GRAM_WEIGHTS)).astype(int))
     theta_signs = np.sign(dets)
     products = theta_signs[:, 0] * theta_signs[:, 1]
     # chains group by the six signs of their signature: three twist cosines, two joint cosines, the joint product
@@ -327,15 +317,15 @@ def _build_wrists() -> tuple:
             (gram[firsts, :3] / 9).tolist(), (interior[firsts] / 72).tolist(), products[firsts].tolist()
         )
     ]
-    if len(groups) != 8:
+    if len(groups) != len(CLASS_PATTERNS):
         dump = "\n".join(str(sig) for sig in sorted(signatures))
-        raise ArithmeticError(f"expected 8 signature classes, got {len(groups)}:\n{dump}")
+        raise ArithmeticError(f"expected {len(CLASS_PATTERNS)} signature classes, got {len(groups)}:\n{dump}")
     joint_signs = list(map(tuple, theta_signs.tolist()))
-    members = [ClassMember(index, ordering, pair) for (index, ordering), pair in zip(_catalog_chains(), joint_signs)]
+    members = [ClassMember(*chain, pair) for chain, pair in zip(_catalog_chains(len(signs)), joint_signs)]
     # every catalog chain has a class pattern's signature, and every class has a member with a positive theta_2
     labels = [_LABELS[sig] for sig in signatures]
     reps = [next(k for k in items if joint_signs[k][0] > 0) for items in groups.values()]
-    twists, joints = dh_from_axes_stack(_catalog_chain_axes()[reps])
+    twists, joints = dh_from_axes_stack(axes[reps])
     classes = [
         WristClass(
             label=label,

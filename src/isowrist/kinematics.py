@@ -110,12 +110,10 @@ def isotropy_report_stack(j: np.ndarray):
     values, so it is not isotropic, and the others keep their bits.
     """
     j = np.asarray(j, dtype=float)
-    try:
-        sv = np.linalg.svd(j, compute_uv=False)
-    except np.linalg.LinAlgError:  # LAPACK does not converge on a nan or inf entry
-        finite = np.isfinite(j).all(axis=(-2, -1))
-        sv = np.full(j.shape[:-2] + (min(j.shape[-2:]),), math.nan)
-        sv[finite] = np.linalg.svd(j[finite], compute_uv=False)
+    # LAPACK prints to the terminal, and may not converge, on a nan or inf entry: such Jacobians enter the SVD as zeros
+    finite = np.isfinite(j).all(axis=(-2, -1))
+    sv = np.linalg.svd(np.where(finite[..., None, None], j, 0.0), compute_uv=False)
+    sv[~finite] = math.nan
     # fewer than three columns leave implicit zero singular values
     pad = 3 - min(j.shape[-2:])
     if pad > 0:

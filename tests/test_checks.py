@@ -779,6 +779,35 @@ class TestBadInputFailsWithoutRaising:
         else:
             assert not result.worst <= result.tolerance
 
+    @pytest.mark.parametrize("name", sorted(WRIST_CHECKS))
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("middle-twist", math.inf),
+            ("middle-twist", 0.0),
+            ("middle-twist", math.pi),
+            ("middle-twist", 1e-6),
+            ("theta_2", math.inf),
+        ],
+        ids=["middle-twist=inf", "middle-twist=0", "middle-twist=pi", "middle-twist=1e-6", "theta_2=inf"],
+    )
+    def test_class_with_an_infinite_or_degenerate_field(self, wrists, name, field, value):
+        # an infinite angle makes a forward chain raise, and a twist of 0, pi or 1e-6 (a cosine within TWIST_TOL
+        # of +-1) makes dh_from_axes_stack raise: the checks run neither
+        b = wrists[1]
+        assert b.label == "b"
+        if field == "middle-twist":
+            bad = dataclasses.replace(b, twists=(b.twists[0], value, b.twists[2]))
+        else:
+            bad = dataclasses.replace(b, interior_joints=(value, b.interior_joints[1]))
+        result = WRIST_CHECKS[name]([wrists[0], bad, *wrists[2:]])
+        assert (result.name, result.status) == (name, "FAIL")
+        if (name, field) == ("wrist-classes", "theta_2"):
+            # as with a nan theta_2, the margin reads the twists alone and is kept; the class fails the check
+            assert result.worst == check_wrist_classes(wrists).worst
+        else:
+            assert not result.worst <= result.tolerance
+
     @pytest.mark.parametrize(
         "change",
         [{"u": math.nan}, {"z": 0.0}, {"s": -0.0}, {"index": 33}, {"index": 0}, {"index": -1}],

@@ -10,10 +10,8 @@ from isowrist import classify
 from isowrist.checks import _isotropic_couplings
 from isowrist.classify import (
     _LABELS,
-    _catalog_chain_axes,
     _catalog_chains,
     _exact_chain_invariants,
-    _integer_axes,
     _signatures,
     ANTIPODAL_SUBSETS,
     CLASS_PATTERNS,
@@ -33,8 +31,8 @@ from isowrist.classify import (
 )
 from isowrist.kinematics import DHChain, dh_from_axes, dh_from_axes_stack
 from isowrist.solver import (
-    _CATALOG_AXES, CATALOG_SIGNS, RESIDUAL_TOL, SOLUTION_CATALOG, TRIVIAL_SET_INDEX, _axes_of, catalog_distances,
-    catalog_rows, enumerate_solutions,
+    _AXIS_SLOTS, _CATALOG_AXES, CATALOG_SIGNS, RESIDUAL_TOL, SOLUTION_CATALOG, TRIVIAL_SET_INDEX, _axes_of,
+    catalog_distances, catalog_rows, enumerate_solutions,
 )
 from isowrist.spheregeom import (
     PointSet, antipodal_exchange, reflect_about_line, reflect_about_plane, rotation_about_axis,
@@ -353,8 +351,7 @@ class TestStackedDistinctWrists:
         first.clear()
         assert distinct_wrists() == wrists
 
-    @pytest.mark.parametrize("name", ["CATALOG_SIGNS", "_CATALOG_AXES"])
-    def test_a_new_catalog_object_rebuilds(self, wrists, monkeypatch, name):
+    def test_a_new_catalog_object_rebuilds(self, wrists, monkeypatch):
         calls = []
 
         def counted(a):
@@ -363,7 +360,7 @@ class TestStackedDistinctWrists:
 
         distinct_wrists()
         monkeypatch.setattr(classify, "dh_from_axes_stack", counted)
-        monkeypatch.setattr(classify, name, read_only_copy(getattr(classify, name)))
+        monkeypatch.setattr(classify, "CATALOG_SIGNS", read_only_copy(CATALOG_SIGNS))
         assert distinct_wrists() == distinct_wrists() == wrists
         assert calls == [(8, 4, 3)]
         monkeypatch.undo()
@@ -400,11 +397,16 @@ class TestStackedDistinctWrists:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert len(results) == 20 and all(result == wrists for result in results)
-        signs, axes, _ = classify._built_wrists
-        assert signs is classify.CATALOG_SIGNS and axes is classify._CATALOG_AXES
+        signs, _ = classify._built_wrists
+        assert signs is classify.CATALOG_SIGNS
+
+    def test_classify_binds_no_float_catalog(self):
+        # the classes read the sign table alone; only the wrist-classes check reads the float catalog
+        assert not hasattr(classify, "_CATALOG") and not hasattr(classify, "_CATALOG_AXES")
 
     def test_catalog_chains_are_the_records_chains(self, solutions):
-        chains, axes = _catalog_chains(), _catalog_chain_axes()
+        # the chains and float axes that check_wrist_classes pairs
+        chains, axes = _catalog_chains(len(_CATALOG_AXES)), catalog_chains(_CATALOG_AXES)
         assert len(chains) == len(axes) == 192
         assert chains == [(r.index, tuple(i + 1 for i in o)) for r in solutions for o in chain_orderings()]
         for (index, ordering), chain in zip(chains, axes):
@@ -434,7 +436,6 @@ def use_catalog_rows(monkeypatch, solutions, rows):
     """Make classify read only the catalog rows (0-based, in order); returns their records numbered from 1."""
     rows = list(rows)
     monkeypatch.setattr(classify, "CATALOG_SIGNS", CATALOG_SIGNS[rows])
-    monkeypatch.setattr(classify, "_CATALOG_AXES", _CATALOG_AXES[rows])
     return [solutions[k]._replace(index=n) for n, k in enumerate(rows, 1)]
 
 
@@ -450,17 +451,28 @@ def catalog_chains(axes):
     return np.asarray(axes)[:, chain_orderings()].reshape(-1, 4, 3)
 
 
+def integer_axes(signs):
+    """3 e_1..3 e_4 of sign rows (m, 8) as the integers (a, b, c) of 3 e_k = (a, b sqrt(2), c sqrt(6)): (m, 4, 3).
+
+    3 e_1 = (3, 0, 0), and each unknown is its sign times the integer 1, or 2 for s = 2 sqrt(2) / 3.
+    """
+    a = np.zeros((len(signs), 12), dtype=int)
+    a[:, 0] = 3
+    a[:, _AXIS_SLOTS] = np.asarray(signs) * np.array((1, 2, 1, 1, 1, 1, 1, 1))
+    return a.reshape(-1, 4, 3)
+
+
 class TestExactInvariants:
     @pytest.fixture(scope="class")
     def exact(self):
-        return _exact_chain_invariants(catalog_chains(_integer_axes(CATALOG_SIGNS)))
+        return _exact_chain_invariants(catalog_chains(integer_axes(CATALOG_SIGNS)))
 
     @pytest.fixture(scope="class")
     def floats(self):
         return dh_from_axes_stack(catalog_chains(_axes_of(SOLUTION_CATALOG)))
 
     def test_integer_axes_are_three_times_the_catalog_axes(self):
-        scaled = _integer_axes(CATALOG_SIGNS) * np.sqrt([1.0, 2.0, 6.0]) / 3.0
+        scaled = integer_axes(CATALOG_SIGNS) * np.sqrt([1.0, 2.0, 6.0]) / 3.0
         assert np.max(np.abs(scaled - _axes_of(SOLUTION_CATALOG))) <= 1e-15
 
     def test_gram_entries_are_nine_times_the_float_dots(self, exact):

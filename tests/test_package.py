@@ -170,7 +170,23 @@ def _loaded_after(commands, modules):
 def test_import_builds_no_wrist_classes():
     # distinct_wrists builds on its first call, so start-up pays nothing for the classes
     code = "import isowrist.cli\nfrom isowrist import classify\nprint(classify._built_wrists)\n"
-    assert _fresh_python(code) == "(None, None, ())\n"
+    assert _fresh_python(code) == "(None, ())\n"
+
+
+def test_an_infinite_jacobian_entry_prints_nothing():
+    # LAPACK reports an illegal scaling value on the terminal when an SVD reads an inf, so such Jacobians skip it
+    code = (
+        "import os\n"
+        "os.dup2(1, 2)\n"  # anything written to stderr reaches the captured stdout
+        "import numpy as np\n"
+        "from isowrist.kinematics import isotropy_report_stack, jacobian_from_axes_stack\n"
+        "from isowrist.solver import SOLUTION_CATALOG, _axes_of\n"
+        "points = np.array(SOLUTION_CATALOG)\n"
+        "points[4, 4] = np.inf\n"  # record 5's z
+        "sv, _, _, iso = isotropy_report_stack(jacobian_from_axes_stack(_axes_of(points)))\n"
+        "print(int(np.isnan(sv).all(axis=1).sum()), int(iso.sum()))\n"
+    )
+    assert _fresh_python(code) == "1 31\n"
 
 
 def test_cli_import_pulls_in_no_process_pool():
