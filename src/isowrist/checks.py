@@ -269,15 +269,19 @@ def _isotropic_couplings(wrists) -> list:
     ]
 
 
-def _chainable(wrists) -> bool:
-    """True when every class's twists and interior joints are finite and no twist makes consecutive axes parallel.
+def _unchainable(wrists) -> str:
+    """The text "; class <label> not chainable" for the first class with a non-finite twist or interior joint, or a
+    twist that makes consecutive axes parallel; "" when every class is chainable.
 
-    Else a forward chain raises on an infinite angle, or dh_from_axes_stack on |cos twist| >= 1 - TWIST_TOL; a twist
-    passes only with |cos| < 1 - 2 TWIST_TOL, so the forward chain's rounding (about 1e-16) cannot carry it there.
+    The text ends the detail of a wrist check that such a class fails.  A forward chain raises on an infinite
+    angle, and dh_from_axes_stack on |cos twist| >= 1 - TWIST_TOL; a twist passes only with |cos| < 1 - 2 TWIST_TOL,
+    so the forward chain's rounding (about 1e-16) cannot carry it there.
     """
-    twists = [a for w in wrists for a in w.twists]
-    values = twists + [t for w in wrists for t in w.interior_joints]
-    return all(map(math.isfinite, values)) and all(abs(math.cos(a)) < 1 - 2 * TWIST_TOL for a in twists)
+    for w in wrists:
+        finite = all(map(math.isfinite, (*w.twists, *w.interior_joints)))
+        if not finite or any(abs(math.cos(a)) >= 1 - 2 * TWIST_TOL for a in w.twists):
+            return f"; class {w.label} not chainable"
+    return ""
 
 
 def check_wrist_classes(wrists) -> CheckResult:
@@ -290,11 +294,13 @@ def check_wrist_classes(wrists) -> CheckResult:
     members = sorted(
         ((m.solution_index, m.ordering), CLASS_PATTERNS[w.label], m.joint_signs) for w in wrists for m in w.members
     )
-    ok = len(wrists) == len(CLASS_PATTERNS) and members == chains and _chainable(wrists)
+    unchainable = _unchainable(wrists)
+    ok = len(wrists) == len(CLASS_PATTERNS) and members == chains and not unchainable
     ok = ok and all(w.couplings == isotropic for w, isotropic in zip(wrists, _isotropic_couplings(wrists)))
     pairs = [(a, c) for w in wrists for a, c in zip(w.twists, CLASS_PATTERNS[w.label].cos_twists)]
     worst = _worst(abs(math.degrees(a) - math.degrees(math.acos(c))) for a, c in pairs)
-    return _result("wrist-classes", worst, 0.05, ok, detail="8 classes, twist triples in degrees, couplings verified")
+    detail = "8 classes, twist triples in degrees, couplings verified" + unchainable
+    return _result("wrist-classes", worst, 0.05, ok, detail=detail)
 
 
 def _by_size(items, size):
@@ -307,7 +313,8 @@ def _by_size(items, size):
 
 def check_posture_isotropy(wrists) -> CheckResult:
     margins = []
-    if wrists and _chainable(wrists):
+    unchainable = _unchainable(wrists)
+    if wrists and not unchainable:
         angles = np.linspace(0.0, 2.0 * math.pi, POSTURE_GRID, endpoint=False)
         # one row per (wrist, theta_1 grid value): the wrist's own twists and interior joints, theta_4 = nan.
         # theta_4 turns only the end-effector normal; an axis that read it would come out nan, so finite axes
@@ -320,7 +327,7 @@ def check_posture_isotropy(wrists) -> CheckResult:
         if np.isfinite(axes).all():
             _, sigma, cond, _ = isotropy_report_stack(jacobian_from_axes_stack(axes))
             margins = [np.max(np.abs(cond - 1.0)), np.max(np.abs(sigma - SIGMA_FOUR_AXES))]
-    detail = f"condition number and sigma over a {POSTURE_GRID}x{POSTURE_GRID} free-angle grid"
+    detail = f"condition number and sigma over a {POSTURE_GRID}x{POSTURE_GRID} free-angle grid" + unchainable
     return _result("posture-isotropy", _worst(margins), 1e-9, detail=detail)
 
 
@@ -337,14 +344,16 @@ def _random_chains(gen, count):
 
 def check_dh_round_trip(wrists, seed) -> CheckResult:
     margins = []
+    unchainable = _unchainable(wrists)
     chains = [(w.twists, w.interior_joints) for w in wrists] + _random_chains(random.Random(seed), DH_ROUND_TRIP_COUNT)
-    for _, group in _by_size(chains if _chainable(wrists) else [], lambda chain: len(chain[0])):
+    for _, group in _by_size([] if unchainable else chains, lambda chain: len(chain[0])):
         twists, interior = (np.array(part, dtype=float) for part in zip(*group))
         theta = np.column_stack([np.full(len(group), 0.4), interior, np.full(len(group), 1.1)])
         axes, _ = _forward_chain(twists, theta)
         back_twists, back_joints = dh_from_axes_stack(axes)
         margins += [np.max(np.abs(twists - back_twists)), np.max(np.abs(interior - back_joints[:, 1:-1]))]
-    return _result("dh-round-trip", _worst(margins), 1e-9, detail="forward kinematics then parameter recovery")
+    detail = "forward kinematics then parameter recovery" + unchainable
+    return _result("dh-round-trip", _worst(margins), 1e-9, detail=detail)
 
 
 def _random_unit_sets(gen, count):
@@ -399,7 +408,14 @@ def check_oracle(oracle_starts, seed) -> CheckResult:
 
 
 def run_checks(oracle_starts: int, seed: int) -> list:
-    """Run every invariant check; oracle_starts=0 skips only the root hunt."""
+    """Run every invariant check; oracle_starts=0 skips only the root hunt.
+
+    The root hunt runs first and is listed last.  It sets verify's peak
+    memory, and run first it grows the process from its smallest: the other
+    checks then reuse the heap it freed instead of it growing on top of
+    theirs, and its forked worker is cloned from a smaller process.
+    """
+    oracle = check_oracle(oracle_starts, seed)
     solutions = enumerate_solutions()
     wrists = distinct_wrists()
     return [
@@ -420,5 +436,5 @@ def run_checks(oracle_starts: int, seed: int) -> list:
         check_dh_round_trip(wrists, seed=seed),
         check_jacobian_moment_agreement(solutions, seed=seed),
         check_trace_identity(seed=seed),
-        check_oracle(oracle_starts, seed),
+        oracle,
     ]

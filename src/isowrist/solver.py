@@ -380,7 +380,7 @@ START_BOX = 1.5  # half-width of the cube the oracle's starts are drawn from
 MAX_ITERS = 60  # damped Newton iterations before an unconverged start is discarded
 CONVERGE_TOL = 1e-10  # residual norm below which a start has converged
 CLUSTER_RADIUS = 1e-6  # converged points this close are one root
-_SOLVE_CHUNK = 2048  # starts per Jacobian solve: a (2048, 8, 8) buffer is 1 MB and stays in cache
+_SOLVE_CHUNK = 1024  # starts per Jacobian solve: a (1024, 8, 8) buffer is 512 KB and stays in cache
 
 
 def _newton_steps(pts: np.ndarray, r: np.ndarray, jac_buf: np.ndarray) -> np.ndarray:
@@ -439,10 +439,13 @@ def _hunt_block(pts: np.ndarray) -> tuple:
     # compactly across iterations; a start is written back to pts once it converges
     active = np.nonzero(~done)[0]
     cur, r, norm = pts[active], r[active], norm[active]
+    # each (m, 8) array is deleted once it is read for the last time, so it
+    # never sits beside the next allocation
     for it in range(1, MAX_ITERS + 1):
         if active.size == 0:
             break
         step = _newton_steps(cur, r, jac_buf)
+        del r
         # backtracking line search on the residual norm: the full step for
         # every start, then halved steps for the starts still pending
         new = cur + step
@@ -459,14 +462,17 @@ def _hunt_block(pts: np.ndarray) -> tuple:
             ok = trial_norm < norm[pending]
             sel = pending[ok]
             new[sel], new_r[sel], new_norm[sel] = trial[ok], trial_r[ok], trial_norm[ok]
+            del trial, trial_r, trial_norm
             improved[sel] = True
             pending = pending[~ok]
+        del cur, step
         conv = improved & (new_norm < CONVERGE_TOL)
         pts[active[conv]] = new[conv]
         iters[active[conv]] = it
         keep = improved & ~conv
         active = active[keep]
         cur, r, norm = new[keep], new_r[keep], new_norm[keep]
+        del new, new_r, new_norm
     hits = pts[iters >= 0]
     # polish with undamped Newton so clusters collapse to machine precision;
     # converged starts lie next to simple roots, where |det J| = 256 sqrt(2)/81

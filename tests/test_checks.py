@@ -773,6 +773,7 @@ class TestBadInputFailsWithoutRaising:
             bad = dataclasses.replace(b, interior_joints=(math.nan, b.interior_joints[1]))
         result = WRIST_CHECKS[name]([wrists[0], bad, *wrists[2:]])
         assert (result.name, result.status) == (name, "FAIL")
+        assert result.detail == WRIST_CHECKS[name](wrists).detail + "; class b not chainable"
         if (name, field) == ("wrist-classes", "theta_2"):
             # its margin reads the twists alone: the coupling cross-check fails the class, the margin is kept
             assert result.worst == check_wrist_classes(wrists).worst
@@ -802,11 +803,23 @@ class TestBadInputFailsWithoutRaising:
             bad = dataclasses.replace(b, interior_joints=(value, b.interior_joints[1]))
         result = WRIST_CHECKS[name]([wrists[0], bad, *wrists[2:]])
         assert (result.name, result.status) == (name, "FAIL")
+        assert result.detail == WRIST_CHECKS[name](wrists).detail + "; class b not chainable"
         if (name, field) == ("wrist-classes", "theta_2"):
             # as with a nan theta_2, the margin reads the twists alone and is kept; the class fails the check
             assert result.worst == check_wrist_classes(wrists).worst
         else:
             assert not result.worst <= result.tolerance
+
+    @pytest.mark.parametrize("name", sorted(WRIST_CHECKS))
+    def test_fail_detail_names_the_first_class_not_chainable(self, wrists, name):
+        # a nan twist in class d and a twist of 0 in class f: the detail names d alone
+        assert [w.label for w in wrists[3:6:2]] == ["d", "f"]
+        broken = list(wrists)
+        broken[3] = dataclasses.replace(wrists[3], twists=(math.nan, *wrists[3].twists[1:]))
+        broken[5] = dataclasses.replace(wrists[5], twists=(0.0, *wrists[5].twists[1:]))
+        result, passed = WRIST_CHECKS[name](broken), WRIST_CHECKS[name](wrists)
+        assert (result.status, passed.status) == ("FAIL", "PASS")
+        assert result.detail == passed.detail + "; class d not chainable"
 
     @pytest.mark.parametrize(
         "change",
@@ -831,6 +844,48 @@ class TestBadInputFailsWithoutRaising:
         bad, good = seen
         assert bad[5] == math.inf
         assert np.array_equal(np.delete(bad, 5), np.delete(good, 5))
+
+
+#: The order of verify's lines, the hunt last.
+VERIFY_ORDER = (
+    "solution-residuals",
+    "catalog-bijection",
+    "solution-nonvanishing",
+    "solution-distinctness",
+    "axis-dot-products",
+    "antipodal-closure",
+    "reflection-closure",
+    "antipodal-map-targets",
+    "reflection-map-targets",
+    "platonic-moments",
+    "reflected-tetrahedra",
+    "line-reflection",
+    "wrist-classes",
+    "posture-isotropy",
+    "dh-round-trip",
+    "jacobian-moment-agreement",
+    "singular-value-trace",
+    "oracle-root-hunt",
+)
+
+
+@pytest.mark.parametrize("oracle_starts", [0, 64])
+def test_run_checks_hunts_first_and_lists_the_hunt_last(monkeypatch, oracle_starts):
+    # the hunt sets verify's peak memory: run first, it leaves the other checks the heap it freed
+    entered = []
+    names = [name for name in vars(checks) if name.startswith("check_")]
+    for name in names:
+
+        def recorded(*args, _name=name, _check=getattr(checks, name), **kwargs):
+            entered.append(_name)
+            return _check(*args, **kwargs)
+
+        monkeypatch.setattr(checks, name, recorded)
+    results = run_checks(oracle_starts, 0)
+    assert entered[0] == "check_oracle"
+    assert sorted(entered) == sorted(names)
+    assert tuple(r.name for r in results) == VERIFY_ORDER
+    assert (results[-1].status == "SKIP") == (oracle_starts == 0)
 
 
 def test_verify_builds_no_dh_chain(monkeypatch):

@@ -774,6 +774,22 @@ class TestOracleBlocks:
         assert int(report.iterations.sum()) == 26991
 
 
+def test_hunt_block_peak_memory_is_a_few_copies_of_the_starts():
+    # each (m, 8) array must die at its last read, and the Jacobian buffer holds _SOLVE_CHUNK matrices; arrays kept
+    # until their names are rebound, beside a (2048, 8, 8) buffer, read about 10.3x
+    pts = np.random.default_rng(0).uniform(-START_BOX, START_BOX, size=(10000, 8))
+    nbytes = pts.nbytes
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        hits, iters = solver._hunt_block(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hits.shape == (int(np.sum(iters >= 0)), 8)
+    assert peak - before < 9 * nbytes
+
+
 def _greedy_cluster(points, radius):
     """Reference clustering: one point at a time against every representative."""
     reps = []
