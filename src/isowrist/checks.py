@@ -19,9 +19,11 @@ from .classify import (
     ANTIPODAL_SUBSETS, CLASS_PATTERNS, _catalog_chains, _signatures, antipodal_map_table, chain_orderings,
     distinct_wrists, reflection_map_table, symmetry_images,
 )
-from .kinematics import TWIST_TOL, _forward_chain, dh_from_axes_stack, isotropy_report_stack, jacobian_from_axes_stack
+from .kinematics import (
+    TWIST_TOL, _forward_chain, _sum3, dh_from_axes_stack, isotropy_report_stack, jacobian_from_axes_stack,
+)
 from .solver import (
-    NONVANISHING_FLOOR, RESIDUAL_TOL, _CATALOG, _CATALOG_AXES, _axes_of, catalog_distances,
+    NONVANISHING_FLOOR, RESIDUAL_TOL, _CATALOG, _CATALOG_AXES, _axes_of, _column_max, catalog_distances,
     enumerate_solutions, oracle_root_hunt, residuals, solve_closed_form_stack,
 )
 from .spheregeom import ONE_THIRD as _T, SQRT2_THIRD as _R2, SQRT6_THIRD as _R6, TWO_SQRT2_THIRD as _S2
@@ -142,7 +144,7 @@ def check_nonvanishing(solutions) -> CheckResult:
 
 def check_distinctness(solutions) -> CheckResult:
     comps = _components(solutions)
-    gaps = np.max(np.abs(comps[:, None, :] - comps[None, :, :]), axis=-1)
+    gaps = _column_max(np.abs(comps[:, None, :] - comps[None, :, :]))
     dmin = -_worst(-gaps[np.triu_indices(len(comps), k=1)])
     status = "PASS" if dmin >= DISTINCTNESS_FLOOR else "FAIL"
     detail = "min pairwise max-norm separation (must exceed tolerance)"
@@ -231,7 +233,7 @@ def _normals(gen, count):
 def _unit_vectors(gen, count):
     """count random unit vectors (count, 3): normals from one draw, each row divided by its own norm."""
     points = _normals(gen, 3 * count).reshape(count, 3)
-    return points / np.linalg.norm(points, axis=-1, keepdims=True)
+    return points / np.sqrt(_sum3(points * points))[:, None]
 
 
 def check_line_reflection(seed) -> CheckResult:
@@ -345,13 +347,25 @@ def _random_chains(gen, count):
 def check_dh_round_trip(wrists, seed) -> CheckResult:
     margins = []
     unchainable = _unchainable(wrists)
-    chains = [(w.twists, w.interior_joints) for w in wrists] + _random_chains(random.Random(seed), DH_ROUND_TRIP_COUNT)
-    for _, group in _by_size([] if unchainable else chains, lambda chain: len(chain[0])):
-        twists, interior = (np.array(part, dtype=float) for part in zip(*group))
-        theta = np.column_stack([np.full(len(group), 0.4), interior, np.full(len(group), 1.1)])
+    if not unchainable:
+        chains = [(w.twists, w.interior_joints) for w in wrists]
+        chains += _random_chains(random.Random(seed), DH_ROUND_TRIP_COUNT)
+        # one forward chain and one recovery serve every chain length: each chain is padded with twists of pi/2 and
+        # zero joints.  Axis k+1 reads only the twists and joints before it, and a recovered value only its own
+        # axes, so the chain's own values keep their bits; the margins read those alone
+        sizes = np.array([len(chain_twists) for chain_twists, _ in chains])
+        valid = np.arange(np.max(sizes)) < sizes[:, None]
+        twists = np.full(valid.shape, math.pi / 2)
+        twists[valid] = np.concatenate([chain_twists for chain_twists, _ in chains])
+        interior = np.zeros((len(chains), valid.shape[1] - 1))
+        interior[valid[:, 1:]] = np.concatenate([joints for _, joints in chains])
+        theta = np.column_stack([np.full(len(chains), 0.4), interior, np.full(len(chains), 1.1)])
         axes, _ = _forward_chain(twists, theta)
         back_twists, back_joints = dh_from_axes_stack(axes)
-        margins += [np.max(np.abs(twists - back_twists)), np.max(np.abs(interior - back_joints[:, 1:-1]))]
+        margins = [
+            np.max(np.abs(twists - back_twists)[valid]),
+            np.max(np.abs(interior - back_joints[:, 1:-1])[valid[:, 1:]]),
+        ]
     detail = "forward kinematics then parameter recovery" + unchainable
     return _result("dh-round-trip", _worst(margins), 1e-9, detail=detail)
 

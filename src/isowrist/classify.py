@@ -29,7 +29,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kinematics import DHChain, _cross, _forward_chain, dh_from_axes_stack, isotropy_report, jacobian_from_axes
+from .kinematics import (
+    DHChain, _cross, _forward_chain, _require_finite_joints, dh_from_axes_stack, isotropy_report, jacobian_from_axes,
+)
 from .solver import CATALOG_MAGNITUDES, CATALOG_SIGNS, TRIVIAL_SET_INDEX, _AXIS_SLOTS, _axes_of, catalog_rows
 from .spheregeom import ONE_THIRD, PointSet, _antipodal_signs
 
@@ -190,9 +192,14 @@ def _snapped_cosines(angles: np.ndarray) -> list:
     np.cos and np.round may differ from them in the last bit.
     """
     cos = np.array([math.cos(a) for a in angles.ravel().tolist()]).reshape(angles.shape)
-    near = np.abs(cos[..., None] - _SNAP_CANDIDATES) <= SIGNATURE_TOL
-    snapped = near.any(axis=-1)
-    values = np.where(snapped, _SNAP_CANDIDATES[np.argmax(near, axis=-1)], cos).tolist()
+    snapped = np.zeros(cos.shape, dtype=bool)
+    values = cos.copy()
+    # one candidate at a time, last first, so the first candidate near a cosine is the one written last
+    for candidate in _SNAP_CANDIDATES[::-1].tolist():
+        near = np.abs(cos - candidate) <= SIGNATURE_TOL
+        values[near] = candidate
+        snapped |= near
+    values = values.tolist()
     for i, j in zip(*np.nonzero(~snapped)):
         values[i][j] = round(values[i][j], 9)
     return values
@@ -347,9 +354,11 @@ def isotropic_posture_geometry(w: WristClass, theta_1: float, theta_4: float) ->
 
     theta_1 and theta_4 are the free joint angles in radians; varying
     them rotates the geometry about the first axis and the task frame
-    about the last axis, so isotropy is independent of both.
+    about the last axis, so isotropy is independent of both.  Both must
+    be finite.
     """
-    theta = (theta_1,) + w.interior_joints + (theta_4,)
+    theta = (float(theta_1),) + w.interior_joints + (float(theta_4),)
+    _require_finite_joints(theta)
     axes_arr, normals = _forward_chain([w.twists], [theta])
     z, x = axes_arr[0], normals[0]
     frames = np.stack([x, _cross(z, x), z], axis=-1)

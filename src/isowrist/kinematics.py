@@ -47,15 +47,20 @@ class DHChain:
         for a in twists:
             if not TWIST_TOL < a < math.pi - TWIST_TOL:
                 raise ValueError(f"twist {a!r} outside (0, pi): consecutive axes parallel or antiparallel")
-        for k, t in enumerate(joints, start=1):
-            if not math.isfinite(t):
-                raise ValueError(f"joint angle theta_{k} = {t!r} is not finite")
+        _require_finite_joints(joints)
         object.__setattr__(self, "twists", twists)
         object.__setattr__(self, "joints", joints)
 
     @property
     def n(self) -> int:
         return len(self.joints)
+
+
+def _require_finite_joints(theta: Sequence[float]) -> None:
+    """Raise ValueError naming the first of the joint angles theta_1, theta_2, ... that is not finite."""
+    for k, t in enumerate(theta, start=1):
+        if not math.isfinite(t):
+            raise ValueError(f"joint angle theta_{k} = {t!r} is not finite")
 
 
 @dataclass(frozen=True)
@@ -122,7 +127,8 @@ def isotropy_report_stack(j: np.ndarray):
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = np.where(smin > 0.0, smax / smin, math.inf)
     iso = (smax - smin <= ISO_TOL) & (smin > ISO_TOL)
-    return sv, np.mean(sv, axis=-1), cond, iso
+    # np.mean's bits: the sum from _sum3, divided by the count
+    return sv, _sum3(sv) / 3, cond, iso
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -138,6 +144,21 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
     b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
     return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
+def _sum3(a: np.ndarray) -> np.ndarray:
+    """Sums of a (..., 3) over the last axis, equal to np.sum(a, axis=-1) bit for bit, sign of zero included.
+
+    numpy adds the three entries in order onto its identity 0.0, as
+    ((0.0 + a0) + a1) + a2; the 0.0 only turns a sum of -0.0 into 0.0.
+    Column sums skip the reduction machinery, which dominates on so short
+    an axis.  A dot product is _sum3(a * b), a Euclidean norm
+    np.sqrt(_sum3(a * a)), both equal to the numpy forms.
+    """
+    total = a[..., 0] + 0.0
+    total += a[..., 1]
+    total += a[..., 2]
+    return total
 
 
 def _turn(axis: np.ndarray, angle: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -183,10 +204,12 @@ def forward_axes(dh: DHChain, theta: Sequence[float]) -> PointSet:
     theta must supply all n angles explicitly, including the free first
     and last ones.  Round trip: dh_from_axes(forward_axes(dh, theta))
     reproduces the twists and the interior angles theta_2..theta_{n-1}.
+    Every angle must be finite.
     """
     theta = [float(t) for t in theta]
     if len(theta) != dh.n:
         raise ValueError(f"expected {dh.n} joint angles, got {len(theta)}")
+    _require_finite_joints(theta)
     axes, _ = _forward_chain([dh.twists], [theta])
     return PointSet(axes[0])
 
@@ -208,21 +231,24 @@ def dh_from_axes_stack(a: np.ndarray):
 
     Returns (twists (m, n-1), joints (m, n)); each row equals the
     parameters dh_from_axes recovers from that axis set alone, bit for
-    bit.  Raises ValueError if any row has a degenerate twist, which also
-    keeps every twist inside the range DHChain accepts.  The axes are not
-    validated; pass unit vectors.
+    bit: twist alpha_k reads axes k and k+1 alone, and joint theta_k axes
+    k-1..k+1.  The twist dots and the squared norms of the common normals
+    are summed over x, y, z in that order (_sum3); the joints' sine and
+    cosine dots are batched matmuls.  Raises ValueError if any row has a
+    degenerate twist, which also keeps every twist inside the range
+    DHChain accepts.  The axes are not validated; pass unit vectors.
     """
     a = np.asarray(a, dtype=float)
     m, n, _ = a.shape
     if n < 2:
         raise ValueError("need at least two axes")
-    dots = np.sum(a[:, :-1] * a[:, 1:], axis=-1)
+    dots = _sum3(a[:, :-1] * a[:, 1:])
     if np.any(np.abs(dots) >= 1.0 - TWIST_TOL):
         raise ValueError("degenerate twist: consecutive axes parallel or antiparallel")
     twists = np.array([math.acos(d) for d in dots.ravel().tolist()]).reshape(m, n - 1)
     # unit common normals x_i between axes i and i+1
     crosses = _cross(a[:, :-1], a[:, 1:])
-    normals = crosses / np.linalg.norm(crosses, axis=-1, keepdims=True)
+    normals = crosses / np.sqrt(_sum3(crosses * crosses))[..., None]
     x_prev, x_next = normals[:, :-1], normals[:, 1:]
     turns = _cross(x_prev, x_next)
     # the batched matmul takes each dot product exactly as np.dot of two 3-vectors does

@@ -260,12 +260,33 @@ def solve_closed_form_stack(patterns) -> np.ndarray:
     return points
 
 
+def _column_max(a: np.ndarray) -> np.ndarray:
+    """Maxima of a (..., k) over its last axis, equal to np.max(a, axis=-1) bit for bit, nan kept.
+
+    A running np.maximum over the k columns skips the reduction machinery,
+    which dominates on a short axis.  Max is exact, so the order changes no
+    value; only a zero or nan maximum may differ in sign where a row holds
+    both signs of it, so the callers pass absolute values.
+    """
+    out = a[..., 0].copy()
+    for k in range(1, a.shape[-1]):
+        np.maximum(out, a[..., k], out=out)
+    return out
+
+
 def catalog_distances(axes) -> np.ndarray:
     """Max-norm distances from axis sets (..., 4, 3) to the 32 catalog axis sets.
 
-    Entry [..., k] is the distance to catalog row k + 1.
+    Entry [..., k] is the distance to catalog row k + 1: the largest
+    |difference| over the 12 coordinates, a nan one kept.  No sum enters:
+    the maxima run over x, y, z and then over the four axes, and max is
+    exact, so the result equals np.max over both axes bit for bit.
+    Raises ValueError for any other shape.
     """
-    return np.max(np.abs(np.asarray(axes, dtype=float)[..., None, :, :] - _CATALOG_AXES), axis=(-2, -1))
+    a = np.asarray(axes, dtype=float)
+    if a.shape[-2:] != (4, 3):
+        raise ValueError(f"expected axis sets of shape (..., 4, 3), got shape {a.shape}")
+    return _column_max(_column_max(np.abs(a[..., None, :, :] - _CATALOG_AXES)))
 
 
 def catalog_rows(signs) -> list:

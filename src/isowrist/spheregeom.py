@@ -16,6 +16,7 @@ so everything here is safe to call concurrently.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, NamedTuple
@@ -161,8 +162,13 @@ def isotropy_of(h: np.ndarray) -> IsotropyCheck:
 
 
 def isotropy_of_stack(h: np.ndarray):
-    """isotropy_of for a stack (..., 3, 3) of tensors: (isotropic, sigma_sq) arrays of shape (...)."""
+    """isotropy_of for a stack (..., 3, 3) of tensors: (isotropic, sigma_sq) arrays of shape (...).
+
+    Raises ValueError for any other shape.
+    """
     h = np.asarray(h, dtype=float)
+    if h.shape[-2:] != (3, 3):
+        raise ValueError(f"expected 3x3 tensors of shape (..., 3, 3), got shape {h.shape}")
     sigma_sq = np.trace(h, axis1=-2, axis2=-1) / 3.0
     dev = np.max(np.abs(h - sigma_sq[..., None, None] * np.eye(3)), axis=(-2, -1))
     return (dev <= ISO_TOL) & (sigma_sq > ISO_TOL), sigma_sq
@@ -214,11 +220,12 @@ def antipodal_exchange(s: PointSet, subset: Iterable[int]) -> PointSet:
 def _antipodal_signs(n: int, subset: Iterable[int]) -> np.ndarray:
     """Factor -1 for each 1-based index k in subset and 1 for the other points of an n-point set, shape (n, 1).
 
-    Multiplying by -1 gives the same bits as negating.  Raises IndexError
-    for the smallest index outside 1..n.
+    Multiplying by -1 gives the same bits as negating.  Raises TypeError
+    for an index that is not an integer, and IndexError for the smallest
+    index outside 1..n.
     """
     signs = np.ones((n, 1))
-    for k in sorted(set(int(k) for k in subset)):
+    for k in sorted(set(map(operator.index, subset))):
         if not 1 <= k <= n:
             raise IndexError(f"antipodal index {k} out of range 1..{n}")
         signs[k - 1] = -1.0
@@ -259,9 +266,15 @@ def rotation_about_axis(axis, angle) -> np.ndarray:
 
     axis is one unit 3-vector or a stack (..., 3); angle is a scalar or an
     array (...); the two broadcast and the result has shape (..., 3, 3).
-    Every axis must have unit norm within UNIT_TOL.
+    Every axis must have unit norm within UNIT_TOL and every angle must be
+    finite.
     """
-    return _rotation(_as_unit(axis), angle)
+    e = _as_unit(axis)
+    angle = np.asarray(angle, dtype=float)
+    finite = np.isfinite(angle)
+    if not finite.all():
+        raise ValueError(f"rotation angle {angle[~finite].ravel()[0].item()!r} is not finite")
+    return _rotation(e, angle)
 
 
 def _rotation(e: np.ndarray, angle) -> np.ndarray:

@@ -354,6 +354,25 @@ class TestStackedSampleChecksEqualLoops:
         assert np.isnan(calls[0][:, -1]).all() and np.isfinite(calls[0][:, :-1]).all()
         assert svds == [(len(wrists) * POSTURE_GRID, 3, 4)]
 
+    def test_one_forward_chain_and_recovery_for_every_chain_length(self, wrists, monkeypatch):
+        chains, recoveries = [], []
+
+        def counted(twists, theta):
+            chains.append(np.array(theta))
+            return _forward_chain(twists, theta)
+
+        def counted_dh(a):
+            recoveries.append(np.shape(a))
+            return dh_from_axes_stack(a)
+
+        monkeypatch.setattr(checks, "_forward_chain", counted)
+        monkeypatch.setattr(checks, "dh_from_axes_stack", counted_dh)
+        assert check_dh_round_trip(wrists, seed=0).status == "PASS"
+        # the wrists and the random chains of 3..6 joints, padded to the longest
+        rows = len(wrists) + DH_ROUND_TRIP_COUNT
+        assert [theta.shape for theta in chains] == [(rows, 6)]
+        assert recoveries == [(rows, 6, 3)]
+
     def test_axes_that_read_theta_4_fail_without_raising(self, wrists, monkeypatch):
         def reads_theta_4(twists, theta):
             axes, normals = _forward_chain(twists, theta)
@@ -661,10 +680,27 @@ class TestNanMarginFails:
         self.assert_fails_on_nan(check_posture_isotropy(wrists))
 
     def test_dh_round_trip(self, wrists, monkeypatch):
-        # the recovered twists of the second chain-size group
-        poison = lambda back: (with_nan_at((0, 0))(back[0]), back[1])  # noqa: E731
-        monkeypatch.setattr(checks, "dh_from_axes_stack", nan_on_call(checks.dh_from_axes_stack, 2, poison))
+        # one recovery serves every chain: the second wrist's last recovered twist is a chain's own value
+        poison = lambda back: (with_nan_at((1, 2))(back[0]), back[1])  # noqa: E731
+        monkeypatch.setattr(checks, "dh_from_axes_stack", nan_on_call(checks.dh_from_axes_stack, 1, poison))
         self.assert_fails_on_nan(check_dh_round_trip(wrists, seed=0))
+
+    def test_dh_round_trip_reads_no_padding(self, wrists, monkeypatch):
+        # a nan in every padded twist and joint, the recovered values past each chain's own end, changes nothing
+        def nan_past_each_end(a):
+            twists, joints = dh_from_axes_stack(a)
+            padded = np.arange(twists.shape[1]) >= sizes[:, None]
+            twists[padded], joints[:, :-1][padded] = math.nan, math.nan
+            return twists, joints
+
+        random_chains = checks._random_chains(random.Random(0), DH_ROUND_TRIP_COUNT)
+        sizes = np.array([len(w.twists) for w in wrists] + [len(twists) for twists, _ in random_chains])
+        assert (sizes < np.max(sizes)).any()
+        monkeypatch.setattr(checks, "dh_from_axes_stack", nan_past_each_end)
+        result = check_dh_round_trip(wrists, seed=0)
+        monkeypatch.undo()
+        assert result == check_dh_round_trip(wrists, seed=0)
+        assert result.status == "PASS"
 
     def test_jacobian_moment_agreement(self, solutions, monkeypatch):
         # the second moments of the second point-count group

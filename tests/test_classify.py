@@ -539,6 +539,14 @@ class TestPostureGeometry:
         rot = rotation_about_axis([1.0, 0.0, 0.0], math.pi / 4)
         assert np.max(np.abs(turned.axes.array - base.axes.array @ rot.T)) < 1e-12
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_free_angle_is_named(self, wrists, value):
+        # an infinite angle once raised "math domain error", and a nan one a message about a vector's norm
+        with pytest.raises(ValueError, match=rf"theta_1 = {value!r} is not finite"):
+            isotropic_posture_geometry(wrists[0], value, 0.0)
+        with pytest.raises(ValueError, match=rf"theta_4 = {value!r} is not finite"):
+            isotropic_posture_geometry(wrists[0], 0.0, value)
+
     def test_frames_are_orthonormal_with_axis_z(self, wrists):
         geo = isotropic_posture_geometry(wrists[3], 0.3, 1.2)
         for k, frame in enumerate(geo.frames):

@@ -3,6 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from isowrist import kinematics, spheregeom
 from isowrist.checks import check_dh_round_trip
@@ -11,6 +14,7 @@ from isowrist.kinematics import (
     DHChain,
     _cross,
     _forward_chain,
+    _sum3,
     dh_from_axes,
     dh_from_axes_stack,
     forward_axes,
@@ -128,6 +132,15 @@ class TestForwardAxes:
         dh = DHChain((ALPHA_OBTUSE,), (0.0, 0.0))
         with pytest.raises(ValueError, match="joint angles"):
             forward_axes(dh, (0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_angle_is_named(self, value):
+        # an infinite angle once raised "math domain error", and a nan one gave nan axes
+        dh = table_chain("a")
+        with pytest.raises(ValueError, match=rf"theta_1 = {value!r} is not finite"):
+            forward_axes(dh, (value, *dh.joints[1:]))
+        with pytest.raises(ValueError, match=rf"theta_4 = {value!r} is not finite"):
+            forward_axes(dh, (*dh.joints[:3], value))
 
 
 class TestStackedForwardChain:
@@ -347,6 +360,43 @@ class TestCross:
             assert got.dtype == expected.dtype
             # signbit tells -0.0 from 0.0, which array_equal does not
             assert np.array_equal(got, expected) and np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+#: Entries that stress a column sum: signed zeros, subnormals, infinities, NaN, squares that overflow
+#: (1e200) or underflow, next to ordinary magnitudes whose sums round.
+_sum_entries = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 1e-160, np.inf, -np.inf, np.nan, 1e200, -1e200]),
+    st.floats(-1e3, 1e3),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+#: Stacks (..., 3): one vector, rows, and stacks of rows.
+_sum_shapes = st.lists(st.integers(1, 40), max_size=2).map(lambda lead: (*lead, 3))
+
+
+def _assert_bits_equal(got, expected):
+    assert got.shape == expected.shape
+    # signbit tells -0.0 from 0.0, and a negative nan from a positive one, which array_equal does not
+    assert np.array_equal(got, expected, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+class TestSum3:
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(st.data())
+    def test_equals_numpy_sums_and_norms(self, data):
+        shape = data.draw(_sum_shapes)
+        a = data.draw(hnp.arrays(np.float64, shape, elements=_sum_entries))
+        b = data.draw(hnp.arrays(np.float64, shape, elements=_sum_entries))
+        with np.errstate(over="ignore", invalid="ignore"):
+            _assert_bits_equal(_sum3(a), np.sum(a, axis=-1))
+            _assert_bits_equal(_sum3(a * b), np.sum(a * b, axis=-1))
+            _assert_bits_equal(np.sqrt(_sum3(a * a)), np.linalg.norm(a, axis=-1))
+            _assert_bits_equal(_sum3(a) / 3, np.mean(a, axis=-1))
+
+    def test_sum_of_negative_zeros_is_positive_zero(self):
+        # numpy adds onto its identity 0.0, so a row of -0.0 sums to 0.0, as np.sum gives
+        _assert_bits_equal(_sum3(np.full((2, 3), -0.0)), np.zeros(2))
 
 
 class TestRoundTrip:

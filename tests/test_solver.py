@@ -22,7 +22,9 @@ from isowrist.classify import _SYMMETRY_SIGNS, ANTIPODAL_SUBSETS, REFLECTIONS
 from isowrist.checks import check_catalog_bijection, check_distinctness, check_nonvanishing, check_oracle
 from isowrist.solver import (
     _axes_of,
+    _CATALOG_AXES,
     _cluster,
+    _column_max,
     _jacobian_batch,
     _newton_steps,
     _row_norms,
@@ -261,6 +263,15 @@ class TestEnumerate:
         assert (r19.u, r19.v) == (r18.u, r18.v)
 
 
+#: Entries that stress a row norm: signed zeros, subnormals, infinities, NaN, squares that overflow
+#: (1e200) or underflow, next to ordinary magnitudes whose sums round.
+_norm_entries = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 1e-160, np.inf, -np.inf, np.nan, 1e200, -1e200]),
+    st.floats(-1e3, 1e3),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
 class TestCatalogLookup:
     def test_each_row_matches_itself(self):
         for k, row in enumerate(SOLUTION_CATALOG, start=1):
@@ -280,6 +291,29 @@ class TestCatalogLookup:
         d = catalog_distances(stack)
         assert d.shape == (32, 32)
         assert np.array_equal(np.diag(d), np.zeros(32))
+
+    @pytest.mark.parametrize("shape", [(1, 3), (4, 1), (3,), (4,), (), (2, 3, 4), (4, 3, 1)])
+    def test_axes_of_another_shape_raise(self, shape):
+        # no broadcast: one 3-vector or a (4, 1) column is not an axis set
+        with pytest.raises(ValueError, match=re.escape(f"expected axis sets of shape (..., 4, 3), got shape {shape}")):
+            catalog_distances(np.ones(shape))
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.sampled_from([(4, 3), (0, 4, 3), (1, 4, 3), (5, 4, 3), (2, 3, 4, 3), (1, 32, 4, 3)]),
+            elements=_norm_entries,
+        )
+    )
+    def test_distances_equal_the_broadcast_max(self, axes):
+        # the definition: the max-norm of the differences over each catalog row's 12 coordinates
+        with np.errstate(invalid="ignore"):
+            expected = np.max(np.abs(axes[..., None, :, :] - _CATALOG_AXES), axis=(-2, -1))
+            d = catalog_distances(axes)
+        assert d.shape == axes.shape[:-2] + (32,)
+        assert np.array_equal(d, expected, equal_nan=True)
+        assert np.array_equal(np.signbit(d), np.signbit(expected))
 
 
 #: Each magnitude is sqrt(m_k)/3; the positions of the unknowns (c, s, x, y, z, u, v, w).
@@ -799,15 +833,6 @@ def _greedy_cluster(points, radius):
     return np.array(reps) if reps else np.empty((0, 8))
 
 
-#: Entries that stress a row norm: signed zeros, subnormals, infinities, NaN, squares that overflow
-#: (1e200) or underflow, next to ordinary magnitudes whose sums round.
-_norm_entries = st.one_of(
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 1e-160, np.inf, -np.inf, np.nan, 1e200, -1e200]),
-    st.floats(-1e3, 1e3),
-    st.floats(allow_nan=True, allow_infinity=True),
-)
-
-
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
 @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 300), st.just(8)), elements=_norm_entries))
 def test_row_norms_are_bit_equal_to_numpy(r):
@@ -817,6 +842,26 @@ def test_row_norms_are_bit_equal_to_numpy(r):
         norms = _row_norms(r)
     assert np.array_equal(norms, expected, equal_nan=True)
     assert np.array_equal(np.signbit(norms), np.signbit(expected))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(
+    hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(0, 3), st.integers(1, 40), st.integers(1, 12)).map(lambda s: s[: s[0]] + s[1:]),
+        elements=_norm_entries,
+    )
+)
+def test_column_maxima_are_bit_equal_to_numpy(a):
+    # np.max and np.maximum may pick either zero, or either nan, of a row that holds both signs of it; the callers
+    # pass absolute values
+    a[a == 0.0] = 0.0
+    a[np.isnan(a)] = np.nan
+    maxima = _column_max(a)
+    expected = np.max(a, axis=-1)
+    assert maxima.shape == expected.shape
+    assert np.array_equal(maxima, expected, equal_nan=True)
+    assert np.array_equal(np.signbit(maxima), np.signbit(expected))
 
 
 def _assert_same_cover(cloud, radius):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -92,6 +93,15 @@ class TestIsotropyOf:
     def test_zero_tensor_not_isotropic(self):
         assert not isotropy_of(np.zeros((3, 3))).isotropic
 
+    @pytest.mark.parametrize("shape", [(1, 3), (3, 1), (3,), (), (4, 4), (2, 3, 4)])
+    def test_tensor_of_another_shape_raises(self, shape):
+        # no broadcast: a (1, 3) row once got a verdict as if it were a 3x3 tensor
+        message = re.escape(f"expected 3x3 tensors of shape (..., 3, 3), got shape {shape}")
+        with pytest.raises(ValueError, match=message):
+            isotropy_of(np.ones(shape))
+        with pytest.raises(ValueError, match=message):
+            isotropy_of_stack(np.ones(shape))
+
 
 class TestPlatonic:
     @pytest.mark.parametrize("kind", list(PlatonicSolid))
@@ -145,6 +155,20 @@ class TestAntipodalExchange:
             antipodal_exchange(PointSet(TETRAHEDRON), {0})
         with pytest.raises(IndexError, match="antipodal index 0 out of range 1..4"):
             antipodal_exchange(PointSet(TETRAHEDRON), {5, 2, 0})
+        with pytest.raises(IndexError, match="antipodal index -1 out of range 1..4"):
+            antipodal_exchange(PointSet(TETRAHEDRON), [np.int64(-1)])
+
+    @pytest.mark.parametrize("index", [1.5, 2.0, "2", np.float64(3.0), None], ids=repr)
+    def test_non_integer_index_raises(self, index):
+        # int() once took 1.5 for point 1 and "2" for point 2
+        with pytest.raises(TypeError):
+            antipodal_exchange(PointSet(TETRAHEDRON), [index])
+
+    def test_integer_indices_of_any_type(self):
+        ps = PointSet(TETRAHEDRON)
+        expected = antipodal_exchange(ps, [2, 4]).array
+        for subset in ([np.int64(2), np.int32(4)], np.array([4, 2]), range(2, 5, 2)):
+            assert np.array_equal(antipodal_exchange(ps, subset).array, expected)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_every_subset_equals_point_negation_bit_for_bit(self, n):
@@ -298,6 +322,14 @@ class TestStackedForms:
     def test_rotation_rejects_a_non_unit_axis(self, scale):
         with pytest.raises(ValueError, match="norm"):
             rotation_about_axis(np.array([0.6, 0.0, 0.8]) * scale, 0.3)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_rotation_rejects_a_non_finite_angle(self, value):
+        # an infinite angle once raised "math domain error", and a nan one gave a nan matrix
+        with pytest.raises(ValueError, match=rf"rotation angle {value!r} is not finite"):
+            rotation_about_axis([1.0, 0.0, 0.0], value)
+        with pytest.raises(ValueError, match=rf"rotation angle {value!r} is not finite"):
+            rotation_about_axis(random_unit_rows(np.random.default_rng(16), 3), [0.1, value, 0.2])
 
     def test_one_non_unit_axis_in_a_stack_is_rejected(self):
         axes = random_unit_rows(np.random.default_rng(14), 10)
