@@ -19,11 +19,9 @@ from .classify import (
     ANTIPODAL_SUBSETS, CLASS_PATTERNS, _catalog_chains, _signatures, antipodal_map_table, chain_orderings,
     distinct_wrists, reflection_map_table, symmetry_images,
 )
-from .kinematics import (
-    TWIST_TOL, _forward_chain, _sum3, dh_from_axes_stack, isotropy_report_stack, jacobian_from_axes_stack,
-)
+from .kinematics import TWIST_TOL, _forward_chain, dh_from_axes_stack, isotropy_report_stack, jacobian_from_axes_stack
 from .solver import (
-    NONVANISHING_FLOOR, RESIDUAL_TOL, _CATALOG, _CATALOG_AXES, _axes_of, _column_max, catalog_distances,
+    NONVANISHING_FLOOR, RESIDUAL_TOL, _CATALOG, _CATALOG_AXES, _axes_of, _column_max, _row_norms, catalog_distances,
     enumerate_solutions, oracle_root_hunt, residuals, solve_closed_form_stack,
 )
 from .spheregeom import ONE_THIRD as _T, SQRT2_THIRD as _R2, SQRT6_THIRD as _R6, TWO_SQRT2_THIRD as _S2
@@ -32,6 +30,7 @@ from .spheregeom import (
     PointSet,
     TETRAHEDRON,
     _line_reflection,
+    _sum3,
     isotropy_of,
     isotropy_of_stack,
     platonic_vertices,
@@ -305,14 +304,6 @@ def check_wrist_classes(wrists) -> CheckResult:
     return _result("wrist-classes", worst, 0.05, ok, detail=detail)
 
 
-def _by_size(items, size):
-    """Group items by size(item): yields (n, [items of size n]) in ascending n, input order kept."""
-    groups = {}
-    for item in items:
-        groups.setdefault(size(item), []).append(item)
-    yield from sorted(groups.items())
-
-
 def check_posture_isotropy(wrists) -> CheckResult:
     margins = []
     unchainable = _unchainable(wrists)
@@ -386,8 +377,9 @@ def check_jacobian_moment_agreement(solutions, seed) -> CheckResult:
     agree = True
     stacks = [_axes_of(_components(solutions))] + [platonic_vertices(k).array[None] for k in PlatonicSolid]
     stacks += [stack for _, stack in _random_unit_sets(random.Random(seed), MOMENT_AGREEMENT_COUNT)]
-    for _, group in _by_size(stacks, lambda stack: stack.shape[1]):
-        stack = np.concatenate(group)
+    # one stack per set size, in ascending size, input order kept within it
+    for n in sorted({stack.shape[1] for stack in stacks}):
+        stack = np.concatenate([group for group in stacks if group.shape[1] == n])
         j = jacobian_from_axes_stack(stack)
         h = second_moment_stack(stack)
         margins.append(np.max(np.abs(j @ j.swapaxes(1, 2) - h)))
@@ -411,7 +403,7 @@ def check_oracle(oracle_starts, seed) -> CheckResult:
         return CheckResult("oracle-root-hunt", "SKIP", 0.0, ORACLE_ROOT_TOL, "skipped (0 starts)")
     report = oracle_root_hunt(n_starts=oracle_starts, seed=seed)
     # Euclidean distance to the nearest catalog row; the max-norm of catalog_distances would loosen the check
-    gaps = np.linalg.norm(report.roots[:, None, :] - _CATALOG, axis=-1)
+    gaps = _row_norms((report.roots[:, None, :] - _CATALOG).reshape(-1, 8)).reshape(-1, len(_CATALOG))
     worst = _worst(np.min(gaps, axis=1))
     ok = report.n_roots == len(_CATALOG)
     detail = (

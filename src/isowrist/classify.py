@@ -30,10 +30,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .kinematics import (
-    DHChain, _cross, _forward_chain, _require_finite_joints, dh_from_axes_stack, isotropy_report, jacobian_from_axes,
+    DHChain, _forward_chain, _require_finite_joints, dh_from_axes_stack, isotropy_report, jacobian_from_axes,
 )
 from .solver import CATALOG_MAGNITUDES, CATALOG_SIGNS, TRIVIAL_SET_INDEX, _AXIS_SLOTS, _axes_of, catalog_rows
-from .spheregeom import ONE_THIRD, PointSet, _antipodal_signs
+from .spheregeom import ONE_THIRD, PointSet, _antipodal_signs, _cross
 
 SIGNATURE_TOL = 1e-9
 

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .spheregeom import ISO_TOL, PointSet, _norms, _rotation
+from .spheregeom import ISO_TOL, PointSet, _cross, _norms, _point_stack, _rotation, _sum3
 
 TWIST_TOL = 1e-9
 
@@ -86,12 +86,10 @@ def jacobian_from_axes_stack(a: np.ndarray) -> np.ndarray:
     """jacobian_from_axes of a stack (..., n, 3) of axis arrays: J of shape (..., 3, n).
 
     Each entry equals jacobian_from_axes of that axis set alone.  The axes
-    are not validated; pass unit vectors.
+    are not validated; pass unit vectors.  Raises ValueError for any other
+    shape, and for an empty axis set.
     """
-    a = np.asarray(a, dtype=float)
-    if a.shape[-2] == 0:
-        raise ValueError("empty point set")
-    return np.ascontiguousarray(a.swapaxes(-1, -2))
+    return np.ascontiguousarray(_point_stack(a).swapaxes(-1, -2))
 
 
 def isotropy_report(j: np.ndarray) -> IsotropyReport:
@@ -113,16 +111,18 @@ def isotropy_report_stack(j: np.ndarray):
     stack, and each entry equals the one isotropy_report gives for that
     Jacobian alone.  A Jacobian with a non-finite entry gets nan singular
     values, so it is not isotropic, and the others keep their bits.
+    Raises ValueError for any shape but (..., 3, n).
     """
     j = np.asarray(j, dtype=float)
+    if j.ndim < 2 or j.shape[-2] != 3:
+        raise ValueError(f"expected Jacobians of shape (..., 3, n), got shape {j.shape}")
     # LAPACK prints to the terminal, and may not converge, on a nan or inf entry: such Jacobians enter the SVD as zeros
     finite = np.isfinite(j).all(axis=(-2, -1))
     sv = np.linalg.svd(np.where(finite[..., None, None], j, 0.0), compute_uv=False)
     sv[~finite] = math.nan
     # fewer than three columns leave implicit zero singular values
-    pad = 3 - min(j.shape[-2:])
-    if pad > 0:
-        sv = np.concatenate([sv, np.zeros(sv.shape[:-1] + (pad,))], axis=-1)
+    if j.shape[-1] < 3:
+        sv = np.concatenate([sv, np.zeros(sv.shape[:-1] + (3 - j.shape[-1],))], axis=-1)
     smax, smin = sv[..., 0], sv[..., -1]
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = np.where(smin > 0.0, smax / smin, math.inf)
@@ -133,32 +133,6 @@ def isotropy_report_stack(j: np.ndarray):
 
 def _unit(v: np.ndarray) -> np.ndarray:
     return v / _norms(v)
-
-
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross products of a (..., 3) and b (..., 3) over the last axis, equal to np.cross bit for bit.
-
-    The same three products and differences as np.cross, without its axis
-    handling; integer stacks stay integer.
-    """
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
-
-
-def _sum3(a: np.ndarray) -> np.ndarray:
-    """Sums of a (..., 3) over the last axis, equal to np.sum(a, axis=-1) bit for bit, sign of zero included.
-
-    numpy adds the three entries in order onto its identity 0.0, as
-    ((0.0 + a0) + a1) + a2; the 0.0 only turns a sum of -0.0 into 0.0.
-    Column sums skip the reduction machinery, which dominates on so short
-    an axis.  A dot product is _sum3(a * b), a Euclidean norm
-    np.sqrt(_sum3(a * a)), both equal to the numpy forms.
-    """
-    total = a[..., 0] + 0.0
-    total += a[..., 1]
-    total += a[..., 2]
-    return total
 
 
 def _turn(axis: np.ndarray, angle: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -9,6 +9,9 @@ unit vectors {e_k} is isotropic when its second-moment tensor
 is a multiple of the identity, H = sigma^2 * I; taking the trace shows
 the multiplier is always sigma^2 = n/3 for n unit vectors.
 
+Every other module imports this one, so the library's sums and cross
+products of 3-vectors live here too: _sum3 and _cross.
+
 All types are immutable values and all operations are pure functions,
 so everything here is safe to call concurrently.
 """
@@ -37,6 +40,33 @@ def _norms(a: np.ndarray) -> np.ndarray:
     ``v @ v`` does, so stacked and single-vector norms agree bit for bit.
     """
     return np.sqrt(a[..., None, :] @ a[..., :, None])[..., 0]
+
+
+def _sum3(a: np.ndarray) -> np.ndarray:
+    """Sums of a (..., 3) over the last axis, equal to np.sum(a, axis=-1) bit for bit, sign of zero included.
+
+    numpy adds the three entries in order onto its identity 0.0, as
+    ((0.0 + a0) + a1) + a2; the 0.0 only turns a sum of -0.0 into 0.0.
+    Column sums skip the reduction machinery, which dominates on so short
+    an axis.  A dot product is _sum3(a * b), a Euclidean norm
+    np.sqrt(_sum3(a * a)) and a 3x3 trace _sum3 of the diagonal, each
+    equal to the numpy form.
+    """
+    total = a[..., 0] + 0.0
+    total += a[..., 1]
+    total += a[..., 2]
+    return total
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross products of a (..., 3) and b (..., 3) over the last axis, equal to np.cross bit for bit.
+
+    The same three products and differences as np.cross, without its axis
+    handling; integer stacks stay integer.
+    """
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
 
 def _as_unit(v) -> np.ndarray:
@@ -141,12 +171,21 @@ def second_moment_stack(a: np.ndarray) -> np.ndarray:
     """second_moment of a stack (..., n, 3) of point arrays: H of shape (..., 3, 3).
 
     Each entry equals second_moment of that point set alone.  The points
-    are not validated; pass unit vectors.
+    are not validated; pass unit vectors.  Raises ValueError for any other
+    shape, and for an empty point set.
     """
+    a = _point_stack(a)
+    return a.swapaxes(-1, -2) @ a
+
+
+def _point_stack(a) -> np.ndarray:
+    """a as a float stack (..., n, 3) of point arrays; raises ValueError naming any other shape, or for n = 0."""
     a = np.asarray(a, dtype=float)
+    if a.ndim < 2 or a.shape[-1] != 3:
+        raise ValueError(f"expected point arrays of shape (..., n, 3), got shape {a.shape}")
     if a.shape[-2] == 0:
         raise ValueError("empty point set")
-    return a.swapaxes(-1, -2) @ a
+    return a
 
 
 def isotropy_of(h: np.ndarray) -> IsotropyCheck:
@@ -169,7 +208,7 @@ def isotropy_of_stack(h: np.ndarray):
     h = np.asarray(h, dtype=float)
     if h.shape[-2:] != (3, 3):
         raise ValueError(f"expected 3x3 tensors of shape (..., 3, 3), got shape {h.shape}")
-    sigma_sq = np.trace(h, axis1=-2, axis2=-1) / 3.0
+    sigma_sq = _sum3(np.diagonal(h, axis1=-2, axis2=-1)) / 3.0
     dev = np.max(np.abs(h - sigma_sq[..., None, None] * np.eye(3)), axis=(-2, -1))
     return (dev <= ISO_TOL) & (sigma_sq > ISO_TOL), sigma_sq
 
@@ -182,7 +221,7 @@ def _cyclic_points(a: float, b: float) -> list:
 def _unit_rows(points: list) -> np.ndarray:
     """The points, each scaled to unit norm, as an (n, 3) array."""
     v = np.array(points, dtype=float)
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+    return v / np.sqrt(_sum3(v * v))[:, None]
 
 
 _CUBE_CORNERS = [[sx, sy, sz] for sx in (-1.0, 1.0) for sy in (-1.0, 1.0) for sz in (-1.0, 1.0)]

@@ -393,12 +393,6 @@ class TestStackedSampleChecksEqualLoops:
         for n, stack in stacks:
             assert np.array_equal(stack, np.array(reference[n]))
 
-    def test_by_size_groups_in_ascending_size_and_input_order(self):
-        rng = np.random.default_rng(7)
-        items = [tuple(range(int(k))) + (i,) for i, k in enumerate(rng.integers(0, 9, size=300))]
-        assert list(checks._by_size(items, len)) == list(quadratic_by_size(items))
-        assert list(checks._by_size([], len)) == []
-
 
 def sha256_of(arrays):
     """SHA-256 over each array's shape and its little-endian 8-byte values, in order."""

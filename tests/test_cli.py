@@ -1,9 +1,13 @@
 import errno
+import hashlib
 import io
 import json
 import math
 import os
 import re
+import runpy
+import signal
+import subprocess
 import sys
 from pathlib import Path
 
@@ -411,6 +415,49 @@ def test_a_session_of_wrist_commands_builds_the_classes_once(runner, monkeypatch
     for args in [["classify", "--format", "json"], ["classify"], ["posture", "a"], ["posture", "c"], ["posture", "h"]]:
         assert runner.invoke(cli, args).exit_code == 0
     assert calls == [8]
+
+
+#: The golden files whose bytes hold on every OpenBLAS kernel and numpy SIMD path of KERNEL_SETTINGS.  The verify
+#: reports, the posture of class c and the dodecahedron move in their last bits under some of them.
+KERNEL_PROOF = [
+    "classify.json", "classify.txt", "enumerate.csv", "enumerate.json", "enumerate.txt",
+    "platonic-cube.json", "platonic-cube.txt", "platonic-icosahedron.json", "platonic-icosahedron.txt",
+]
+#: Per-process settings that move numpy's BLAS to another OpenBLAS kernel, or numpy off its AVX-512 code paths.
+KERNEL_SETTINGS = {
+    "haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+    "prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+    "no-avx512": {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"},
+}
+DIGEST_TOOL = Path(__file__).resolve().parents[1] / "tools" / "output_digests.py"
+
+
+@pytest.mark.parametrize("setting", sorted(KERNEL_SETTINGS))
+def test_kernel_proof_golden_files_hold_on_other_kernels(setting):
+    # a fresh interpreter, since OpenBLAS and numpy read these settings once, at load
+    here = runpy.run_path(str(DIGEST_TOOL))["kernel_lines"]()
+    if "DYNAMIC_ARCH" not in here[2]:
+        pytest.skip(f"numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS, so no other kernel is chosen per process: {here[2]}")
+    code = (
+        "import hashlib, runpy, sys\n"
+        "from click.testing import CliRunner\n"
+        "from isowrist.cli import cli\n"
+        "print(*runpy.run_path(sys.argv[1])['kernel_lines'](), sep='\\n')\n"
+        f"for name in {KERNEL_PROOF!r}:\n"
+        f"    out = CliRunner().invoke(cli, {GOLDEN_COMMANDS!r}[name]).stdout_bytes\n"
+        "    print(name, hashlib.sha256(out).hexdigest())\n"
+    )
+    src = str(Path(solver.__file__).resolve().parents[1])
+    env = {**os.environ, **KERNEL_SETTINGS[setting], "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-c", code, str(DIGEST_TOOL)], env=env, capture_output=True, text=True)
+    if run.returncode == -signal.SIGILL:
+        pytest.skip(f"{KERNEL_SETTINGS[setting]} asks for instructions this CPU lacks")
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    if lines[: len(here)] == here:
+        pytest.skip(f"{KERNEL_SETTINGS[setting]} leaves numpy's BLAS kernel and SIMD paths as they are here")
+    expected = [f"{name} {hashlib.sha256((GOLDEN / name).read_bytes()).hexdigest()}" for name in KERNEL_PROOF]
+    assert lines[len(here) :] == expected
 
 
 class TestPosture:

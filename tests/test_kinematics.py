@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -12,9 +13,7 @@ from isowrist.checks import check_dh_round_trip
 from isowrist.classify import chain_orderings, distinct_wrists
 from isowrist.kinematics import (
     DHChain,
-    _cross,
     _forward_chain,
-    _sum3,
     dh_from_axes,
     dh_from_axes_stack,
     forward_axes,
@@ -24,7 +23,7 @@ from isowrist.kinematics import (
     jacobian_from_axes_stack,
 )
 from isowrist.solver import enumerate_solutions
-from isowrist.spheregeom import PointSet, TETRAHEDRON
+from isowrist.spheregeom import PointSet, TETRAHEDRON, _cross, _sum3
 
 ALPHA_OBTUSE = math.acos(-1.0 / 3.0)  # 109.47122 deg
 ALPHA_ACUTE = math.acos(1.0 / 3.0)  # 70.52878 deg
@@ -102,6 +101,15 @@ class TestIsotropyReport:
             rep = isotropy_report(jacobian_from_axes(ps))
             assert sorted(rep.singular_values, reverse=True) == list(rep.singular_values)
             assert abs(sum(v * v for v in rep.singular_values) - n) < 1e-12
+
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 2), (2, 3), (3,), (), (5, 4, 3)])
+    def test_jacobian_of_another_shape_raises(self, shape):
+        # no padding, no fourth value: a 4x4 identity once reported four singular values and is_isotropic=True
+        message = re.escape(f"expected Jacobians of shape (..., 3, n), got shape {shape}")
+        with pytest.raises(ValueError, match=message):
+            isotropy_report(np.ones(shape))
+        with pytest.raises(ValueError, match=message):
+            isotropy_report_stack(np.ones(shape))
 
 
 class TestForwardAxes:
@@ -237,6 +245,13 @@ class TestStackedForwardChain:
     def test_jacobian_stack_rejects_empty_sets(self):
         with pytest.raises(ValueError, match="empty"):
             jacobian_from_axes_stack(np.zeros((2, 0, 3)))
+
+    @pytest.mark.parametrize("shape", [(4, 2), (3, 4), (3,), (), (5, 4, 1)])
+    def test_jacobian_stack_of_another_shape_raises(self, shape):
+        # no transpose of what is not an axis array: a (4, 2) array once gave a 2x4 Jacobian
+        message = re.escape(f"expected point arrays of shape (..., n, 3), got shape {shape}")
+        with pytest.raises(ValueError, match=message):
+            jacobian_from_axes_stack(np.ones(shape))
 
 
 class TestWristTablePostures:
@@ -388,11 +403,13 @@ class TestSum3:
         shape = data.draw(_sum_shapes)
         a = data.draw(hnp.arrays(np.float64, shape, elements=_sum_entries))
         b = data.draw(hnp.arrays(np.float64, shape, elements=_sum_entries))
+        h = data.draw(hnp.arrays(np.float64, shape[:-1] + (3, 3), elements=_sum_entries))
         with np.errstate(over="ignore", invalid="ignore"):
             _assert_bits_equal(_sum3(a), np.sum(a, axis=-1))
             _assert_bits_equal(_sum3(a * b), np.sum(a * b, axis=-1))
             _assert_bits_equal(np.sqrt(_sum3(a * a)), np.linalg.norm(a, axis=-1))
             _assert_bits_equal(_sum3(a) / 3, np.mean(a, axis=-1))
+            _assert_bits_equal(_sum3(np.diagonal(h, axis1=-2, axis2=-1)), np.trace(h, axis1=-2, axis2=-1))
 
     def test_sum_of_negative_zeros_is_positive_zero(self):
         # numpy adds onto its identity 0.0, so a row of -0.0 sums to 0.0, as np.sum gives

@@ -74,6 +74,13 @@ class TestSecondMoment:
         with pytest.raises(ValueError, match="empty point set"):
             second_moment(PointSet(np.empty((0, 3))))
 
+    @pytest.mark.parametrize("shape", [(4, 2), (3, 4), (3,), (), (5, 4, 1)])
+    def test_stack_of_another_shape_raises(self, shape):
+        # no product of what is not a point array: a (4, 2) array once gave a 2x2 tensor
+        message = re.escape(f"expected point arrays of shape (..., n, 3), got shape {shape}")
+        with pytest.raises(ValueError, match=message):
+            second_moment_stack(np.ones(shape))
+
 
 class TestIsotropyOf:
     def test_tetrahedron(self):
