@@ -30,7 +30,7 @@ from .spheregeom import (
     PointSet,
     TETRAHEDRON,
     _line_reflection,
-    _sum3,
+    _unit_rows,
     isotropy_of,
     isotropy_of_stack,
     platonic_vertices,
@@ -231,8 +231,7 @@ def _normals(gen, count):
 
 def _unit_vectors(gen, count):
     """count random unit vectors (count, 3): normals from one draw, each row divided by its own norm."""
-    points = _normals(gen, 3 * count).reshape(count, 3)
-    return points / np.sqrt(_sum3(points * points))[:, None]
+    return _unit_rows(_normals(gen, 3 * count).reshape(count, 3))
 
 
 def check_line_reflection(seed) -> CheckResult:

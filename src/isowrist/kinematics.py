@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .spheregeom import ISO_TOL, PointSet, _cross, _norms, _point_stack, _rotation, _sum3
+from .spheregeom import ISO_TOL, PointSet, _cross, _norms, _point_stack, _rotation, _sum3, _unit_rows
 
 TWIST_TOL = 1e-9
 
@@ -207,10 +207,11 @@ def dh_from_axes_stack(a: np.ndarray):
     parameters dh_from_axes recovers from that axis set alone, bit for
     bit: twist alpha_k reads axes k and k+1 alone, and joint theta_k axes
     k-1..k+1.  The twist dots and the squared norms of the common normals
-    are summed over x, y, z in that order (_sum3); the joints' sine and
-    cosine dots are batched matmuls.  Raises ValueError if any row has a
-    degenerate twist, which also keeps every twist inside the range
-    DHChain accepts.  The axes are not validated; pass unit vectors.
+    are summed over x, y, z in that order (_sum3, _unit_rows); the
+    joints' sine and cosine dots are batched matmuls.  Raises ValueError
+    if any row has a degenerate twist, which also keeps every twist inside
+    the range DHChain accepts.  The axes are not validated; pass unit
+    vectors.
     """
     a = np.asarray(a, dtype=float)
     m, n, _ = a.shape
@@ -221,8 +222,7 @@ def dh_from_axes_stack(a: np.ndarray):
         raise ValueError("degenerate twist: consecutive axes parallel or antiparallel")
     twists = np.array([math.acos(d) for d in dots.ravel().tolist()]).reshape(m, n - 1)
     # unit common normals x_i between axes i and i+1
-    crosses = _cross(a[:, :-1], a[:, 1:])
-    normals = crosses / np.sqrt(_sum3(crosses * crosses))[..., None]
+    normals = _unit_rows(_cross(a[:, :-1], a[:, 1:]))
     x_prev, x_next = normals[:, :-1], normals[:, 1:]
     turns = _cross(x_prev, x_next)
     # the batched matmul takes each dot product exactly as np.dot of two 3-vectors does

@@ -9,8 +9,9 @@ unit vectors {e_k} is isotropic when its second-moment tensor
 is a multiple of the identity, H = sigma^2 * I; taking the trace shows
 the multiplier is always sigma^2 = n/3 for n unit vectors.
 
-Every other module imports this one, so the library's sums and cross
-products of 3-vectors live here too: _sum3 and _cross.
+Every other module imports this one, so the library's sums, cross
+products and row normalisations of 3-vectors live here too: _sum3,
+_cross and _unit_rows.
 
 All types are immutable values and all operations are pure functions,
 so everything here is safe to call concurrently.
@@ -218,10 +219,9 @@ def _cyclic_points(a: float, b: float) -> list:
     return [pt for sa in (-a, a) for sb in (-b, b) for pt in ([0.0, sa, sb], [sa, sb, 0.0], [sb, 0.0, sa])]
 
 
-def _unit_rows(points: list) -> np.ndarray:
-    """The points, each scaled to unit norm, as an (n, 3) array."""
-    v = np.array(points, dtype=float)
-    return v / np.sqrt(_sum3(v * v))[:, None]
+def _unit_rows(a: np.ndarray) -> np.ndarray:
+    """The rows of a float (..., 3) array, each divided by its Euclidean norm np.sqrt(_sum3(a * a))."""
+    return a / np.sqrt(_sum3(a * a))[..., None]
 
 
 _CUBE_CORNERS = [[sx, sy, sz] for sx in (-1.0, 1.0) for sy in (-1.0, 1.0) for sz in (-1.0, 1.0)]
@@ -241,9 +241,9 @@ def platonic_vertices(kind: PlatonicSolid) -> PointSet:
     if kind is PlatonicSolid.cube:
         return PointSet(np.array(_CUBE_CORNERS) / math.sqrt(3.0))
     if kind is PlatonicSolid.icosahedron:
-        return PointSet(_unit_rows(_cyclic_points(1.0, _GOLDEN)))
+        return PointSet(_unit_rows(np.array(_cyclic_points(1.0, _GOLDEN))))
     if kind is PlatonicSolid.dodecahedron:
-        return PointSet(_unit_rows(_CUBE_CORNERS + _cyclic_points(1.0 / _GOLDEN, _GOLDEN)))
+        return PointSet(_unit_rows(np.array(_CUBE_CORNERS + _cyclic_points(1.0 / _GOLDEN, _GOLDEN))))
     raise ValueError(f"unknown Platonic solid: {kind!r}")
 
 

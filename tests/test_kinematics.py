@@ -23,7 +23,7 @@ from isowrist.kinematics import (
     jacobian_from_axes_stack,
 )
 from isowrist.solver import enumerate_solutions
-from isowrist.spheregeom import PointSet, TETRAHEDRON, _cross, _sum3
+from isowrist.spheregeom import PointSet, TETRAHEDRON, _cross, _sum3, _unit_rows
 
 ALPHA_OBTUSE = math.acos(-1.0 / 3.0)  # 109.47122 deg
 ALPHA_ACUTE = math.acos(1.0 / 3.0)  # 70.52878 deg
@@ -404,10 +404,11 @@ class TestSum3:
         a = data.draw(hnp.arrays(np.float64, shape, elements=_sum_entries))
         b = data.draw(hnp.arrays(np.float64, shape, elements=_sum_entries))
         h = data.draw(hnp.arrays(np.float64, shape[:-1] + (3, 3), elements=_sum_entries))
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             _assert_bits_equal(_sum3(a), np.sum(a, axis=-1))
             _assert_bits_equal(_sum3(a * b), np.sum(a * b, axis=-1))
             _assert_bits_equal(np.sqrt(_sum3(a * a)), np.linalg.norm(a, axis=-1))
+            _assert_bits_equal(_unit_rows(a), a / np.linalg.norm(a, axis=-1)[..., None])
             _assert_bits_equal(_sum3(a) / 3, np.mean(a, axis=-1))
             _assert_bits_equal(_sum3(np.diagonal(h, axis1=-2, axis2=-1)), np.trace(h, axis1=-2, axis2=-1))
 

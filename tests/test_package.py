@@ -22,7 +22,6 @@ SOURCES = Path(isowrist.__file__).resolve().parent
 #: settable value means a deliberate edit here, and a caller that sets it.
 PARAMETERS_WITH_DEFAULTS = {
     ("isowrist.checks._result", "extra_ok"),
-    ("isowrist.cli._output_option", "help_text"),
     ("isowrist.solver.oracle_root_hunt", "n_starts"),
     ("isowrist.solver.oracle_root_hunt", "seed"),
     ("isowrist.solver.oracle_root_hunt", "starts"),
@@ -192,6 +191,17 @@ def test_an_infinite_jacobian_entry_prints_nothing():
 def test_cli_import_pulls_in_no_process_pool():
     # the oracle's workers use os.fork and pickle alone, so start-up imports neither pool module
     assert _loaded_after([], ("multiprocessing", "concurrent.futures")) == "[]\n"
+
+
+def test_cli_runs_without_click():
+    # the CLI parses with the standard library, and numpy is the package's one dependency
+    commands = [["enumerate"], ["classify"], ["verify", "--oracle-starts", "0"], ["posture", "c"], ["platonic", "cube"]]
+    assert _loaded_after([], ("click",)) == "[]\n"
+    assert _loaded_after(commands, ("click",)) == "[]\n"
+    pyproject = (README.parent / "pyproject.toml").read_text(encoding="utf-8")
+    dependencies = re.search(r"^dependencies = \[(.*?)\]", pyproject, re.M | re.S).group(1)
+    assert re.findall(r'"([^"]*)"', dependencies) == ["numpy>=1.24"]
+    assert "Requires Python ≥ 3.10 and numpy.\n" in README.read_text(encoding="utf-8")
 
 
 def test_artifact_commands_import_neither_numpy_random_nor_numpy_ma():
